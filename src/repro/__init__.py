@@ -25,6 +25,8 @@ See README.md for the architecture overview, DESIGN.md for the system
 inventory and EXPERIMENTS.md for the paper-vs-measured record.
 """
 
+import importlib
+
 from repro.core import (
     FixedPointEvaluator,
     PerformanceEvaluator,
@@ -41,14 +43,6 @@ from repro.errors import (
     ReproError,
     SymbolicError,
 )
-from repro.engine import (
-    BatchEngine,
-    BatchRequest,
-    EvaluationPlan,
-    PlanCache,
-    compile_plan,
-)
-from repro.runtime import EvaluationBudget, EvaluationResult, RobustEvaluator
 from repro.model import (
     AND,
     OR,
@@ -72,6 +66,28 @@ from repro.model import (
 from repro.symbolic import Environment, Expression, Parameter, parse_expression
 
 __version__ = "1.0.0"
+
+#: Names re-exported on first access (PEP 562), so ``import repro`` does
+#: not pay for the engine layer a one-shot evaluation never touches.
+_LAZY = {
+    "BatchEngine": "repro.engine",
+    "BatchRequest": "repro.engine",
+    "EvaluationPlan": "repro.engine",
+    "PlanCache": "repro.engine",
+    "compile_plan": "repro.engine",
+    "EvaluationBudget": "repro.runtime",
+    "EvaluationResult": "repro.runtime",
+    "RobustEvaluator": "repro.runtime",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "AND",

@@ -18,6 +18,7 @@ from repro.analysis.sweep import SweepResult
 __all__ = ["format_table", "format_sweep", "format_comparison", "sparkline"]
 
 _BLOCKS = "▁▂▃▄▅▆▇█"
+_GAP = "·"
 
 
 def format_table(
@@ -48,15 +49,21 @@ def format_table(
 
 
 def sparkline(values: Sequence[float]) -> str:
-    """A one-line unicode sparkline of a series (useful in bench logs)."""
+    """A one-line unicode sparkline of a series (useful in bench logs).
+
+    Non-finite values (e.g. the NaN points of a quarantined sweep unit)
+    render as ``·``; the rest scale over the finite range.
+    """
     arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return ""
-    low, high = float(arr.min()), float(arr.max())
-    if high == low:
-        return _BLOCKS[0] * arr.size
-    scaled = (arr - low) / (high - low) * (len(_BLOCKS) - 1)
-    return "".join(_BLOCKS[int(round(s))] for s in scaled)
+    finite = np.isfinite(arr)
+    if not finite.any():
+        return _GAP * arr.size
+    low, high = float(arr[finite].min()), float(arr[finite].max())
+    scale = (len(_BLOCKS) - 1) / (high - low) if high > low else 0.0
+    levels = np.rint((np.where(finite, arr, low) - low) * scale).astype(int)
+    return "".join(
+        _BLOCKS[level] if ok else _GAP for level, ok in zip(levels, finite)
+    )
 
 
 def format_sweep(sweep: SweepResult, max_rows: int = 20) -> str:

@@ -34,7 +34,7 @@ from repro.core.symbolic_evaluator import (
     SymbolicEvaluator,
     attribute_environment,
 )
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, ProbabilityRangeError
 from repro.model.assembly import Assembly
 from repro.symbolic import Environment
 from repro.symbolic.compiler import compile_expression, gradient_kernels
@@ -199,6 +199,10 @@ def finite_difference_attribute_sensitivity(
     solves after the first are served by rank-``k`` updates of the cached
     base factorization instead of fresh ones — this is the
     attribute-perturbation fast path the low-rank update layer exists for.
+
+    When ``v - h`` leaves the attribute's domain (a failure rate below the
+    step probes negative and raises :class:`ProbabilityRangeError`), the
+    derivative is a one-sided forward difference from ``v`` instead.
     """
     from repro.dsl import load_assembly
     from repro.dsl.serializer import assembly_to_dict
@@ -220,13 +224,17 @@ def finite_difference_attribute_sensitivity(
         )
     value = float(target["interface"]["attributes"][attr])
     h = step * max(abs(value), 1.0)
-    probes = []
-    for sign in (1.0, -1.0):
-        target["interface"]["attributes"][attr] = value + sign * h
-        perturbed = load_assembly(json.dumps(document))
+
+    def probe(delta: float) -> float:
+        target["interface"]["attributes"][attr] = value + delta
         evaluator = ReliabilityEvaluator(
-            perturbed, check_domains=False, solver=solver,
-            incremental=incremental,
+            load_assembly(json.dumps(document)), check_domains=False,
+            solver=solver, incremental=incremental,
         )
-        probes.append(evaluator.pfail(service, **dict(actuals)))
-    return (probes[0] - probes[1]) / (2 * h)
+        return evaluator.pfail(service, **dict(actuals))
+
+    up = probe(h)
+    try:
+        return (up - probe(-h)) / (2 * h)
+    except ProbabilityRangeError:
+        return (up - probe(0.0)) / h

@@ -62,7 +62,18 @@ from repro.engine.plan import (
     compile_plan,
     reset_counters,
 )
-from repro.engine.shm import ShmWorkspace, reset_shm_counts, shm_counts
+
+#: The shared-memory transport drags in :mod:`multiprocessing`; its names
+#: resolve on first access (PEP 562) so the serial path never loads it.
+_SHM_NAMES = ("ShmWorkspace", "reset_shm_counts", "shm_counts")
+
+
+def __getattr__(name: str):
+    if name not in _SHM_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.engine import shm
+
+    return getattr(shm, name)
 
 __all__ = [
     "BatchEngine",

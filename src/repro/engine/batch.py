@@ -33,11 +33,9 @@ from __future__ import annotations
 import time
 from collections.abc import Mapping, Sequence
 from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro import observability as obs
-from repro.engine import shm
 from repro.engine.cache import PlanCache
 from repro.engine.parallel import (
     WorkerFailure,
@@ -430,19 +428,24 @@ class BatchEngine:
     def _use_shm(self, plan, indices) -> bool:
         """Whether a group should ride the shared-memory transport: heavy
         (robust) plans fanning real work across a process pool."""
-        return (
+        if not (
             self.fused
             and self.mode == "process"
             and not isinstance(plan, ReproError)
             and plan.backend == "robust"
             and len(indices) > 1
-            and shm.available()
-        )
+        ):
+            return False
+        from repro.engine import shm
+
+        return shm.available()
 
     def _submit_shm(self, executor, futures, plan, indices, entries, workspaces):
         """Lay out one shared workspace for a robust group and fan its
         rows across the pool — workers read the model document and write
         result rows in place; nothing heavy is pickled."""
+        from repro.engine import shm
+
         formals = plan.formals
         n, k = len(indices), max(1, len(formals))
         workspace = shm.ShmWorkspace.create(
@@ -491,6 +494,8 @@ class BatchEngine:
             )
 
     def _run_parallel(self, groups, entries: list[BatchEntry]) -> None:
+        from concurrent.futures.process import BrokenProcessPool
+
         executor = make_executor(self.jobs, self.mode)
         if executor is None:  # pragma: no cover - guarded by caller
             return self._run_serial(groups, entries)

@@ -30,7 +30,7 @@ import os
 import threading
 import time
 import warnings
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import repro.errors as _errors
@@ -200,6 +200,9 @@ def make_executor(jobs: int, mode: str = "process") -> Executor | None:
         return None
     if mode == "thread":
         return ThreadPoolExecutor(max_workers=jobs)
+    # the process-pool stack (multiprocessing included) loads only here
+    from concurrent.futures import ProcessPoolExecutor
+
     return ProcessPoolExecutor(max_workers=jobs)
 
 

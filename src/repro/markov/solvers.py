@@ -10,10 +10,10 @@ services and ``nnz(Q) << n^2``.
 
 This module makes the solve *pluggable* and *structure-aware*:
 
-- **dense** — the compatibility backend.  ``numpy.linalg.solve`` semantics;
-  when scipy is importable the LU factors are computed once
-  (``scipy.linalg.lu_factor``) and reused across absorption, visits, steps
-  and the condition estimate.
+- **dense** — the compatibility backend.  The first right-hand side is one
+  ``numpy.linalg.solve``; when a second one arrives and scipy is installed,
+  the LU factors are computed once (``scipy.linalg.lu_factor``) and reused
+  across visits, steps, low-rank updates and the condition estimate.
 - **sparse** — assemble ``I - Q`` in CSR and factor once with
   ``scipy.sparse.linalg.splu``; every subsequent right-hand side is a pair
   of triangular substitutions.  Requires scipy.
@@ -30,6 +30,10 @@ The exact condition number is replaced everywhere by a 1-norm *estimate*
 (``scipy.sparse.linalg.onenormest`` over the factorization, or a pure-numpy
 Hager estimator without scipy) — a handful of extra solves instead of an
 extra ``O(n^3)`` inversion.
+
+scipy is imported on first need (a sparse backend, a dense system's second
+right-hand side, a large condition estimate), never at import: a one-shot
+dense evaluation costs ``import numpy`` and nothing more.
 
 **Structural plan cache.**  The value-independent part of a solve — the
 transient/absorbing partition, the sparsity pattern of ``Q``, the
@@ -58,6 +62,7 @@ record applied updates and both fallback reasons.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import threading
 import warnings
 
@@ -67,17 +72,9 @@ from repro import observability as obs
 from repro.caching import CacheStats, LRUCache
 from repro.errors import EvaluationError
 
-try:  # pragma: no cover - exercised through both branches in CI
-    import scipy.linalg as _scipy_linalg
-    import scipy.sparse as _scipy_sparse
-    import scipy.sparse.linalg as _scipy_sparse_linalg
-
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - the numpy-only environment
-    _scipy_linalg = None
-    _scipy_sparse = None
-    _scipy_sparse_linalg = None
-    _HAVE_SCIPY = False
+#: Whether scipy is installed; found without importing it.
+_HAVE_SCIPY = importlib.util.find_spec("scipy") is not None
+_scipy_package = None
 
 __all__ = [
     "SOLVERS",
@@ -131,6 +128,23 @@ def scipy_available() -> bool:
     return _HAVE_SCIPY
 
 
+def _scipy():
+    """The ``scipy`` package with ``linalg``, ``sparse`` and
+    ``sparse.linalg`` loaded, imported on first call; ``None`` without
+    scipy.  A failing import degrades to the numpy-only paths for good."""
+    global _HAVE_SCIPY, _scipy_package
+    if _scipy_package is None and _HAVE_SCIPY:
+        try:
+            import scipy.linalg
+            import scipy.sparse
+            import scipy.sparse.linalg
+        except ImportError:  # pragma: no cover - a broken installation
+            _HAVE_SCIPY = False
+        else:
+            _scipy_package = scipy
+    return _scipy_package if _HAVE_SCIPY else None
+
+
 def validate_solver(solver: str) -> str:
     """Normalize and validate a solver request (typed error otherwise)."""
     name = str(solver).lower()
@@ -138,7 +152,7 @@ def validate_solver(solver: str) -> str:
         raise EvaluationError(
             f"unknown solver backend {solver!r} (expected one of {SOLVERS})"
         )
-    if name == "sparse" and not _HAVE_SCIPY:
+    if name == "sparse" and _scipy() is None:
         raise EvaluationError(
             "solver 'sparse' requires scipy, which is not installed; "
             "use 'auto' (falls back to dense) or 'dense'"
@@ -239,8 +253,9 @@ def _inverse_norm_estimate(fact: "Factorization") -> float:
             return float("inf")
         return float(np.abs(inverse).sum(axis=0).max())
     obs.count("solver.condition.estimated")
-    if _HAVE_SCIPY:
-        operator = _scipy_sparse_linalg.LinearOperator(
+    scipy = _scipy()
+    if scipy is not None:
+        operator = scipy.sparse.linalg.LinearOperator(
             (n, n),
             matvec=lambda v: fact.solve(np.asarray(v, dtype=float).ravel()),
             rmatvec=lambda v: fact.solve_transpose(
@@ -248,7 +263,7 @@ def _inverse_norm_estimate(fact: "Factorization") -> float:
             ),
         )
         try:
-            return float(_scipy_sparse_linalg.onenormest(operator))
+            return float(scipy.sparse.linalg.onenormest(operator))
         except (ValueError, RuntimeError):  # pragma: no cover - defensive
             pass
     return _hager_inverse_norm(fact.solve, fact.solve_transpose, n)
@@ -310,11 +325,13 @@ class Factorization:
 
 
 class _DenseFactorization(Factorization):
-    """Dense backend: LAPACK via numpy, LU kept when scipy is importable.
+    """Dense backend: LAPACK via numpy, LU kept from the second solve on.
 
-    Without scipy every solve re-factors (exactly the historical
-    ``numpy.linalg.solve`` behavior, preserved on purpose); with scipy the
-    ``getrf`` factors are computed once and reused by ``getrs``.
+    The first right-hand side is one ``numpy.linalg.solve`` (``gesv``), so
+    a one-shot solve never loads scipy.  A second right-hand side (or any
+    transpose solve) forms the ``getrf`` factors with scipy once and reuses
+    them through ``getrs``.  Without scipy every solve re-factors — the
+    historical ``numpy.linalg.solve`` behavior, preserved on purpose.
     """
 
     method = "dense"
@@ -323,36 +340,55 @@ class _DenseFactorization(Factorization):
         super().__init__(system.shape[0])
         self._system = system
         self._lu_piv = None
-        if _HAVE_SCIPY and self.n:
+        self._solved = False
+        self.reusable = _HAVE_SCIPY and self.n > 0
+
+    def _factors(self):
+        """The kept LU factors (formed on first call); ``None`` without
+        scipy."""
+        if self._lu_piv is None:
+            scipy = _scipy()
+            if scipy is None:
+                return None
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # lu_factor warns, we raise
-                lu, piv = _scipy_linalg.lu_factor(system, check_finite=False)
+                lu, piv = scipy.linalg.lu_factor(
+                    self._system, check_finite=False
+                )
             _charge("factorizations")
             if not np.all(np.isfinite(lu)) or np.any(np.diag(lu) == 0.0):
                 raise SingularSystemError("dense LU factored singular")
             self._lu_piv = (lu, piv)
-            self.reusable = True
+        return self._lu_piv
+
+    def _gesv(self, system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        try:
+            return np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(str(exc)) from exc
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._lu_piv is not None:
-            return _scipy_linalg.lu_solve(
-                self._lu_piv, rhs, check_finite=False
-            )
-        try:
+        if not self._solved:
+            self._solved = True
             _charge("factorizations")
-            return np.linalg.solve(self._system, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(str(exc)) from exc
+            result = self._gesv(self._system, rhs)
+            # a non-finite answer goes through the kept LU below, which
+            # rejects a non-finite or singular factor as a typed error
+            if not self.reusable or np.all(np.isfinite(result)):
+                return result
+        factors = self._factors()
+        if factors is None:
+            _charge("factorizations")
+            return self._gesv(self._system, rhs)
+        return _scipy().linalg.lu_solve(factors, rhs, check_finite=False)
 
     def solve_transpose(self, rhs: np.ndarray) -> np.ndarray:
-        if self._lu_piv is not None:
-            return _scipy_linalg.lu_solve(
-                self._lu_piv, rhs, trans=1, check_finite=False
-            )
-        try:
-            return np.linalg.solve(self._system.T, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(str(exc)) from exc
+        factors = self._factors()
+        if factors is None:
+            return self._gesv(self._system.T, rhs)
+        return _scipy().linalg.lu_solve(
+            factors, rhs, trans=1, check_finite=False
+        )
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self._system @ x
@@ -387,7 +423,7 @@ class _SparseLUFactorization(Factorization):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                self._lu = _scipy_sparse_linalg.splu(system_csr.tocsc())
+                self._lu = _scipy().sparse.linalg.splu(system_csr.tocsc())
         except RuntimeError as exc:  # splu signals exact singularity this way
             raise SingularSystemError(str(exc)) from exc
         _charge("factorizations")
@@ -436,7 +472,7 @@ class _SparseTriangularFactorization(Factorization):
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
-        solution = _scipy_sparse_linalg.spsolve_triangular(
+        solution = _scipy().sparse.linalg.spsolve_triangular(
             self._permuted, rhs[self._order], lower=False
         )
         return solution[self._inverse]
@@ -445,7 +481,7 @@ class _SparseTriangularFactorization(Factorization):
         if self._permuted_t is None:
             self._permuted_t = self._permuted.T.tocsr()
         rhs = np.asarray(rhs, dtype=float)
-        solution = _scipy_sparse_linalg.spsolve_triangular(
+        solution = _scipy().sparse.linalg.spsolve_triangular(
             self._permuted_t, rhs[self._order], lower=True
         )
         return solution[self._inverse]
@@ -590,12 +626,13 @@ def _resolve_backend(solver: str, m: int, nnz: int) -> str:
         return "dense"
     if solver == "sparse":
         return "sparse"
-    # auto: structure-aware heuristic with a dense fallback
+    # auto: structure-aware heuristic with a dense fallback; scipy is
+    # loaded only once a sparse solve is actually chosen
     if not _HAVE_SCIPY or m < SPARSE_THRESHOLD:
         return "dense"
     if m and nnz / (m * m) > SPARSE_DENSITY:
         return "dense"
-    return "sparse"
+    return "sparse" if _scipy() is not None else "dense"
 
 
 def chain_plan(
@@ -681,11 +718,12 @@ def _full_factorize(matrix: np.ndarray, plan: ChainSolvePlan) -> Factorization:
     if plan.backend == "dense":
         system = np.eye(m) - matrix[np.ix_(transient, transient)]
         return _DenseFactorization(system)
+    sparse = _scipy().sparse
     values = matrix[transient[plan.q_rows], transient[plan.q_cols]]
-    q_sparse = _scipy_sparse.csr_matrix(
+    q_sparse = sparse.csr_matrix(
         (values, (plan.q_rows, plan.q_cols)), shape=(m, m)
     )
-    system = (_scipy_sparse.identity(m, format="csr") - q_sparse).tocsr()
+    system = (sparse.identity(m, format="csr") - q_sparse).tocsr()
     if plan.backend == "sparse-tri":
         return _SparseTriangularFactorization(system, plan.order)
     return _SparseLUFactorization(system)
@@ -745,4 +783,4 @@ def factorize(a: np.ndarray, solver: str = "auto") -> Factorization:
     backend = _resolve_backend(solver, n, int(np.count_nonzero(a)))
     if backend == "dense":
         return _DenseFactorization(a)
-    return _SparseLUFactorization(_scipy_sparse.csr_matrix(a))
+    return _SparseLUFactorization(_scipy().sparse.csr_matrix(a))

@@ -109,6 +109,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-server/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: a reply goes out as the header write plus the body
+    # write, and with Nagle on the body waits for the client's delayed
+    # ACK (~40 ms per keep-alive request)
+    disable_nagle_algorithm = True
 
     # -- plumbing -----------------------------------------------------------
 

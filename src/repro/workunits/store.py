@@ -14,10 +14,13 @@ One append-only file per campaign, one JSON record per line:
 Appends are atomic-enough for crash recovery: each record is a single
 ``write`` of one complete line, flushed and ``fsync``'d before the
 supervisor moves on — so after a SIGKILL the journal contains every
-acknowledged record plus at most one truncated trailing line, which
-:func:`load_state` skips.  Replay is **idempotent**: loading a store any
-number of times, or resuming a completed campaign, reconstructs the same
-state and schedules no new work (property-tested).
+acknowledged record plus at most one truncated trailing line.  A record
+is committed only once its newline is on disk: :func:`load_state` skips
+an unterminated last line even when it parses, and reopening a journal
+for appends cuts it off first, so the next record never merges onto it.
+Replay is **idempotent**: loading a store any number of times, or
+resuming a completed campaign, reconstructs the same state and schedules
+no new work (property-tested).
 
 The format is deliberately dumb — grep-able, ``jq``-able, mergeable by
 concatenation of disjoint campaigns — and schema-checked by
@@ -77,7 +80,7 @@ class StoreState:
 def load_state(path: str | Path) -> StoreState:
     """Replay a journal file into a :class:`StoreState`.
 
-    Tolerates a truncated trailing line (the partially-written record of
+    Skips an unterminated trailing line (the partially-written record of
     a process killed mid-append) and ignores record kinds it does not
     know, so newer journals stay readable by older code.  A missing file
     replays to the empty state — resuming a campaign that never started
@@ -89,15 +92,19 @@ def load_state(path: str | Path) -> StoreState:
         return state
     with path.open("r", encoding="utf-8") as fh:
         lines = fh.readlines()
-    for lineno, line in enumerate(lines):
+    for line in lines:
+        committed = line.endswith("\n")
         line = line.strip()
         if not line:
+            continue
+        if not committed:
+            # a torn append: the record's newline never reached the disk
+            state.skipped_lines += 1
             continue
         try:
             record = json.loads(line)
         except ValueError:
-            # a torn append: only legitimate as the very last line
-            state.skipped_lines += 1
+            state.skipped_lines += 1  # a complete but malformed line
             continue
         if not isinstance(record, dict):
             state.skipped_lines += 1
@@ -133,6 +140,21 @@ def load_state(path: str | Path) -> StoreState:
         else:
             state.skipped_lines += 1
     return state
+
+
+def _drop_torn_tail(path: Path) -> None:
+    """Truncate an unterminated last line, which replay never counted,
+    so the next append starts on a line of its own."""
+    if not path.exists():
+        return
+    raw = path.read_bytes()
+    keep = raw.rfind(b"\n") + 1
+    if keep == len(raw):
+        return
+    with path.open("r+b") as fh:
+        fh.truncate(keep)
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 class ResultStore:
@@ -195,6 +217,7 @@ class ResultStore:
     def _open(self) -> None:
         if self.path is not None and self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            _drop_torn_tail(self.path)
             self._fh = self.path.open("a", encoding="utf-8")
 
     def close(self) -> None:

@@ -7,7 +7,9 @@ solve), the error-taxonomy round trips, and validation of ``/metrics``
 with the same checker CI uses (``tools/validate_metrics.py``).
 """
 
+import http.client
 import json
+import statistics
 import sys
 import threading
 import time
@@ -22,6 +24,7 @@ from repro.dsl import dump_assembly
 from repro.engine.cache import PlanCache
 from repro.scenarios import local_assembly
 from repro.server import EvaluationService, ReproServer
+from repro.server.app import _Handler
 
 ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "tools"))
@@ -277,6 +280,33 @@ def test_responses_stay_on_one_connectionless_line(server):
         reply = post(server.url + "/v1/evaluate",
                      {"model": MODEL, "service": "search", "actuals": POINT})
         assert reply["schema"] == "repro/server/1"
+
+
+def test_handler_disables_nagle():
+    # a reply is two writes (headers, body); with Nagle on, the body waits
+    # for the client's delayed ACK on every keep-alive request
+    assert _Handler.disable_nagle_algorithm is True
+
+
+def test_keep_alive_round_trips_do_not_stall(server):
+    body = json.dumps(
+        {"model": MODEL, "service": "search", "actuals": POINT}
+    ).encode("utf-8")
+    connection = http.client.HTTPConnection("127.0.0.1", server.port,
+                                            timeout=30)
+    seconds = []
+    try:
+        for _ in range(30):
+            started = time.perf_counter()
+            connection.request("POST", "/v1/evaluate", body=body,
+                               headers={"Content-Type": "application/json"})
+            reply = connection.getresponse()
+            assert json.loads(reply.read())["schema"] == "repro/server/1"
+            seconds.append(time.perf_counter() - started)
+    finally:
+        connection.close()
+    # a delayed-ACK stall costs ~40 ms per request; a hot evaluate ~2 ms
+    assert statistics.median(seconds) < 0.02, seconds
 
 
 def test_stop_is_idempotent_and_releases_the_port():

@@ -14,12 +14,18 @@ the end): re-resuming a completed campaign is a strict no-op.
 """
 
 import json
+from types import SimpleNamespace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.scenarios import local_assembly
-from repro.workunits import load_state, run_campaign, sweep_campaign
+from repro.workunits import (
+    ResultStore,
+    load_state,
+    run_campaign,
+    sweep_campaign,
+)
 
 UNIT_IDS = st.sampled_from(["u-alpha", "u-beta", "u-gamma", "u-delta"])
 
@@ -101,18 +107,34 @@ def test_replaying_appended_duplicates_changes_no_results(
     assert doubled.attempts == base.attempts
 
 
-@settings(max_examples=60, deadline=None)
-@given(records=RECORDS, data=st.data())
-def test_any_byte_truncation_replays_the_complete_prefix(
-    tmp_path_factory, records, data
-):
-    tmp = tmp_path_factory.mktemp("store")
+#: The journal cut in the shrunk failing case below: the last record is
+#: complete but its newline is missing.
+TORN = [{"kind": "quarantine", "unit": "u-alpha", "attempts": 1, "error": ""}]
+
+#: Drawn cut offsets are taken modulo the journal length + 1.
+CUTS = st.integers(min_value=0, max_value=2**32)
+
+
+def cut_journal(tmp, records, cut_at):
+    """Write ``records`` as a journal, then a copy cut at byte
+    ``cut_at % (len + 1)``; returns the full bytes, cut and cut path."""
     full_path = tmp / "full.jsonl"
     write_journal(full_path, records)
     raw = full_path.read_bytes()
-    cut = data.draw(st.integers(min_value=0, max_value=len(raw)))
+    cut = cut_at % (len(raw) + 1)
     cut_path = tmp / "cut.jsonl"
     cut_path.write_bytes(raw[:cut])
+    return raw, cut, cut_path
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=RECORDS, cut_at=CUTS)
+@example(records=TORN, cut_at=253)
+def test_any_byte_truncation_replays_the_complete_prefix(
+    tmp_path_factory, records, cut_at
+):
+    tmp = tmp_path_factory.mktemp("store")
+    raw, cut, cut_path = cut_journal(tmp, records, cut_at)
     state = load_state(cut_path)  # must never raise
     # reconstruct the expectation from the complete lines only
     complete = raw[:cut].decode("utf-8").split("\n")[:-1]
@@ -124,6 +146,34 @@ def test_any_byte_truncation_replays_the_complete_prefix(
     assert state.quarantined == expected.quarantined
     # at most the one torn trailing line may differ
     assert abs(state.skipped_lines - expected.skipped_lines) <= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=RECORDS, cut_at=CUTS)
+@example(records=TORN, cut_at=253)
+def test_appending_after_a_torn_tail_loses_no_replayed_record(
+    tmp_path_factory, records, cut_at
+):
+    """Replay, reopen for appends, append, replay again: the second
+    replay holds everything the first one did, plus the new record."""
+    tmp = tmp_path_factory.mktemp("store")
+    _, _, cut_path = cut_journal(tmp, records, cut_at)
+    first = load_state(cut_path)
+    campaign = SimpleNamespace(campaign_id=HEADER["campaign"], kind="sweep",
+                               units=[None] * 4, config={})
+    store, _ = ResultStore.for_campaign(cut_path, campaign)
+    with store:
+        store.record_attempt("u-new", 1, "done", elapsed=0.0, result=[1.0])
+    second = load_state(cut_path)
+    assert second.header is not None
+    assert second.results["u-new"] == [1.0]
+    for unit, result in first.results.items():
+        assert second.results[unit] == result
+    for unit, attempts in first.attempts.items():
+        assert second.attempts[unit] >= attempts
+    assert first.quarantined <= second.quarantined
+    assert first.validated <= second.validated
+    assert second.skipped_lines == 0
 
 
 def test_resuming_a_completed_campaign_is_a_noop(tmp_path):

@@ -220,6 +220,14 @@ class TestReporting:
     def test_sparkline_empty(self):
         assert sparkline([]) == ""
 
+    def test_sparkline_all_nan_is_placeholders(self):
+        assert sparkline([float("nan")] * 3) == "···"
+
+    def test_sparkline_mixed_scales_over_finite_values(self):
+        nan, inf = float("nan"), float("inf")
+        assert sparkline([0.0, nan, 3.0, inf]) == "▁·█·"
+        assert sparkline([nan, 2.0, 2.0]) == "·▁▁"
+
     def test_format_sweep_renders(self):
         sweep = sweep_parameter(local_assembly(), "search", "list", GRID, FIXED)
         text = format_sweep(sweep)

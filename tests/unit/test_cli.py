@@ -155,6 +155,22 @@ class TestSweepAndCompare:
         out = capsys.readouterr().out
         assert "reliability vs list" in out
 
+    def test_all_quarantined_sweep_campaign_reports_not_crashes(
+        self, local_file, capsys
+    ):
+        # every attempt of both units returns garbage: both quarantine
+        code = main(
+            ["sweep", local_file, "search", "list",
+             "--from", "1", "--to", "100", "--points", "4",
+             "--set", "elem=1", "res=1", "--units", "2", "--retries", "1",
+             "--chaos", "corrupt@0x*,corrupt@1x*"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "0/2 units done" in captured.err
+        assert captured.err.count("QUARANTINED") == 2
+        assert "shape: ····" in captured.out
+
     def test_compare_reports_crossover(self, local_file, remote_file, capsys):
         assert main(
             ["compare", local_file, remote_file, "search", "list",

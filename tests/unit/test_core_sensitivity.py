@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import (
     attribute_sensitivities,
+    finite_difference_attribute_sensitivity,
     finite_difference_sensitivity,
     parameter_sensitivities,
 )
@@ -97,3 +98,17 @@ class TestFiniteDifference:
             local_assembly(), "search", ACTUALS, "list", step=1e-5
         )
         assert coarse == pytest.approx(fine, rel=1e-3)
+
+    def test_attribute_below_the_step_probes_forward(self):
+        # v = 1e-6 < h = 1e-4: the central probe v - h would be a negative
+        # failure rate, so the derivative is a forward difference
+        symbol = "search::software_failure_rate"
+        assembly = local_assembly()
+        reference = {
+            r.name: r for r in attribute_sensitivities(assembly, "search", ACTUALS)
+        }[symbol]
+        assert reference.value == 1e-6
+        slope = finite_difference_attribute_sensitivity(
+            assembly, "search", ACTUALS, symbol
+        )
+        assert slope == pytest.approx(reference.derivative, rel=1e-3)

@@ -1,5 +1,10 @@
 """Unit tests for the pluggable linear-solver backends (repro.markov.solvers)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +25,8 @@ from repro.markov.solvers import (
     scipy_available,
     validate_solver,
 )
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 needs_scipy = pytest.mark.skipif(
     not scipy_available(), reason="sparse backend requires scipy"
@@ -256,6 +263,8 @@ class TestFactorizationCounters:
 
     @needs_scipy
     def test_dense_with_scipy_factors_once_and_reuses(self):
+        """The first solve is one ``gesv``; the LU is formed at the second
+        right-hand side and reused from then on."""
         chain = cyclic_chain()
         mask = absorbing_mask(chain)
         plan = chain_plan(chain.matrix, mask, solver="dense", cache=False)
@@ -263,8 +272,27 @@ class TestFactorizationCounters:
         fact = factorize_chain(chain.matrix, plan)
         assert fact.reusable
         fact.solve(np.ones(2))
-        fact.solve(np.ones(2))
         assert factorization_count() == 1
+        fact.solve(np.ones(2))
+        fact.solve(np.ones(2))
+        assert factorization_count() == 2
+
+    @needs_scipy
+    def test_one_dense_solve_loads_no_scipy(self):
+        code = (
+            "import sys, numpy as np\n"
+            "from repro.markov import solvers\n"
+            "fact = solvers.factorize(np.array([[2.0, -1.0], [0.5, 1.0]]))\n"
+            "fact.solve(np.ones(2))\n"
+            "assert solvers.factorization_count() == 1\n"
+            "assert 'scipy' not in sys.modules, 'one solve loaded scipy'\n"
+            "fact.solve(np.ones(2))\n"
+            "assert 'scipy' in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
 
 
 class TestFactorizationCorrectness:
