@@ -18,11 +18,11 @@ Sweeps plug into the engine layer two ways:
   model through a :class:`~repro.engine.PlanCache` (a Figure-6 style grid
   of 8 sweeps over 2 assemblies derives each closed form once, not 8
   times);
-- ``jobs=`` fans the grid across workers — chunked numpy evaluation on a
-  thread pool for the symbolic back-end, per-point recursive evaluation
-  on a process pool for the numeric one.  Chunking is contiguous, so the
-  parallel result is element-for-element identical to the sequential one
-  (asserted to 1e-12 by the integration tests).
+- the symbolic back-end always runs the whole grid through one stacked
+  kernel execution in-process; ``jobs=`` fans the numeric back-end's
+  per-point recursive evaluation across a process pool.  Chunking is
+  contiguous, so the parallel result is element-for-element identical to
+  the sequential one (asserted to 1e-12 by the integration tests).
 """
 
 from __future__ import annotations
@@ -106,56 +106,18 @@ def _collect_chunks(chunk_results: list) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
-def _fused_symbolic(plan, parameter, grid, fixed, budget, use_kernel) -> np.ndarray:
+def _fused_symbolic(plan, parameter, grid, fixed, budget) -> np.ndarray:
     """One vectorized kernel pass over the whole grid, in-process.
 
-    For the numpy-vectorized symbolic backend this beats any thread
+    For the numpy-vectorized symbolic backend this beats any pool
     fan-out: one straight-line tape execution over the full grid has no
     per-chunk dispatch, no futures, no chunk re-concatenation.
     """
     from repro.engine.parallel import charge_fused
 
-    pfail = plan.pfail_grid(
-        parameter, grid, fixed, budget=budget, use_kernel=use_kernel
-    )
+    pfail = plan.pfail_grid(parameter, grid, fixed, budget=budget)
     charge_fused(groups=1, entries=int(grid.size))
     return pfail
-
-
-def _parallel_symbolic(
-    plan, parameter, grid, fixed, jobs, budget, use_kernel=True
-) -> np.ndarray:
-    from repro.engine.parallel import (
-        make_executor,
-        plan_sweep_chunk,
-        remaining_deadline,
-        split_evenly,
-    )
-
-    executor = make_executor(jobs, "thread")
-    if executor is None:
-        return plan.pfail_grid(
-            parameter, grid, fixed, budget=budget, use_kernel=use_kernel
-        )
-    chunks = split_evenly(list(grid), jobs)
-    with executor:
-        futures = [
-            executor.submit(
-                plan_sweep_chunk,
-                {
-                    "plan": plan,
-                    "parameter": parameter,
-                    "values": chunk,
-                    "fixed": dict(fixed),
-                    "deadline": remaining_deadline(budget),
-                    "use_kernel": use_kernel,
-                    "observe": obs.enabled(),
-                    "dispatched_at": time.time(),
-                },
-            )
-            for chunk in chunks
-        ]
-        return _collect_chunks([f.result() for f in futures])
 
 
 def _parallel_numeric(
@@ -166,6 +128,7 @@ def _parallel_numeric(
     from repro.engine.parallel import (
         make_executor,
         numeric_sweep_chunk,
+        observe_token,
         remaining_deadline,
         split_evenly,
     )
@@ -190,7 +153,7 @@ def _parallel_numeric(
                     "deadline": remaining_deadline(budget),
                     "solver": solver,
                     "incremental": incremental,
-                    "observe": obs.enabled(),
+                    "observe": observe_token(),
                     "dispatched_at": time.time(),
                 },
             )
@@ -229,6 +192,7 @@ def _parallel_numeric_shm(
     from repro.engine.parallel import (
         broken_pool_error,
         make_executor,
+        observe_token,
         rebuild_error,
         remaining_deadline,
         split_evenly,
@@ -266,7 +230,7 @@ def _parallel_numeric_shm(
                         "start": rows[0],
                         "stop": rows[-1] + 1,
                         "deadline": remaining_deadline(budget),
-                        "observe": obs.enabled(),
+                        "observe": observe_token(),
                         "dispatched_at": time.time(),
                     },
                 )
@@ -298,10 +262,8 @@ def sweep_parameter(
     jobs: int = 1,
     cache=None,
     budget: EvaluationBudget | None = None,
-    compile: bool = True,
     solver: str = "auto",
     incremental: bool = False,
-    fused: bool = True,
 ) -> SweepResult:
     """Sweep one formal parameter of ``service`` across ``values``.
 
@@ -313,16 +275,17 @@ def sweep_parameter(
         fixed: values for the remaining formal parameters.
         method: ``"symbolic"`` (vectorized closed form) or ``"numeric"``
             (per-point recursive evaluation).
-        jobs: worker count for the grid — 1 (default) evaluates in
-            process, 0 uses every core, ``N > 1`` fans the grid across
-            ``N`` workers (threads for symbolic, processes for numeric).
+        jobs: worker count for the numeric method — 1 (default)
+            evaluates in process, 0 uses every core, ``N > 1`` fans the
+            grid across ``N`` worker processes (over the zero-pickle
+            shared-memory transport, :mod:`repro.engine.shm`, where the
+            platform has it).  The symbolic method always runs the whole
+            grid through one stacked kernel execution in-process.
         cache: optional :class:`~repro.engine.PlanCache`; the closed-form
             derivation is fetched from / stored into it, so repeated
             sweeps of the same model re-derive nothing.
         budget: optional :class:`~repro.runtime.EvaluationBudget` enforced
             during derivation and cooperatively by every worker.
-        compile: evaluate the closed form through its compiled numpy
-            kernel (default); ``False`` forces the recursive tree walk.
         solver: linear-solver backend for the numeric method's absorbing
             solves (``"auto"``, ``"dense"`` or ``"sparse"``; the symbolic
             method never solves numerically and ignores it).
@@ -330,13 +293,6 @@ def sweep_parameter(
             (Sherman-Morrison-Woodbury) updates of the cached base
             factorization instead of re-factoring per point
             (:mod:`repro.markov.updates`); numeric method only.
-        fused: default on.  The symbolic method runs the whole grid
-            through **one** stacked kernel execution in-process (faster
-            than any thread fan-out for these numpy-vectorized kernels,
-            so ``jobs`` is moot); the numeric method with ``jobs > 1``
-            rides the zero-pickle shared-memory transport
-            (:mod:`repro.engine.shm`).  ``False`` restores the chunked
-            pool paths (the ``--no-fused`` escape hatch).
     """
     from repro.engine.parallel import resolve_jobs
 
@@ -363,20 +319,12 @@ def sweep_parameter(
             else:
                 plan = compile_plan(assembly, service, backend="symbolic",
                                     budget=budget)
-            if fused:
-                pfail = _fused_symbolic(
-                    plan, parameter, grid, fixed, budget, compile
-                )
-            else:
-                pfail = _parallel_symbolic(
-                    plan, parameter, grid, fixed, jobs, budget,
-                    use_kernel=compile,
-                )
+            pfail = _fused_symbolic(plan, parameter, grid, fixed, budget)
         elif method == "numeric":
             if jobs > 1:
                 from repro.engine import shm as _shm
 
-                if fused and _shm.available():
+                if _shm.available():
                     pfail = _parallel_numeric_shm(
                         assembly, service, parameter, grid, fixed, jobs,
                         budget, solver=solver, incremental=incremental,
@@ -409,11 +357,8 @@ def sweep_attribute(
     attribute: str,
     values: Sequence[float] | np.ndarray,
     actuals: Mapping[str, float],
-    jobs: int = 1,
     cache=None,
     budget: EvaluationBudget | None = None,
-    compile: bool = True,
-    fused: bool = True,
 ) -> SweepResult:
     """Sweep one published **interface attribute** (e.g.
     ``"net12::failure_rate"``) at fixed actual parameters.
@@ -423,7 +368,8 @@ def sweep_attribute(
     formal parameters of the search service.  Implemented through the
     symbolic back-end with ``symbolic_attributes=True``: the closed form is
     derived once with the attribute left free, all other attributes bound
-    to their published values, and the grid evaluated vectorized.
+    to their published values, and the grid evaluated in one stacked
+    kernel execution.
 
     Args:
         assembly: the assembly under analysis.
@@ -432,22 +378,14 @@ def sweep_attribute(
             :func:`repro.core.attribute_symbol`).
         values: the attribute grid.
         actuals: the service's actual parameters, all fixed.
-        jobs: worker count for the grid (thread-chunked; 1 = in-process).
         cache: optional :class:`~repro.engine.PlanCache` for the
             attribute-symbolic closed form.
         budget: optional budget enforced during derivation and evaluation.
-        compile: evaluate through the compiled kernel (default) or the
-            recursive tree walk (``False``).
-        fused: run the whole grid through one stacked kernel execution
-            in-process (default); ``False`` restores the thread-chunked
-            fan-out.
     """
     from repro.core.symbolic_evaluator import attribute_environment
-    from repro.engine.parallel import resolve_jobs
     from repro.engine.plan import compile_plan
 
     grid = _validated_grid(values)
-    jobs = resolve_jobs(jobs)
     if cache is not None:
         plan = cache.get_or_compile(
             assembly, service, symbolic_attributes=True, backend="symbolic",
@@ -466,12 +404,7 @@ def sweep_attribute(
         )
     fixed = {**base, **{k: float(v) for k, v in dict(actuals).items()}}
     fixed.pop(attribute)
-    if fused:
-        pfail = _fused_symbolic(plan, attribute, grid, fixed, budget, compile)
-    else:
-        pfail = _parallel_symbolic(
-            plan, attribute, grid, fixed, jobs, budget, use_kernel=compile
-        )
+    pfail = _fused_symbolic(plan, attribute, grid, fixed, budget)
     return SweepResult(
         assembly.name, service, attribute, grid, pfail, dict(actuals)
     )

@@ -96,7 +96,6 @@ def delta_method(
     service: str,
     actuals: Mapping[str, float],
     relative_std: float | Mapping[str, float] = 0.1,
-    compile: bool = True,
 ) -> UncertaintyEstimate:
     """First-order uncertainty propagation via symbolic derivatives.
 
@@ -109,17 +108,16 @@ def delta_method(
             ``service::attribute`` symbols to per-attribute relative
             standard deviations (attributes not listed are treated as
             exact).
-        compile: evaluate the closed form and its derivatives through
-            compiled kernels (default; derivative expressions are
-            differentiated and compiled once per attribute, ever);
-            ``False`` re-walks the trees.
+
+    The closed form and its derivatives run through compiled kernels;
+    each derivative is differentiated and compiled once per attribute,
+    ever.
     """
     evaluator = SymbolicEvaluator(assembly, symbolic_attributes=True)
     expression = evaluator.pfail_expression(service)
     base = dict(attribute_environment(assembly))
     env = {**base, **{k: float(v) for k, v in dict(actuals).items()}}
-    target = compile_expression(expression) if compile else expression
-    pfail = float(target.evaluate(env))
+    pfail = float(compile_expression(expression).evaluate(env))
 
     sigmas = _resolve_uncertainties(assembly, relative_std, base)
     variance = 0.0
@@ -128,11 +126,7 @@ def delta_method(
     symbols = [
         s for s, sigma in sigmas.items() if sigma != 0.0 and s in free
     ]
-    slopes = (
-        gradient_kernels(expression, symbols)
-        if compile
-        else {s: expression.differentiate(s) for s in symbols}
-    )
+    slopes = gradient_kernels(expression, symbols)
     for symbol in symbols:
         sigma = sigmas[symbol]
         slope = float(slopes[symbol].evaluate(env))
@@ -157,7 +151,6 @@ def sample_uncertainty(
     samples: int = 10_000,
     seed: int | None = None,
     percentiles: tuple[float, ...] = (5.0, 25.0, 50.0, 75.0, 95.0),
-    compile: bool = True,
 ) -> UncertaintyEstimate:
     """Monte Carlo propagation: lognormal attribute priors, one vectorized
     closed-form evaluation.
@@ -165,8 +158,7 @@ def sample_uncertainty(
     The lognormal for an attribute with published value ``v`` and relative
     standard deviation ``r`` has median ``v`` and log-space sigma
     ``sqrt(log(1 + r^2))`` — for small ``r`` this matches the delta
-    method to first order (property-tested); ``compile=False`` swaps
-    the compiled kernel for the recursive tree walk.
+    method to first order (property-tested).
     """
     if samples < 2:
         raise EvaluationError("sample_uncertainty needs at least 2 samples")
@@ -186,7 +178,7 @@ def sample_uncertainty(
         log_sigma = float(np.sqrt(np.log1p(rel * rel)))
         env[name] = value * rng.lognormal(mean=0.0, sigma=log_sigma, size=samples)
 
-    target = compile_expression(expression) if compile else expression
+    target = compile_expression(expression)
     draws = np.clip(
         np.broadcast_to(
             np.asarray(target.evaluate(env), dtype=float), (samples,)

@@ -184,13 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="parallel workers (0 = all cores, 1 = sequential)",
         )
 
-    def add_compile(sub):
-        sub.add_argument(
-            "--no-compile", action="store_true",
-            help="evaluate closed forms by recursive tree walk instead of "
-                 "compiled numpy kernels (escape hatch; slower)",
-        )
-
     def add_solver(sub):
         sub.add_argument(
             "--solver", choices=["auto", "dense", "sparse"], default="auto",
@@ -206,16 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "(Sherman-Morrison-Woodbury) updates of the cached base "
                  "factorization instead of re-factoring per point "
                  "(numeric solves only; needs scipy, silently off without)",
-        )
-
-    def add_fused(sub):
-        sub.add_argument(
-            "--fused", action=argparse.BooleanOptionalAction, default=True,
-            help="fused execution (default on): symbolic grids/batches run "
-                 "through one stacked kernel call per model group, and "
-                 "heavy parallel workloads ride the zero-pickle "
-                 "shared-memory transport; --no-fused restores the "
-                 "per-point and pickling pool paths",
         )
 
     def metrics_mode(text: str) -> str:
@@ -362,10 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_jobs(sub)
     add_budget(sub)
-    add_compile(sub)
     add_solver(sub)
     add_incremental(sub)
-    add_fused(sub)
     add_campaign(sub)
     add_observability(sub)
 
@@ -383,10 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_set(sub)
     add_jobs(sub)
     add_budget(sub)
-    add_compile(sub)
     add_solver(sub)
     add_incremental(sub)
-    add_fused(sub)
     add_campaign(sub)
     add_observability(sub)
 
@@ -593,11 +572,9 @@ def _cmd_closed_form(args) -> int:
     return 0
 
 
-def _kernel_stats_line(enabled: bool) -> str:
+def _kernel_stats_line() -> str:
     """One-line summary of the process-wide kernel cache for batch/sweep
     output (hit/miss counters of :func:`repro.symbolic.kernel_cache_stats`)."""
-    if not enabled:
-        return "kernel cache: compilation disabled (--no-compile)"
     from repro.symbolic import default_kernel_cache
 
     cache = default_kernel_cache()
@@ -667,9 +644,7 @@ def _cmd_batch_campaign(args) -> int:
         args.service,
         points,
         solver=args.solver,
-        compile=not args.no_compile,
         incremental=args.incremental,
-        fused=args.fused,
         units=args.units,
     )
     report = _campaign_run(args, campaign)
@@ -709,10 +684,8 @@ def _cmd_batch(args) -> int:
     engine = BatchEngine(
         jobs=args.jobs,
         budget=_budget_from_args(args),
-        compile=not args.no_compile,
         solver=args.solver,
         incremental=args.incremental,
-        fused=args.fused,
     )
     models = [_load(path) for path in args.model]
     requests = [
@@ -742,7 +715,7 @@ def _cmd_batch(args) -> int:
         f"{stats.fused_entries} fused) "
         f"with {stats.jobs} worker(s) in {stats.elapsed:.3f}s"
     )
-    print(_kernel_stats_line(enabled=not args.no_compile))
+    print(_kernel_stats_line())
     return 0 if result.ok else 1
 
 
@@ -758,7 +731,6 @@ def _cmd_sweep_campaign(args) -> int:
         _parse_bindings(args.set),
         method=args.method,
         solver=args.solver,
-        compile=not args.no_compile,
         incremental=args.incremental,
         units=args.units,
     )
@@ -777,11 +749,10 @@ def _cmd_sweep(args) -> int:
     sweep = sweep_parameter(
         assembly, args.service, args.parameter, grid, _parse_bindings(args.set),
         method=args.method, jobs=args.jobs, budget=_budget_from_args(args),
-        compile=not args.no_compile, solver=args.solver,
-        incremental=args.incremental, fused=args.fused,
+        solver=args.solver, incremental=args.incremental,
     )
     print(format_sweep(sweep))
-    print(_kernel_stats_line(enabled=not args.no_compile))
+    print(_kernel_stats_line())
     return 0
 
 

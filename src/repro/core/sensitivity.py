@@ -78,25 +78,20 @@ def parameter_sensitivities(
     assembly: Assembly,
     service: str,
     actuals: Mapping[str, float],
-    compile: bool = True,
 ) -> list[SensitivityResult]:
     """Sensitivity of ``Pfail(service)`` to each formal parameter, ranked by
     absolute elasticity (descending).
 
-    With ``compile`` (the default) the closed form and each gradient are
-    differentiated and compiled to numpy kernels once per parameter, ever
-    — repeated probes of the same design re-walk nothing.
+    The closed form and each gradient are differentiated and compiled to
+    numpy kernels once per parameter, ever — repeated probes of the same
+    design re-walk nothing.
     """
     evaluator = SymbolicEvaluator(assembly)
     pfail_expr = evaluator.pfail_expression(service)
     env = Environment(dict(actuals))
     formals = assembly.service(service).formal_parameters
-    if compile:
-        pfail = float(compile_expression(pfail_expr).evaluate(env))
-        gradients = gradient_kernels(pfail_expr, formals)
-    else:
-        pfail = float(pfail_expr.evaluate(env))
-        gradients = {n: pfail_expr.differentiate(n) for n in formals}
+    pfail = float(compile_expression(pfail_expr).evaluate(env))
+    gradients = gradient_kernels(pfail_expr, formals)
     results = []
     for name in formals:
         derivative = float(gradients[name].evaluate(env))
@@ -113,7 +108,6 @@ def attribute_sensitivities(
     service: str,
     actuals: Mapping[str, float],
     top: int | None = None,
-    compile: bool = True,
 ) -> list[SensitivityResult]:
     """Sensitivity of ``Pfail(service)`` to every interface attribute in the
     assembly (``service::attribute`` symbols), ranked by absolute
@@ -130,12 +124,8 @@ def attribute_sensitivities(
     symbols = [
         s for s in sorted(pfail_expr.free_parameters()) if "::" in s
     ]  # formal parameters are handled by parameter_sensitivities
-    if compile:
-        pfail = float(compile_expression(pfail_expr).evaluate(env))
-        gradients = gradient_kernels(pfail_expr, symbols)
-    else:
-        pfail = float(pfail_expr.evaluate(env))
-        gradients = {s: pfail_expr.differentiate(s) for s in symbols}
+    pfail = float(compile_expression(pfail_expr).evaluate(env))
+    gradients = gradient_kernels(pfail_expr, symbols)
     results = []
     for symbol in symbols:
         derivative = float(gradients[symbol].evaluate(env))

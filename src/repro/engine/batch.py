@@ -9,7 +9,8 @@ engine room:
    reusable :class:`~repro.engine.plan.EvaluationPlan` through the
    :class:`~repro.engine.cache.PlanCache` (same fingerprint ⇒ zero
    re-derivations, warm across requests);
-2. the evaluation points fan out across a ``concurrent.futures`` pool
+2. each multi-point symbolic group runs as one stacked kernel call in the
+   parent; the remaining points fan out across a process pool
    (:mod:`repro.engine.parallel`), with the parent's
    :class:`~repro.runtime.EvaluationBudget` enforced cooperatively — the
    remaining deadline travels with every chunk;
@@ -43,6 +44,7 @@ from repro.engine.parallel import (
     charge_fused,
     evaluate_plan_points,
     make_executor,
+    observe_token,
     rebuild_error,
     remaining_deadline,
     resolve_jobs,
@@ -189,11 +191,10 @@ class BatchEngine:
 
     Args:
         jobs: worker count — 1 (default) runs serially in-process, 0 means
-            one worker per CPU core, ``N > 1`` fans out across ``N``
-            workers (see ``mode``).
+            one worker per CPU core, ``N > 1`` fans the groups the fused
+            path does not serve across ``N`` worker processes.
         mode: ``"process"`` (default; true CPU parallelism — plans are
-            pickled to workers), ``"thread"`` (cheaper startup, suits the
-            numpy-vectorized symbolic backend), or ``"serial"``.
+            pickled to workers) or ``"serial"``.
         cache: a :class:`~repro.engine.cache.PlanCache` to reuse plans
             across runs, ``None`` for a private per-engine cache, or
             ``False`` to disable caching (every point recompiles — the
@@ -201,23 +202,20 @@ class BatchEngine:
         budget: optional shared :class:`~repro.runtime.EvaluationBudget`;
             the deadline is enforced in the parent at dispatch/collection
             and cooperatively inside every worker.
-        compile: evaluate symbolic plans through compiled numpy kernels
-            (default); ``False`` forces the recursive tree walk (the
-            ``--no-compile`` escape hatch).
         solver: linear-solver backend threaded into every compiled plan
             (``"auto"``, ``"dense"`` or ``"sparse"``; see
             :mod:`repro.markov.solvers`).
         incremental: route robust plans' numeric solves through low-rank
             factorization updates (:mod:`repro.markov.updates`) when
             consecutive entries share chain structure.
-        fused: serve each same-fingerprint symbolic group through **one**
-            stacked kernel call in the parent (no per-point Python
-            dispatch, no pool), and move multi-entry robust groups of a
-            process pool onto the shared-memory transport
-            (:mod:`repro.engine.shm`) so workers stop pickling model
-            documents and per-entry results.  Default on; ``False``
-            restores the pure per-point paths (the ``--no-fused`` escape
-            hatch).
+
+    Each same-fingerprint symbolic group of two or more entries is served
+    through **one** stacked kernel call in the parent (no per-point Python
+    dispatch, no pool).  Robust groups, singletons and compilation errors
+    take the per-point path; in a process pool, multi-entry robust groups
+    ride the shared-memory transport (:mod:`repro.engine.shm`) where the
+    platform has it, so workers stop pickling model documents and
+    per-entry results.
     """
 
     def __init__(
@@ -226,17 +224,15 @@ class BatchEngine:
         mode: str = "process",
         cache: PlanCache | None | bool = None,
         budget: EvaluationBudget | None = None,
-        compile: bool = True,
         solver: str = "auto",
         incremental: bool = False,
-        fused: bool = True,
     ):
         from repro.markov.solvers import validate_solver
 
         self.jobs = resolve_jobs(jobs)
         self.solver = validate_solver(solver)
         self.incremental = bool(incremental)
-        if mode not in ("process", "thread", "serial"):
+        if mode not in ("process", "serial"):
             raise EvaluationError(f"unknown executor mode {mode!r}")
         self.mode = mode
         if cache is False:
@@ -246,8 +242,6 @@ class BatchEngine:
         else:
             self.cache = cache
         self.budget = budget
-        self.compile = bool(compile)
-        self.fused = bool(fused)
 
     # -- public API --------------------------------------------------------
 
@@ -284,7 +278,6 @@ class BatchEngine:
 
         serial = self.jobs <= 1 or self.mode == "serial" or len(requests) <= 1
         obs.gauge("batch.jobs", 1 if serial else self.jobs)
-        fused_entries = 0
         with obs.span(
             "batch.run", entries=len(requests), mode=self.mode
         ) as run_span:
@@ -293,9 +286,7 @@ class BatchEngine:
                 BatchEntry(i, r.label, r.service, dict(r.actuals))
                 for i, r in enumerate(requests)
             ]
-            remaining = groups
-            if self.fused:
-                remaining, fused_entries = self._run_fused(groups, entries)
+            remaining, fused_entries = self._run_fused(groups, entries)
             if remaining:
                 left = sum(len(ix) for _, ix in remaining.values())
                 if serial or left <= 1:
@@ -387,9 +378,7 @@ class BatchEngine:
                 if self.budget is not None:
                     self.budget.check_deadline("batch evaluation")
                 stacked = plan.pfail_stack(
-                    [entries[i].actuals for i in indices],
-                    budget=self.budget,
-                    use_kernel=self.compile,
+                    [entries[i].actuals for i in indices], budget=self.budget
                 )
             except ReproError:
                 charge_fused(fallbacks=1)
@@ -418,23 +407,15 @@ class BatchEngine:
                 try:
                     if self.budget is not None:
                         self.budget.check_deadline("batch evaluation")
-                    entry.pfail = plan.pfail(
-                        entry.actuals, budget=self.budget, use_kernel=self.compile
-                    )
+                    entry.pfail = plan.pfail(entry.actuals, budget=self.budget)
                 except ReproError as exc:
                     entry.error = exc
                 obs.observe("batch.entry.seconds", time.perf_counter() - t0)
 
     def _use_shm(self, plan, indices) -> bool:
-        """Whether a group should ride the shared-memory transport: heavy
-        (robust) plans fanning real work across a process pool."""
-        if not (
-            self.fused
-            and self.mode == "process"
-            and not isinstance(plan, ReproError)
-            and plan.backend == "robust"
-            and len(indices) > 1
-        ):
+        """Whether a pooled group rides the shared-memory transport:
+        multi-entry robust groups, on a platform that has shared memory."""
+        if plan.backend != "robust" or len(indices) <= 1:
             return False
         from repro.engine import shm
 
@@ -482,7 +463,7 @@ class BatchEngine:
                 "start": rows[0],
                 "stop": rows[-1] + 1,
                 "deadline": remaining_deadline(self.budget),
-                "observe": obs.enabled(),
+                "observe": observe_token(),
                 "dispatched_at": time.time(),
             }
             futures[executor.submit(shm.shm_plan_rows, payload)] = (
@@ -518,8 +499,7 @@ class BatchEngine:
                             "plan": plan,
                             "points": [entries[i].actuals for i in chunk],
                             "deadline": remaining_deadline(self.budget),
-                            "use_kernel": self.compile,
-                            "observe": obs.enabled(),
+                            "observe": observe_token(),
                             "dispatched_at": time.time(),
                         }
                         futures[executor.submit(evaluate_plan_points, payload)] = (

@@ -7,9 +7,9 @@ importable from a fresh worker process:
 
 - **executor selection** (:func:`resolve_jobs`, :func:`make_executor`):
   ``jobs <= 1`` short-circuits to the serial path (no pool, no pickling);
-  ``mode="process"`` gives true CPU parallelism for the pure-Python solve
-  paths; ``mode="thread"`` suits the numpy-vectorized symbolic backend and
-  avoids process spin-up on small grids;
+  otherwise a process pool gives true CPU parallelism for the pure-Python
+  solve paths (numpy-vectorized symbolic work never needs a pool: it runs
+  fused, in-process);
 - **module-level worker functions** (process pools can only call picklable
   top-level callables) that receive plain-data payloads: compiled
   :class:`~repro.engine.plan.EvaluationPlan` objects, canonical assembly
@@ -30,7 +30,7 @@ import os
 import threading
 import time
 import warnings
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 
 import repro.errors as _errors
@@ -51,7 +51,7 @@ __all__ = [
     "fuzz_block",
     "make_executor",
     "numeric_sweep_chunk",
-    "plan_sweep_chunk",
+    "observe_token",
     "rebuild_error",
     "remaining_deadline",
     "reset_clamp_warning",
@@ -187,19 +187,16 @@ def resolve_jobs(jobs: int | None) -> int:
 
 
 def make_executor(jobs: int, mode: str = "process") -> Executor | None:
-    """An executor for ``jobs`` workers, or ``None`` for the serial path.
+    """A process pool for ``jobs`` workers, or ``None`` for the serial path.
 
     Args:
         jobs: resolved worker count (see :func:`resolve_jobs`).
-        mode: ``"process"`` (CPU-bound pure-Python work), ``"thread"``
-            (numpy-vectorized or I/O-bound work), or ``"serial"``.
+        mode: ``"process"`` or ``"serial"``.
     """
-    if mode not in ("process", "thread", "serial"):
+    if mode not in ("process", "serial"):
         raise EvaluationError(f"unknown executor mode {mode!r}")
     if jobs <= 1 or mode == "serial":
         return None
-    if mode == "thread":
-        return ThreadPoolExecutor(max_workers=jobs)
     # the process-pool stack (multiprocessing included) loads only here
     from concurrent.futures import ProcessPoolExecutor
 
@@ -328,18 +325,25 @@ def rebuild_error(failure: WorkerFailure) -> ReproError:
 # ---------------------------------------------------------------------------
 
 
+def observe_token() -> int | None:
+    """The ``observe`` value of a worker payload: the dispatching
+    process's pid while collection is on, ``None`` otherwise."""
+    return os.getpid() if obs.enabled() else None
+
+
 def _begin_worker_observation(payload: dict) -> bool:
     """Start a private collection scope in this worker, if asked to.
 
     Returns True when this call owns a scope whose data must be shipped
-    back.  In ``mode="thread"`` pools the parent's scope is already live in
-    this process, so data lands in the shared registry directly and nothing
-    needs shipping (returns False).
+    back: exactly when the payload's ``observe`` pid (see
+    :func:`observe_token`) is another process.  A forked worker inherits
+    the parent's enabled flag, so the flag cannot tell; the pid can.  A
+    payload run in the dispatching process itself (the supervisor's
+    inline mode) writes straight into the live registry instead.
     """
-    if not payload.get("observe"):
+    owner = payload.get("observe")
+    if not owner or owner == os.getpid():
         return False
-    if obs.enabled():
-        return False  # thread pool: parent scope collects directly
     obs.reset()
     obs.enable()
     dispatched = payload.get("dispatched_at")
@@ -386,8 +390,7 @@ def evaluate_plan_points(payload: dict) -> list:
     """Evaluate one compiled plan at many actual-parameter points.
 
     Payload: ``plan`` (:class:`EvaluationPlan`), ``points`` (list of
-    name→value dicts), ``deadline`` (remaining seconds or ``None``),
-    ``use_kernel`` (compiled-kernel evaluation, default on).
+    name→value dicts), ``deadline`` (remaining seconds or ``None``).
     Returns one entry per point: a float ``Pfail`` or a
     :class:`WorkerFailure` (per-point isolation: one bad point does not
     poison the block).
@@ -395,40 +398,15 @@ def evaluate_plan_points(payload: dict) -> list:
     owned = _begin_worker_observation(payload)
     plan = payload["plan"]
     budget = worker_budget(payload.get("deadline"))
-    use_kernel = payload.get("use_kernel", True)
     results: list = []
     for point in payload["points"]:
         t0 = time.perf_counter()
         try:
-            results.append(plan.pfail(point, budget=budget, use_kernel=use_kernel))
+            results.append(plan.pfail(point, budget=budget))
         except ReproError as exc:
             results.append(WorkerFailure.from_error(exc))
         obs.observe("batch.entry.seconds", time.perf_counter() - t0)
     return _ship_worker_observation(results, owned)
-
-
-def plan_sweep_chunk(payload: dict) -> list[float] | WorkerFailure:
-    """Evaluate one grid chunk of a sweep through a compiled plan.
-
-    Payload: ``plan``, ``parameter``, ``values`` (list of floats),
-    ``fixed`` (dict), ``deadline``, ``use_kernel``.
-    """
-    owned = _begin_worker_observation(payload)
-    plan = payload["plan"]
-    budget = worker_budget(payload.get("deadline"))
-    t0 = time.perf_counter()
-    try:
-        result: list[float] | WorkerFailure = list(
-            plan.pfail_grid(
-                payload["parameter"], payload["values"], payload["fixed"],
-                budget=budget,
-                use_kernel=payload.get("use_kernel", True),
-            )
-        )
-    except ReproError as exc:
-        result = WorkerFailure.from_error(exc)
-    obs.observe("batch.entry.seconds", time.perf_counter() - t0)
-    return _ship_worker_observation(result, owned)
 
 
 def numeric_sweep_chunk(payload: dict) -> list[float] | WorkerFailure:

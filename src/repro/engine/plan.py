@@ -162,7 +162,6 @@ class EvaluationPlan:
         actuals: Mapping[str, float] | None = None,
         *,
         budget: EvaluationBudget | None = None,
-        use_kernel: bool = True,
         **kwargs: float,
     ) -> float:
         """``Pfail(service, actuals)`` through the compiled backend.
@@ -170,16 +169,16 @@ class EvaluationPlan:
         Actuals may be passed as a mapping, as keyword arguments, or both
         (keywords win).  Extra bindings are ignored by the symbolic
         backend (closed forms often eliminate parameters), so batch
-        callers can pass one uniform binding set.  ``use_kernel=False``
-        forces the recursive tree walk instead of the compiled kernel.
+        callers can pass one uniform binding set.  The symbolic backend
+        runs the compiled kernel; ``self.expression.evaluate`` is the
+        tree-walk reference it must match.
         """
         bound = {**(dict(actuals) if actuals else {}), **kwargs}
         if budget is not None:
             budget.check_deadline(f"plan evaluation of {self.service!r}")
         if self.backend == "symbolic":
             env = {name: float(value) for name, value in bound.items()}
-            target = self.kernel() if use_kernel else self.expression
-            value = float(np.asarray(target.evaluate(env), dtype=float))
+            value = float(np.asarray(self.kernel().evaluate(env), dtype=float))
             return check_probability(f"Pfail({self.service})", value)
         evaluator = self._robust_evaluator(budget)
         relevant = {k: v for k, v in bound.items() if k in self.formals}
@@ -202,15 +201,12 @@ class EvaluationPlan:
         fixed: Mapping[str, float] | None = None,
         *,
         budget: EvaluationBudget | None = None,
-        use_kernel: bool = True,
     ) -> np.ndarray:
         """``Pfail`` over a whole grid of one parameter.
 
-        The symbolic backend evaluates the closed form vectorized over the
-        numpy array — through the compiled kernel by default
-        (``use_kernel=False`` falls back to the recursive tree walk); the
-        robust backend falls back to a per-point loop with cooperative
-        deadline checks.
+        The symbolic backend evaluates the compiled kernel vectorized over
+        the numpy array; the robust backend falls back to a per-point loop
+        with cooperative deadline checks.
         """
         grid = np.asarray(values, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
@@ -220,8 +216,7 @@ class EvaluationPlan:
             budget.check_deadline(f"grid evaluation of {self.service!r}")
         if self.backend == "symbolic":
             env = {**{k: float(v) for k, v in fixed.items()}, parameter: grid}
-            target = self.kernel() if use_kernel else self.expression
-            result = np.asarray(target.evaluate(env), dtype=float)
+            result = np.asarray(self.kernel().evaluate(env), dtype=float)
             if result.shape == grid.shape:
                 # the kernel's final op allocates a fresh array, so the
                 # result is safe to hand out — unless the closed form
@@ -248,7 +243,6 @@ class EvaluationPlan:
         points: Sequence[Mapping[str, float]],
         *,
         budget: EvaluationBudget | None = None,
-        use_kernel: bool = True,
     ) -> np.ndarray:
         """``Pfail`` at many independent points in one fused pass.
 
@@ -274,29 +268,16 @@ class EvaluationPlan:
         if budget is not None:
             budget.check_deadline(f"stacked evaluation of {self.service!r}")
         if self.backend == "symbolic":
-            kernel = self.kernel() if use_kernel else None
-            if kernel is not None:
-                names = kernel.parameters
-            else:
-                names = tuple(sorted(self.expression.free_parameters()))
+            kernel = self.kernel()
             columns: dict[str, np.ndarray] = {}
-            for name in names:
+            for name in kernel.parameters:
                 try:
                     columns[name] = np.fromiter(
                         (point[name] for point in points), dtype=float, count=n
                     )
                 except KeyError:
                     raise UnboundParameterError(name) from None
-            if kernel is not None:
-                stacked = kernel.evaluate_stack(columns, n)
-            else:
-                value = np.asarray(
-                    self.expression.evaluate(columns), dtype=float
-                )
-                if value.shape == (n,):
-                    stacked = value
-                else:
-                    stacked = np.full(n, float(value))
+            stacked = kernel.evaluate_stack(columns, n)
             return check_unit_interval_array(
                 f"Pfail({self.service})", stacked
             )

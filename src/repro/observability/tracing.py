@@ -223,19 +223,20 @@ class Tracer:
 
         Root spans of the incoming batch are re-parented under ``parent``
         (default: this thread's current span), so a worker's sub-tree hangs
-        off the dispatching span in the joined trace.  Returns the number
-        of spans adopted.
+        off the dispatching span in the joined trace.  Adopted spans are
+        replayed to the hooks (start, then end), so a ``--trace`` file
+        holds the workers' spans too.  Returns the number of spans adopted.
         """
         if parent is None:
             parent = self.current()
         parent_id = parent.span_id if parent is not None else None
         incoming_ids = {r.get("span_id") for r in records}
-        adopted = 0
+        adopted: list[Span] = []
         with self._lock:
             for record in records:
                 span = Span.__new__(Span)
                 span.name = record.get("name", "?")
-                span.span_id = record.get("span_id", f"merged-{adopted}")
+                span.span_id = record.get("span_id", f"merged-{len(adopted)}")
                 merged_parent = record.get("parent_id")
                 if merged_parent not in incoming_ids:
                     merged_parent = parent_id
@@ -250,7 +251,11 @@ class Tracer:
                 span._cpu0 = 0.0
                 if len(self.finished) < self.max_spans:
                     self.finished.append(span)
-                    adopted += 1
+                    adopted.append(span)
                 else:
                     self.dropped += 1
-        return adopted
+        for span in adopted:
+            for hook in self.hooks:
+                hook.on_span_start(span)
+                hook.on_span_end(span)
+        return len(adopted)

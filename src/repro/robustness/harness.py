@@ -298,6 +298,7 @@ class FuzzHarness:
             broken_pool_error,
             fuzz_block,
             make_executor,
+            observe_token,
             split_evenly,
             unpack_worker_payload,
         )
@@ -316,7 +317,7 @@ class FuzzHarness:
                         "seed": self.seed,
                         "trials": self.trials,
                         "deadline": self.deadline,
-                        "observe": obs.enabled(),
+                        "observe": observe_token(),
                         "dispatched_at": time.time(),
                     },
                 )

@@ -113,6 +113,10 @@ class _Handler(BaseHTTPRequestHandler):
     # write, and with Nagle on the body waits for the client's delayed
     # ACK (~40 ms per keep-alive request)
     disable_nagle_algorithm = True
+    # per-connection socket timeout (seconds): a client that stalls
+    # mid-request line, mid-headers or mid-body — or idles on a kept-alive
+    # connection — is dropped instead of holding a handler thread forever
+    timeout = 30.0
 
     # -- plumbing -----------------------------------------------------------
 

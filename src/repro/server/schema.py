@@ -59,21 +59,6 @@ SOLVER = {
                    "(default `auto`)",
 }
 
-COMPILE = {
-    "type": "boolean",
-    "description": "evaluate closed forms through compiled numpy kernels "
-                   "(default `true`; `false` is the `--no-compile` escape "
-                   "hatch)",
-}
-
-FUSED = {
-    "type": "boolean",
-    "description": "fused execution (default `true`): symbolic grids and "
-                   "same-model batch groups run through one stacked kernel "
-                   "call each, bitwise-identical to the per-point path; "
-                   "`false` is the `--no-fused` escape hatch",
-}
-
 BUDGET = {
     "type": "object",
     "additionalProperties": False,
@@ -119,7 +104,6 @@ EVALUATE_REQUEST = {
         },
         "actuals": ACTUALS,
         "solver": SOLVER,
-        "compile": COMPILE,
         "budget": BUDGET,
     },
 }
@@ -155,8 +139,6 @@ BATCH_REQUEST = {
             },
         },
         "solver": SOLVER,
-        "compile": COMPILE,
-        "fused": FUSED,
         "budget": BUDGET,
     },
 }
@@ -192,8 +174,6 @@ SWEEP_REQUEST = {
                            "(default) or per-point recursion",
         },
         "solver": SOLVER,
-        "compile": COMPILE,
-        "fused": FUSED,
         "budget": BUDGET,
     },
 }
@@ -434,7 +414,7 @@ ENDPOINTS: tuple[Endpoint, ...] = (
                     "batch itself was admissible.  Distinct models compile "
                     "once each through the shared plan cache, and entries "
                     "sharing a symbolic plan evaluate through one stacked "
-                    "kernel call (`fused`, on by default).",
+                    "kernel call.",
         request_schema=BATCH_REQUEST,
         request_example={
             "requests": [

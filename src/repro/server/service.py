@@ -126,10 +126,9 @@ class EvaluationService:
             for name, value in (payload.get("actuals") or {}).items()
         }
         solver = payload.get("solver", "auto")
-        use_kernel = bool(payload.get("compile", True))
         key = (
             "evaluate", digest, service,
-            tuple(sorted(actuals.items())), solver, use_kernel,
+            tuple(sorted(actuals.items())), solver,
         )
 
         def compute() -> dict:
@@ -140,7 +139,7 @@ class EvaluationService:
             plan = self.plan_cache.get_or_compile(
                 assembly, service, budget=budget, solver=solver
             )
-            pfail = plan.pfail(actuals, budget=budget, use_kernel=use_kernel)
+            pfail = plan.pfail(actuals, budget=budget)
             return {
                 "schema": RESPONSE_SCHEMA,
                 "service": service,
@@ -168,9 +167,7 @@ class EvaluationService:
             jobs=1,  # connection threads provide the concurrency
             cache=self.plan_cache,
             budget=budget,
-            compile=bool(payload.get("compile", True)),
             solver=solver,
-            fused=bool(payload.get("fused", True)),
         )
         requests = []
         for entry in payload["requests"]:
@@ -230,15 +227,13 @@ class EvaluationService:
         }
         method = payload.get("method", "symbolic")
         solver = payload.get("solver", "auto")
-        use_kernel = bool(payload.get("compile", True))
-        fused = bool(payload.get("fused", True))
         grid = [
             float(v)
             for v in np.linspace(payload["start"], payload["stop"], points)
         ]
         key = (
             "sweep", digest, service, parameter, tuple(grid),
-            tuple(sorted(fixed.items())), method, solver, use_kernel, fused,
+            tuple(sorted(fixed.items())), method, solver,
         )
 
         def compute() -> dict:
@@ -249,7 +244,7 @@ class EvaluationService:
             sweep = sweep_parameter(
                 assembly, service, parameter, grid, fixed,
                 method=method, cache=self.plan_cache, budget=budget,
-                compile=use_kernel, solver=solver, fused=fused,
+                solver=solver,
             )
             return {
                 "schema": RESPONSE_SCHEMA,

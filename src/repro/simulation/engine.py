@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import observability as obs
 from repro.errors import EvaluationError, ModelError
 from repro.model.assembly import Assembly
 from repro.model.flow import END, START
@@ -247,6 +246,7 @@ class MonteCarloSimulator:
             WorkerFailure,
             broken_pool_error,
             make_executor,
+            observe_token,
             rebuild_error,
             remaining_deadline,
             simulate_block,
@@ -272,7 +272,7 @@ class MonteCarloSimulator:
                         "trials": size,
                         "seed": seed,
                         "deadline": remaining_deadline(self.budget),
-                        "observe": obs.enabled(),
+                        "observe": observe_token(),
                         "dispatched_at": time.time(),
                     },
                 )

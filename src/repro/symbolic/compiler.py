@@ -39,8 +39,8 @@ Kernels are memoized in a :class:`KernelCache` (the shared
 :class:`repro.caching.LRUCache` machinery, with hit/miss statistics) keyed
 by the expression itself; the memoized structural hashes on expression
 nodes make those lookups cheap.  A process-wide default cache backs the
-engine plans, the analysis layer, and the CLI (which exposes a
-``--no-compile`` escape hatch).
+engine plans, the analysis layer, and the CLI; ``Expression.evaluate``
+remains the tree-walk reference the kernels are tested against.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import observability as obs
+from repro.engine.parallel import observe_token
 from repro.errors import EvaluationError, format_error_chain
 from repro.runtime.budget import EvaluationBudget
 
@@ -265,7 +266,7 @@ class Supervisor:
             "attempt": attempt,
             "deadline": deadline,
             "chaos": self.chaos,
-            "observe": obs.enabled(),
+            "observe": observe_token(),
             "dispatched_at": time.time(),
         }
 

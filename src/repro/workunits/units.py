@@ -65,8 +65,8 @@ class WorkUnit:
             schedules and result assembly key on it).
         fingerprint: structural fingerprint of the model the unit
             evaluates (the batch kind may span one model per unit).
-        config: result-affecting configuration (solver, compile, method,
-            seed, trials, ...), shared across the campaign.
+        config: result-affecting configuration (solver, method, seed,
+            trials, ...), shared across the campaign.
         payload: the slice itself — ``assembly_json`` plus kind-specific
             data (``values``/``entries``/``cases``).
     """
@@ -185,7 +185,6 @@ def sweep_campaign(
     *,
     method: str = "symbolic",
     solver: str = "auto",
-    compile: bool = True,
     incremental: bool = False,
     units: int | None = None,
 ) -> Campaign:
@@ -204,7 +203,6 @@ def sweep_campaign(
         fixed: the non-swept actuals.
         method: ``"symbolic"`` or ``"numeric"`` (as in ``sweep_parameter``).
         solver: linear-solver backend for the numeric method.
-        compile: kernel compilation for the symbolic method.
         incremental: low-rank (Sherman-Morrison-Woodbury) re-solve updates
             for the numeric method (:mod:`repro.markov.updates`); recorded
             in the config — and the campaign id — only when enabled, so
@@ -231,7 +229,7 @@ def sweep_campaign(
         "assembly": assembly.name,
         "method": method,
         "solver": str(solver),
-        "compile": bool(compile),
+        "compile": True,  # constant: unit and campaign ids must not move
         "service": service,
         "parameter": parameter,
         "fixed": {k: float(v) for k, v in dict(fixed or {}).items()},
@@ -262,9 +260,7 @@ def batch_campaign(
     points: Sequence[Mapping[str, float]] | None,
     *,
     solver: str = "auto",
-    compile: bool = True,
     incremental: bool = False,
-    fused: bool = True,
     units: int | None = None,
 ) -> Campaign:
     """Shard a batch (many models × many points) into work units.
@@ -279,15 +275,9 @@ def batch_campaign(
         points: the evaluation points; ``None`` evaluates each model at
             its domain-representative defaults (as the CLI does).
         solver: linear-solver backend threaded into every plan.
-        compile: evaluate through compiled kernels.
         incremental: low-rank re-solve updates for numeric plan backends
             (recorded in the config only when enabled, as in
             :func:`sweep_campaign`).
-        fused: stacked-kernel evaluation of a unit's symbolic entries
-            (default on).  Recorded in the config — and the campaign id —
-            only when *disabled*, so journals written before the flag
-            existed resume as fused and default-on campaigns hash
-            identically either side of the change.
         units: optional shard count (default: ``ceil(requests / 4)``).
     """
     from repro.engine.fingerprint import assembly_fingerprint, canonical_json
@@ -295,12 +285,10 @@ def batch_campaign(
 
     if not models:
         raise EvaluationError("a batch campaign needs at least one model")
-    config = {"solver": str(solver), "compile": bool(compile),
-              "service": service}
+    # "compile" is a constant: unit and campaign ids must not move
+    config = {"solver": str(solver), "compile": True, "service": service}
     if incremental:
         config["incremental"] = True
-    if not fused:
-        config["fused"] = False
     total = 0
     per_model: list[tuple[str, Assembly, list[dict]]] = []
     for label, assembly in models:

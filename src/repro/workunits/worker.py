@@ -96,8 +96,7 @@ def _execute_sweep(unit: dict, budget) -> list[float]:
         assembly, config["service"], backend="symbolic", budget=budget
     )
     grid = plan.pfail_grid(
-        config["parameter"], values, config["fixed"],
-        budget=budget, use_kernel=config["compile"],
+        config["parameter"], values, config["fixed"], budget=budget
     )
     return [float(v) for v in grid]
 
@@ -113,17 +112,12 @@ def _execute_batch(unit: dict, budget) -> list[dict]:
         incremental=bool(config.get("incremental", False)),
     )
     unit_entries = unit["payload"]["entries"]
-    if (
-        config.get("fused", True)
-        and plan.backend == "symbolic"
-        and len(unit_entries) > 1
-    ):
+    if plan.backend == "symbolic" and len(unit_entries) > 1:
         # one stacked kernel call for the whole unit (bitwise-identical
         # to the loop); any error falls back so isolation stays per-point
         try:
             stacked = plan.pfail_stack(
-                [entry["actuals"] for entry in unit_entries],
-                budget=budget, use_kernel=config["compile"],
+                [entry["actuals"] for entry in unit_entries], budget=budget
             )
         except ReproError:
             pass
@@ -140,10 +134,9 @@ def _execute_batch(unit: dict, budget) -> list[dict]:
     for entry in unit_entries:
         record = {"request_index": int(entry["request_index"])}
         try:
-            record["pfail"] = float(plan.pfail(
-                entry["actuals"], budget=budget,
-                use_kernel=config["compile"],
-            ))
+            record["pfail"] = float(
+                plan.pfail(entry["actuals"], budget=budget)
+            )
             record["backend"] = plan.backend
         except ReproError as exc:
             # per-point isolation, as in BatchEngine: a bad point is a

@@ -17,7 +17,11 @@ import pytest
 
 from repro.dsl import dump_assembly
 from repro.markov.solvers import scipy_available
-from repro.scenarios import local_assembly, remote_assembly
+from repro.scenarios import (
+    local_assembly,
+    recursive_assembly,
+    remote_assembly,
+)
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -47,7 +51,8 @@ def models(tmp_path_factory):
     directory = tmp_path_factory.mktemp("cold")
     paths = {}
     for name, assembly in (("local", local_assembly()),
-                           ("remote", remote_assembly())):
+                           ("remote", remote_assembly()),
+                           ("recursive", recursive_assembly())):
         paths[name] = directory / f"{name}.json"
         paths[name].write_text(dump_assembly(assembly))
     return {name: str(path) for name, path in paths.items()}
@@ -94,10 +99,11 @@ def test_one_shot_command_is_light(models, command):
 @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                     reason="--jobs 2 runs serially on one core")
 def test_parallel_batch_loads_the_pool_stack(models):
+    # symbolic groups run fused in the parent; a cyclic model's robust
+    # group is what reaches the pool
     modules = loaded_modules(
-        CLI, "batch", "search", "--model", models["local"],
-        "--model", models["remote"], "--at", *POINT,
-        "--at", "elem=1", "list=17", "res=1", "--jobs", "2", "--no-fused",
+        CLI, "batch", "A", "--model", models["recursive"],
+        "--at", "size=1", "--at", "size=2", "--jobs", "2",
     )
     assert "concurrent.futures.process" in modules
     assert "multiprocessing" in modules

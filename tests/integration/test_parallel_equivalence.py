@@ -1,7 +1,7 @@
 """Parallel execution is an implementation detail: results match serial.
 
-Every ``--jobs N`` code path (symbolic sweeps, numeric sweeps, attribute
-sweeps, Monte Carlo trial blocks, fuzz campaigns) must produce output
+Every ``--jobs N`` code path (symbolic sweeps, numeric sweeps, Monte
+Carlo trial blocks, fuzz campaigns) must produce output
 equal to the ``jobs=1`` path — to 1e-12 for deterministic evaluation,
 and bit-for-bit for seeded stochastic runs at a fixed block layout.
 """
@@ -9,7 +9,7 @@ and bit-for-bit for seeded stochastic runs at a fixed block layout.
 import numpy as np
 import pytest
 
-from repro.analysis.sweep import sweep_attribute, sweep_parameter
+from repro.analysis.sweep import sweep_parameter
 from repro.engine import PlanCache
 from repro.robustness.harness import FuzzHarness
 from repro.scenarios import local_assembly, remote_assembly
@@ -37,18 +37,6 @@ class TestSweepEquivalence:
         parallel = sweep_parameter(
             local_assembly(), "search", "list", GRID[:12], fixed=FIXED,
             method="numeric", jobs=2,
-        )
-        np.testing.assert_allclose(parallel.pfail, serial.pfail, rtol=0, atol=1e-12)
-
-    def test_attribute_sweep_parallel_matches_serial(self):
-        values = np.geomspace(1e-7, 1e-4, 25)
-        actuals = {"elem": 1.0, "list": 500.0, "res": 1.0}
-        attribute = "sort1::software_failure_rate"
-        serial = sweep_attribute(
-            local_assembly(), "search", attribute, values, actuals=actuals, jobs=1
-        )
-        parallel = sweep_attribute(
-            local_assembly(), "search", attribute, values, actuals=actuals, jobs=2
         )
         np.testing.assert_allclose(parallel.pfail, serial.pfail, rtol=0, atol=1e-12)
 

@@ -9,6 +9,7 @@ with the same checker CI uses (``tools/validate_metrics.py``).
 
 import http.client
 import json
+import socket
 import statistics
 import sys
 import threading
@@ -196,6 +197,21 @@ def test_schema_violation_answers_400_with_problem_paths(server):
     assert "$.solver" in json.loads(error.read())["error"]
 
 
+@pytest.mark.parametrize("path, body", [
+    ("/v1/evaluate", {"model": MODEL, "service": "search"}),
+    ("/v1/batch", {"requests": [{"model": MODEL, "service": "search"}]}),
+    ("/v1/sweep", {"model": MODEL, "service": "search", "parameter": "list",
+                   "start": 1, "stop": 10, "fixed": {"elem": 1, "res": 1}}),
+])
+@pytest.mark.parametrize("key", ["compile", "fused"])
+def test_removed_compile_and_fused_fields_answer_400(server, path, body,
+                                                     key):
+    error = post_error(server.url + path,
+                       json.dumps({**body, key: True}).encode())
+    assert error.code == 400
+    assert f"unexpected key {key!r}" in json.loads(error.read())["error"]
+
+
 def test_model_error_answers_400(server):
     error = post_error(
         server.url + "/v1/evaluate",
@@ -244,6 +260,51 @@ def test_oversized_body_is_rejected_before_reading():
         assert "exceeds" in json.loads(error.read())["error"]
     finally:
         server.stop()
+
+
+def _wait_for_close(sock: socket.socket) -> None:
+    """Block until the server closes ``sock`` (EOF or reset)."""
+    sock.settimeout(10)
+    try:
+        assert sock.recv(1024) == b""
+    except ConnectionResetError:
+        pass
+
+
+@pytest.fixture
+def short_timeout_server(monkeypatch):
+    monkeypatch.setattr(_Handler, "timeout", 0.5)
+    server = ReproServer(port=0).start()
+    yield server
+    server.stop()
+
+
+def test_handler_sets_a_connection_timeout():
+    assert 0 < _Handler.timeout <= 60
+
+
+def test_truncated_body_connection_is_closed(short_timeout_server):
+    server = short_timeout_server
+    with socket.create_connection(("127.0.0.1", server.port)) as sock:
+        sock.sendall(b"POST /v1/evaluate HTTP/1.1\r\nHost: x\r\n"
+                     b"Content-Length: 100\r\n\r\n{\"model\"")
+        # a normal client is answered while the stalled one is pending
+        reply = post(server.url + "/v1/evaluate",
+                     {"model": MODEL, "service": "search", "actuals": POINT})
+        assert reply["schema"] == "repro/server/1"
+        started = time.monotonic()
+        _wait_for_close(sock)
+    assert time.monotonic() - started < 5
+    assert server.service.inflight == 0
+
+
+def test_idle_half_request_is_closed(short_timeout_server):
+    server = short_timeout_server
+    with socket.create_connection(("127.0.0.1", server.port)) as sock:
+        sock.sendall(b"POST /v1/evaluate HTTP/1.1\r\nHost: x\r\n")
+        started = time.monotonic()
+        _wait_for_close(sock)
+    assert time.monotonic() - started < 5
 
 
 def test_unknown_paths_answer_404(server):

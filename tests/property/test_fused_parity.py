@@ -136,6 +136,13 @@ class TestPfailStackParity:
     ))
     @settings(max_examples=25, deadline=None)
     def test_kernel_and_tree_walk_agree(self, plan, points):
-        kernel = plan.pfail_stack(points, use_kernel=True)
-        tree = plan.pfail_stack(points, use_kernel=False)
+        kernel = plan.pfail_stack(points)
+        columns = {
+            name: np.array([point[name] for point in points])
+            for name in plan.expression.free_parameters()
+        }
+        tree = np.broadcast_to(
+            np.asarray(plan.expression.evaluate(columns), dtype=float),
+            (len(points),),
+        )
         assert np.array_equal(kernel, tree)

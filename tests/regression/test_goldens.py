@@ -5,7 +5,7 @@ Each case in ``tests/regression/goldens/*.json`` pins one ``Pfail`` value
 otherwise).  The suite evaluates the same (assembly, service, actuals)
 through **every** path the library offers —
 
-- symbolic closed form, recursive tree walk (``--no-compile``),
+- symbolic closed form, recursive tree walk (``Expression.evaluate``),
 - symbolic closed form, compiled numpy kernel,
 - numeric recursive evaluator, dense solver backend,
 - numeric recursive evaluator, sparse solver backend,
@@ -59,9 +59,11 @@ def _evaluate(case: dict, path: str) -> float:
     actuals = case["actuals"]
     if path.startswith("symbolic"):
         plan = compile_plan(assembly, service, backend="symbolic")
-        return float(
-            plan.pfail(actuals, use_kernel=(path == "symbolic-kernel"))
-        )
+        if path == "symbolic-kernel":
+            return float(plan.pfail(actuals))
+        return float(plan.expression.evaluate(
+            {name: float(value) for name, value in actuals.items()}
+        ))
     solver = "dense" if path == "numeric-dense" else "sparse"
     evaluator = ReliabilityEvaluator(assembly, solver=solver)
     return float(evaluator.pfail(service, **actuals))

@@ -228,12 +228,10 @@ class TestParallel:
         assert parallel.ok
         assert parallel.pfails() == serial.pfails()
 
-    def test_thread_pool_matches_serial_exactly(self):
-        serial = BatchEngine(jobs=1).evaluate(local_assembly(), "search", POINTS)
-        threaded = BatchEngine(jobs=2, mode="thread").evaluate(
-            local_assembly(), "search", POINTS
-        )
-        assert threaded.pfails() == serial.pfails()
+    def test_thread_mode_rejected(self):
+        # process pools are the only pools
+        with pytest.raises(EvaluationError):
+            BatchEngine(jobs=2, mode="thread")
 
     def test_parallel_error_isolation_survives_pickling(self):
         points = [dict(POINTS[0]), {"elem": 1.0, "list": float("nan"), "res": 1.0},

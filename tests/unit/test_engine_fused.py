@@ -13,9 +13,10 @@ Covers the contracts the fused executor adds on top of the batch engine:
   poisoned point forces the fallback;
 - the shared-memory workspace lifecycle: idempotent close, no segment
   leaked even when a worker is SIGKILLed mid-flight;
-- the ``fused`` knob end to end: CLI flags, server request schemas and
-  `/v1/cache-stats`, and work-unit id stability (default-on campaigns
-  hash identically to pre-fused journals).
+- the retired ``compile``/``fused`` knobs: the CLI and server refuse
+  them, `/v1/cache-stats` still reports fused counters, work-unit ids did
+  not move, and a journal written with a non-default flag is refused on
+  resume.
 """
 
 import os
@@ -111,7 +112,7 @@ class TestRobustDeadlines:
 
 
 # ---------------------------------------------------------------------------
-# BatchEngine fused groups: accounting, fallback isolation, escape hatch
+# BatchEngine fused groups: accounting, fallback isolation
 # ---------------------------------------------------------------------------
 
 
@@ -133,21 +134,12 @@ class TestEngineFused:
         assert counts["entries"] == 6
         assert counts["fallbacks"] == 0
 
-    def test_no_fused_engine_reports_zero(self, local):
-        reset_fused_counts()
-        engine = BatchEngine(jobs=1, cache=PlanCache(), fused=False)
-        result = engine.evaluate(local, "search", self._points(5))
-        assert result.ok
-        assert result.stats.fused_entries == 0
-        assert fused_counts()["groups"] == 0
-
     def test_fused_and_loop_agree_bitwise(self, local):
         points = self._points(9)
         fused = BatchEngine(jobs=1, cache=PlanCache())
-        loop = BatchEngine(jobs=1, cache=PlanCache(), fused=False)
         lhs = [e.pfail for e in fused.evaluate(local, "search", points)]
-        rhs = [e.pfail for e in loop.evaluate(local, "search", points)]
-        assert lhs == rhs
+        plan = compile_plan(local, "search")
+        assert lhs == [plan.pfail(p) for p in points]
 
     def test_poisoned_point_falls_back_to_per_entry_isolation(self, local):
         reset_fused_counts()
@@ -241,46 +233,89 @@ class TestShmLifecycle:
 
 
 # ---------------------------------------------------------------------------
-# the fused knob end to end: CLI, server, work units
+# the retired compile/fused knobs: refused everywhere, ids unmoved
 # ---------------------------------------------------------------------------
+
+#: Campaign and unit ids of the default-flag campaigns below, computed
+#: before the ``compile``/``fused`` knobs were removed: journals written
+#: then must keep resuming.
+SWEEP_CAMPAIGN_ID = (
+    "a69283d77f432287b14a1f0dc64c3630040dfc2adee3ba3d7587ccb3fba98fc7"
+)
+SWEEP_UNIT_IDS = [
+    "c9fce25819aa47c3eb1090cf69a3f1b419cdb2d6496bfc084915d4d5bb2e9f6c",
+    "7209f3908d1eaf71c55e40a414a69277667b65c16ee5fa96750d41a5af8542cc",
+]
+BATCH_CAMPAIGN_ID = (
+    "76ec00c4c885ae53735347f4c7790436acbbdc27d261e6f393241ac166ea8f22"
+)
+BATCH_UNIT_IDS = [
+    "1e55f48fd6501e07c4166319497021f2578ca1a3837c5c3ac5feccf2917dc2ae",
+    "60a0fe7f60ead52f529acb2430a9e8683487c0994bfb24dafce50dd7a2826ce0",
+]
+#: The same campaigns as written with ``--no-compile`` (sweep) and
+#: ``--no-fused`` (batch) before those flags were removed.
+NO_COMPILE_SWEEP_ID = (
+    "8d17b8226f3d2cca107218ba4521a2fd3bb60a99509959665af9ff3ac90858da"
+)
+NO_FUSED_BATCH_ID = (
+    "a13cf2e1f214a1989d65e5d9fcdaad5ff3d7d8f880a9a3ff78cb10ec16af9492"
+)
+
+
+def _sweep_campaign(local):
+    from repro.workunits import sweep_campaign
+
+    return sweep_campaign(
+        local, "search", "list", [1.0, 250.0, 500.0, 750.0, 1000.0],
+        {"elem": 1.0, "res": 1.0}, units=2,
+    )
+
+
+def _batch_campaign(local):
+    from repro.workunits import batch_campaign
+
+    points = [
+        {"elem": 1.0, "res": 1.0, "list": float(v)} for v in (1, 2, 3)
+    ]
+    return batch_campaign([("local", local)], "search", points, units=2)
 
 
 class TestFusedKnob:
-    def test_cli_flags_parse(self):
+    def test_cli_flags_parse(self, capsys):
         from repro.cli import build_parser
 
         parser = build_parser()
-        args = parser.parse_args(["batch", "search", "--model", "m.json"])
-        assert args.fused is True
-        args = parser.parse_args(
-            ["batch", "search", "--model", "m.json", "--no-fused"]
-        )
-        assert args.fused is False
-        args = parser.parse_args([
-            "sweep", "m.json", "search", "list",
-            "--from", "1", "--to", "10", "--no-fused",
-        ])
-        assert args.fused is False
+        batch = ["batch", "search", "--model", "m.json"]
+        sweep = ["sweep", "m.json", "search", "list", "--from", "1",
+                 "--to", "10"]
+        parser.parse_args(batch)
+        parser.parse_args(sweep)
+        for argv in (batch, sweep):
+            for flag in ("--no-compile", "--no-fused", "--fused"):
+                with pytest.raises(SystemExit) as info:
+                    parser.parse_args([*argv, flag])
+                assert info.value.code == 2
+                assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_server_schema_accepts_fused(self):
+    def test_server_schema_rejects_compile_and_fused(self):
         from repro.server.schema import (
             BATCH_REQUEST,
+            EVALUATE_REQUEST,
             SWEEP_REQUEST,
             schema_problems,
         )
 
-        body = {
-            "requests": [{"model": {}, "service": "s"}],
-            "fused": False,
-        }
-        assert schema_problems(body, BATCH_REQUEST) == []
-        body = {
-            "model": {}, "service": "s", "parameter": "p",
-            "start": 0, "stop": 1, "fused": True,
-        }
-        assert schema_problems(body, SWEEP_REQUEST) == []
-        body["fused"] = "yes"
-        assert schema_problems(body, SWEEP_REQUEST) != []
+        evaluate = {"model": {}, "service": "s"}
+        batch = {"requests": [{"model": {}, "service": "s"}]}
+        sweep = {"model": {}, "service": "s", "parameter": "p",
+                 "start": 0, "stop": 1}
+        for body, schema in ((evaluate, EVALUATE_REQUEST),
+                             (batch, BATCH_REQUEST), (sweep, SWEEP_REQUEST)):
+            assert schema_problems(body, schema) == []
+            for key in ("compile", "fused"):
+                problems = schema_problems({**body, key: True}, schema)
+                assert any("unexpected key" in p for p in problems), problems
 
     def test_cache_stats_carries_engine_fused_block(self):
         from repro.server.service import EvaluationService
@@ -291,26 +326,31 @@ class TestFusedKnob:
         assert set(fused["shm"]) == {"segments", "rows"}
 
     def test_workunit_ids_stable_under_default_fused(self, local):
-        # absence-means-enabled hashing: a default-on campaign must
-        # produce the exact unit ids a pre-fused journal recorded
-        from repro.workunits import batch_campaign
+        sweep = _sweep_campaign(local)
+        assert sweep.campaign_id == SWEEP_CAMPAIGN_ID
+        assert [u.unit_id for u in sweep.units] == SWEEP_UNIT_IDS
+        batch = _batch_campaign(local)
+        assert batch.campaign_id == BATCH_CAMPAIGN_ID
+        assert [u.unit_id for u in batch.units] == BATCH_UNIT_IDS
 
-        points = [
-            {"elem": 1.0, "res": 1.0, "list": float(v)} for v in (1, 2, 3)
-        ]
-        models = [("local", local)]
-        default = batch_campaign(models, "search", points, units=2)
-        explicit = batch_campaign(
-            models, "search", points, units=2, fused=True
-        )
-        assert [u.unit_id for u in default.units] == [
-            u.unit_id for u in explicit.units
-        ]
-        assert default.campaign_id == explicit.campaign_id
-        disabled = batch_campaign(
-            models, "search", points, units=2, fused=False
-        )
-        assert disabled.campaign_id != default.campaign_id
-        assert all(
-            u.config.get("fused") is False for u in disabled.units
-        )
+    @pytest.mark.parametrize("build, written_id", [
+        (_sweep_campaign, NO_COMPILE_SWEEP_ID),
+        (_batch_campaign, NO_FUSED_BATCH_ID),
+    ])
+    def test_non_default_flag_journal_is_refused(
+        self, local, tmp_path, build, written_id
+    ):
+        import json
+
+        from repro.errors import CampaignStoreError
+        from repro.workunits import run_campaign
+
+        campaign = build(local)
+        journal = tmp_path / "journal.jsonl"
+        journal.write_text(json.dumps({
+            "schema": "repro/workunits/1", "kind": "campaign",
+            "campaign": written_id, "campaign_kind": campaign.kind,
+            "units": len(campaign.units), "config": dict(campaign.config),
+        }) + "\n")
+        with pytest.raises(CampaignStoreError, match="same model, grid"):
+            run_campaign(campaign, journal)

@@ -2,6 +2,7 @@
 facade, and the cross-process merge paths the worker pool relies on."""
 
 import json
+import os
 import threading
 
 import pytest
@@ -228,6 +229,19 @@ class TestTracer:
         parent.merge(worker.export())
         assert parent.finished[0].parent_id is None
 
+    def test_merge_replays_adopted_spans_to_hooks(self):
+        worker = Tracer()
+        with worker.span("w.outer"), worker.span("w.inner"):
+            pass
+        sink = InMemorySink()
+        parent = Tracer(hooks=[sink])
+        with parent.span("dispatch"):
+            parent.merge(worker.export())
+        assert [s.name for s in sink.spans] == [
+            "w.inner", "w.outer", "dispatch"
+        ]
+        assert sink.open_spans == 0
+
     def test_span_ids_unique_and_pid_prefixed(self):
         import os
 
@@ -363,9 +377,9 @@ class TestWorkerObservation:
             unpack_worker_payload,
         )
 
-        # "worker process": observability starts disabled there
+        # "worker process": the payload names another dispatching pid
         owned = _begin_worker_observation(
-            {"observe": True, "dispatched_at": 0.0}
+            {"observe": os.getpid() + 1, "dispatched_at": 0.0}
         )
         assert owned
         obs.count("cache.plan.hits", 3)
@@ -391,19 +405,40 @@ class TestWorkerObservation:
 
         assert not _begin_worker_observation({})
         assert not _begin_worker_observation({"observe": False})
+        assert not _begin_worker_observation({"observe": None})
         assert not obs.enabled()
 
-    def test_thread_mode_does_not_clobber_parent_scope(self):
+    def test_observe_token_is_the_dispatching_pid(self):
+        from repro.engine.parallel import observe_token
+
+        assert observe_token() is None
+        obs.enable()
+        assert observe_token() == os.getpid()
+
+    def test_forked_worker_owns_a_scope_despite_inherited_flag(self):
+        from repro.engine.parallel import _begin_worker_observation
+
+        # a forked worker inherits the parent's enabled flag and its data
+        obs.enable()
+        obs.count("inherited.from.parent")
+        owned = _begin_worker_observation({"observe": os.getpid() + 1})
+        assert owned
+        assert obs.enabled()
+        assert obs.registry().snapshot()["counters"] == {}
+
+    def test_inline_payload_keeps_parent_scope(self):
         from repro.engine.parallel import (
             _begin_worker_observation,
             _ship_worker_observation,
+            observe_token,
         )
 
         obs.enable()
         obs.count("pre.existing")
-        # thread-pool worker: obs already enabled in-process -> no private
-        # scope, results pass through unwrapped, parent data survives
-        owned = _begin_worker_observation({"observe": True})
+        # a payload run by the process that dispatched it (the supervisor's
+        # inline mode): no private scope, results pass through unwrapped,
+        # parent data survives
+        owned = _begin_worker_observation({"observe": observe_token()})
         assert not owned
         assert _ship_worker_observation([1.0], owned) == [1.0]
         assert obs.registry().snapshot()["counters"] == {"pre.existing": 1}

@@ -43,7 +43,6 @@ def test_valid_evaluate_body_has_no_problems():
         "service": "search",
         "actuals": {"list": 500},
         "solver": "auto",
-        "compile": True,
         "budget": {"deadline": 5.0, "max_states": 100},
     }
     assert schema_problems(body, EVALUATE_REQUEST) == []

@@ -251,7 +251,7 @@ class TestPlanIntegration:
 
         plan = compile_plan(local_assembly(), "search")
         point = {"elem": 1.0, "list": 500.0, "res": 1.0}
-        assert plan.pfail(point) == plan.pfail(point, use_kernel=False)
+        assert plan.pfail(point) == plan.expression.evaluate(point)
 
     def test_plan_grid_kernel_matches_tree_walk(self):
         from repro.engine.plan import compile_plan
@@ -261,7 +261,7 @@ class TestPlanIntegration:
         fixed = {"elem": 1.0, "res": 1.0}
         assert np.array_equal(
             plan.pfail_grid("list", grid, fixed),
-            plan.pfail_grid("list", grid, fixed, use_kernel=False),
+            plan.expression.evaluate({**fixed, "list": grid}),
         )
 
     def test_pickled_plan_drops_and_rebuilds_kernel(self):

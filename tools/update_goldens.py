@@ -96,7 +96,9 @@ def _tree_walk(spec: dict, service: str, actuals: dict) -> float:
     from repro.engine.plan import compile_plan
 
     plan = compile_plan(build_assembly(spec), service, backend="symbolic")
-    return float(plan.pfail(actuals, use_kernel=False))
+    return float(plan.expression.evaluate(
+        {name: float(value) for name, value in actuals.items()}
+    ))
 
 
 def golden_cases() -> dict[str, dict]:
