@@ -18,9 +18,10 @@ Four claims of the engine layer are measured on a Figure-6-style workload
   (models × points) workload through one ``pfail_stack`` kernel call per
   model vs today's python loop over ``plan.pfail`` — bitwise-equal
   results, >= 10x per point.
-- **shared-memory transport** for the sparse-solver batch workload
-  (``recursive_assembly``, robust backend): ``jobs=2`` must win >= 1.5x
-  over ``jobs=1`` — asserted only on runners with >= 2 CPUs.
+- **process-pool batch** on the sparse-solver workload
+  (``recursive_assembly``, robust backend, pickled chunks): ``jobs=2``
+  must win >= 1.5x over ``jobs=1`` — asserted only on runners with >= 2
+  CPUs.
 
 Everything lands in machine-readable form in
 ``benchmarks/results/BENCH_engine.json`` (see docs/performance_guide.md
@@ -100,8 +101,8 @@ def _cache_section(assemblies):
 
 def _merge_engine_json(key, section):
     """Fold one section into ``BENCH_engine.json`` without clobbering the
-    sections other tests in this file wrote (the fused tests are
-    selectable via ``-k fused``, so any subset of them may run)."""
+    sections other tests in this file wrote (the fused and pool-batch
+    tests are selectable via ``-k``, so any subset of them may run)."""
     path = RESULTS_DIR / "BENCH_engine.json"
     payload = json.loads(path.read_text()) if path.exists() else {}
     payload[key] = section
@@ -355,20 +356,17 @@ def test_fused_stack():
         )
 
 
-def test_fused_shm_batch():
-    """PERF — the shared-memory transport on the sparse-solver batch
-    workload (robust backend, per-row solves dominate): jobs=2 vs jobs=1.
+def test_pool_batch():
+    """PERF — the process pool on the sparse-solver batch workload
+    (robust backend, per-row solves dominate): jobs=2 vs jobs=1.
 
     The >= 1.5x bar is asserted only on runners with >= 2 CPUs; below
     that the engine clamps jobs to 1 and the section is advisory.
     """
-    from repro.engine import shm
-
     cpu_count = os.cpu_count() or 1
     assembly = recursive_assembly()
     points = [{"size": float(1 + (i % 8))} for i in range(32)]
 
-    rows_before = shm.shm_counts()["rows"]
     seconds = {}
     for jobs in (1, 2):
         engine = BatchEngine(
@@ -380,26 +378,22 @@ def test_fused_shm_batch():
         )
         assert result.ok
         seconds[f"jobs{jobs}"] = elapsed
-    shm_rows = shm.shm_counts()["rows"] - rows_before
 
     section = {
         "cpu_count": cpu_count,
         "advisory": cpu_count < 2,
         "entries": len(points),
         "solver": "sparse",
-        "shm_rows": shm_rows,
         "batch_seconds": seconds,
         "speedup": seconds["jobs1"] / seconds["jobs2"],
     }
-    _merge_engine_json("fused_shm_batch", section)
+    _merge_engine_json("pool_batch", section)
     emit(
-        "PERF_SHM",
-        "PERF/shm — sparse-solver batch via shared-memory transport: "
+        "PERF_POOL",
+        "PERF/pool — sparse-solver batch through the process pool: "
         f"jobs=1 {seconds['jobs1']:.3f}s, jobs=2 {seconds['jobs2']:.3f}s "
-        f"(speedup {section['speedup']:.2f}x, {shm_rows} shm rows, "
-        f"{cpu_count} core(s))",
+        f"(speedup {section['speedup']:.2f}x, {cpu_count} core(s))",
     )
 
     if not section["advisory"]:
-        assert shm_rows >= len(points), section  # transport actually used
         assert section["speedup"] >= 1.5, section

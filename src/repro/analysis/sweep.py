@@ -27,7 +27,6 @@ Sweeps plug into the engine layer two ways:
 
 from __future__ import annotations
 
-import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -91,15 +90,10 @@ def _validated_grid(values: Sequence[float] | np.ndarray) -> np.ndarray:
 
 def _collect_chunks(chunk_results: list) -> np.ndarray:
     """Concatenate ordered chunk outputs, rehydrating worker failures."""
-    from repro.engine.parallel import (
-        WorkerFailure,
-        rebuild_error,
-        unpack_worker_payload,
-    )
+    from repro.engine.parallel import WorkerFailure, rebuild_error
 
     out: list[float] = []
     for result in chunk_results:
-        result = unpack_worker_payload(result)
         if isinstance(result, WorkerFailure):
             raise rebuild_error(result)
         out.extend(result)
@@ -125,131 +119,26 @@ def _parallel_numeric(
     incremental=False,
 ) -> np.ndarray:
     from repro.engine.fingerprint import canonical_json
-    from repro.engine.parallel import (
-        make_executor,
-        numeric_sweep_chunk,
-        observe_token,
-        remaining_deadline,
-        split_evenly,
-    )
+    from repro.engine.parallel import fan_out, numeric_sweep_chunk, split_evenly
 
-    from concurrent.futures.process import BrokenProcessPool
-
-    from repro.engine.parallel import broken_pool_error
-
-    executor = make_executor(jobs, "process")
     assembly_json = canonical_json(assembly)
-    chunks = split_evenly(list(grid), jobs)
-    with executor:
-        futures = [
-            executor.submit(
-                numeric_sweep_chunk,
-                {
-                    "assembly_json": assembly_json,
-                    "service": service,
-                    "parameter": parameter,
-                    "values": chunk,
-                    "fixed": dict(fixed),
-                    "deadline": remaining_deadline(budget),
-                    "solver": solver,
-                    "incremental": incremental,
-                    "observe": observe_token(),
-                    "dispatched_at": time.time(),
-                },
-            )
-            for chunk in chunks
-        ]
-        collected: list = []
-        try:
-            for future in futures:
-                collected.append(future.result())
-        except BrokenProcessPool as exc:
-            # grid indices whose chunk results were not collected yet
-            start = sum(len(chunk) for chunk in chunks[:len(collected)])
-            raise broken_pool_error(
-                "numeric sweep evaluation", range(start, len(grid)), exc
-            ) from exc
-        return _collect_chunks(collected)
-
-
-def _parallel_numeric_shm(
-    assembly, service, parameter, grid, fixed, jobs, budget, solver="auto",
-    incremental=False,
-) -> np.ndarray:
-    """Numeric grid fan-out over the zero-pickle shared-memory transport.
-
-    Workers read the model document out of a shared segment (parsed once
-    per worker process, cached by content digest) and write result rows
-    in place; only typed failures travel back through the futures.  The
-    parent owns every segment and reclaims them even when the pool
-    breaks; rows still unset after a crash identify the affected grid
-    indices exactly.
-    """
-    from concurrent.futures.process import BrokenProcessPool
-
-    from repro.engine import shm
-    from repro.engine.fingerprint import canonical_json
-    from repro.engine.parallel import (
-        broken_pool_error,
-        make_executor,
-        observe_token,
-        rebuild_error,
-        remaining_deadline,
-        split_evenly,
-        unpack_worker_payload,
-    )
-
-    executor = make_executor(jobs, "process")
-    n = int(grid.size)
-    workspace = shm.ShmWorkspace.create(
-        canonical_json(assembly).encode("utf-8"),
+    chunks = split_evenly(list(range(grid.size)), jobs)
+    payloads = [
         {
-            "values": ((n,), "float64"),
-            "results": ((n,), "float64"),
-            "status": ((n,), "uint8"),
-        },
-    )
-    try:
-        workspace.array("values")[:] = grid
-        shm._charge(rows=n)
-        config = {
+            "assembly_json": assembly_json,
             "service": service,
             "parameter": parameter,
+            "values": [grid[i] for i in chunk],
             "fixed": dict(fixed),
             "solver": solver,
             "incremental": incremental,
         }
-        spec = workspace.spec()
-        with executor:
-            futures = [
-                executor.submit(
-                    shm.shm_numeric_sweep_rows,
-                    {
-                        "spec": spec,
-                        "config": config,
-                        "start": rows[0],
-                        "stop": rows[-1] + 1,
-                        "deadline": remaining_deadline(budget),
-                        "observe": observe_token(),
-                        "dispatched_at": time.time(),
-                    },
-                )
-                for rows in split_evenly(list(range(n)), jobs)
-            ]
-            try:
-                for future in futures:
-                    failures = unpack_worker_payload(future.result())
-                    if failures:
-                        raise rebuild_error(next(iter(failures.values())))
-            except BrokenProcessPool as exc:
-                status = workspace.array("status")
-                affected = [i for i in range(n) if status[i] == shm.ROW_UNSET]
-                raise broken_pool_error(
-                    "numeric sweep evaluation", affected, exc
-                ) from exc
-        return workspace.array("results").copy()
-    finally:
-        workspace.close()
+        for chunk in chunks
+    ]
+    return _collect_chunks(fan_out(
+        "numeric sweep evaluation", numeric_sweep_chunk, payloads, chunks,
+        jobs=jobs, budget=budget,
+    ))
 
 
 def sweep_parameter(
@@ -277,10 +166,11 @@ def sweep_parameter(
             (per-point recursive evaluation).
         jobs: worker count for the numeric method — 1 (default)
             evaluates in process, 0 uses every core, ``N > 1`` fans the
-            grid across ``N`` worker processes (over the zero-pickle
-            shared-memory transport, :mod:`repro.engine.shm`, where the
-            platform has it).  The symbolic method always runs the whole
-            grid through one stacked kernel execution in-process.
+            grid across ``N`` worker processes in contiguous chunks (a
+            worker killed hard raises
+            :class:`~repro.errors.WorkerCrashedError` naming the lost grid
+            indices).  The symbolic method always runs the whole grid
+            through one stacked kernel execution in-process.
         cache: optional :class:`~repro.engine.PlanCache`; the closed-form
             derivation is fetched from / stored into it, so repeated
             sweeps of the same model re-derive nothing.
@@ -322,18 +212,10 @@ def sweep_parameter(
             pfail = _fused_symbolic(plan, parameter, grid, fixed, budget)
         elif method == "numeric":
             if jobs > 1:
-                from repro.engine import shm as _shm
-
-                if _shm.available():
-                    pfail = _parallel_numeric_shm(
-                        assembly, service, parameter, grid, fixed, jobs,
-                        budget, solver=solver, incremental=incremental,
-                    )
-                else:
-                    pfail = _parallel_numeric(
-                        assembly, service, parameter, grid, fixed, jobs,
-                        budget, solver=solver, incremental=incremental,
-                    )
+                pfail = _parallel_numeric(
+                    assembly, service, parameter, grid, fixed, jobs,
+                    budget, solver=solver, incremental=incremental,
+                )
             else:
                 evaluator = ReliabilityEvaluator(
                     assembly, check_domains=False, budget=budget,

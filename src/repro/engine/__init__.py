@@ -16,13 +16,10 @@ Modules:
   once, evaluated at any number of points, shippable to worker processes.
 - :mod:`repro.engine.cache` — the thread-safe, LRU-bounded
   :class:`PlanCache` with hit/miss statistics.
-- :mod:`repro.engine.parallel` — executor plumbing, picklable worker
-  functions, and cooperative :class:`~repro.runtime.EvaluationBudget`
-  enforcement across workers.
-- :mod:`repro.engine.shm` — the zero-pickle shared-memory transport for
-  heavy (robust/Monte-Carlo) workloads: model documents and result rows
-  travel through ``multiprocessing.shared_memory`` segments owned (and
-  always reclaimed) by the parent.
+- :mod:`repro.engine.parallel` — the one fail-fast process-pool fan-out
+  (:func:`~repro.engine.parallel.fan_out`), picklable worker functions,
+  and cooperative :class:`~repro.runtime.EvaluationBudget` enforcement
+  across workers; payloads and results travel pickled.
 - :mod:`repro.engine.batch` — the :class:`BatchEngine` façade tying it
   together, with per-entry error isolation and fused stacked-kernel
   execution of same-fingerprint symbolic groups.
@@ -51,7 +48,6 @@ from repro.engine.fingerprint import (
 )
 from repro.engine.parallel import (
     fused_counts,
-    make_executor,
     reset_fused_counts,
     resolve_jobs,
     split_evenly,
@@ -63,17 +59,13 @@ from repro.engine.plan import (
     reset_counters,
 )
 
-#: The shared-memory transport drags in :mod:`multiprocessing`; its names
-#: resolve on first access (PEP 562) so the serial path never loads it.
-_SHM_NAMES = ("ShmWorkspace", "reset_shm_counts", "shm_counts")
 
+def shm_counts() -> dict:
+    """Always zero: nothing rides shared memory any more.  The only reader
+    is ``perfbench/whatif.py``; the benchmark change that drops its
+    ``engine.shm.*`` counters deletes this function."""
+    return {"segments": 0, "rows": 0}
 
-def __getattr__(name: str):
-    if name not in _SHM_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from repro.engine import shm
-
-    return getattr(shm, name)
 
 __all__ = [
     "BatchEngine",
@@ -84,18 +76,15 @@ __all__ = [
     "CacheStats",
     "EvaluationPlan",
     "PlanCache",
-    "ShmWorkspace",
     "assembly_fingerprint",
     "canonical_json",
     "compilation_count",
     "compile_plan",
     "default_cache",
     "fused_counts",
-    "make_executor",
     "plan_key",
     "reset_counters",
     "reset_fused_counts",
-    "reset_shm_counts",
     "resolve_jobs",
     "service_fingerprint",
     "shm_counts",

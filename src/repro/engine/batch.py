@@ -33,23 +33,18 @@ from __future__ import annotations
 
 import time
 from collections.abc import Mapping, Sequence
-from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 
 from repro import observability as obs
 from repro.engine.cache import PlanCache
 from repro.engine.parallel import (
     WorkerFailure,
-    broken_pool_error,
     charge_fused,
     evaluate_plan_points,
-    make_executor,
-    observe_token,
+    fan_out,
     rebuild_error,
-    remaining_deadline,
     resolve_jobs,
     split_evenly,
-    unpack_worker_payload,
 )
 from repro.engine.plan import EvaluationPlan, compile_plan, compilation_count
 from repro.errors import EvaluationError, ReproError
@@ -193,8 +188,8 @@ class BatchEngine:
         jobs: worker count — 1 (default) runs serially in-process, 0 means
             one worker per CPU core, ``N > 1`` fans the groups the fused
             path does not serve across ``N`` worker processes.
-        mode: ``"process"`` (default; true CPU parallelism — plans are
-            pickled to workers) or ``"serial"``.
+        mode: ``"process"``, the only pool: true CPU parallelism, plans
+            are pickled to workers (``jobs=1`` is the serial path).
         cache: a :class:`~repro.engine.cache.PlanCache` to reuse plans
             across runs, ``None`` for a private per-engine cache, or
             ``False`` to disable caching (every point recompiles — the
@@ -212,10 +207,10 @@ class BatchEngine:
     Each same-fingerprint symbolic group of two or more entries is served
     through **one** stacked kernel call in the parent (no per-point Python
     dispatch, no pool).  Robust groups, singletons and compilation errors
-    take the per-point path; in a process pool, multi-entry robust groups
-    ride the shared-memory transport (:mod:`repro.engine.shm`) where the
-    platform has it, so workers stop pickling model documents and
-    per-entry results.
+    take the per-point path; in a process pool each plan's points travel
+    to the workers as pickled chunks (:func:`~repro.engine.parallel.fan_out`),
+    and a worker killed hard fails the batch with
+    :class:`~repro.errors.WorkerCrashedError` naming the lost entries.
     """
 
     def __init__(
@@ -232,9 +227,8 @@ class BatchEngine:
         self.jobs = resolve_jobs(jobs)
         self.solver = validate_solver(solver)
         self.incremental = bool(incremental)
-        if mode not in ("process", "serial"):
+        if mode != "process":
             raise EvaluationError(f"unknown executor mode {mode!r}")
-        self.mode = mode
         if cache is False:
             self.cache = None
         elif cache is None or cache is True:
@@ -276,11 +270,9 @@ class BatchEngine:
         hits_before = self.cache.stats.hits if self.cache else 0
         misses_before = self.cache.stats.misses if self.cache else 0
 
-        serial = self.jobs <= 1 or self.mode == "serial" or len(requests) <= 1
+        serial = self.jobs <= 1 or len(requests) <= 1
         obs.gauge("batch.jobs", 1 if serial else self.jobs)
-        with obs.span(
-            "batch.run", entries=len(requests), mode=self.mode
-        ) as run_span:
+        with obs.span("batch.run", entries=len(requests)) as run_span:
             groups = self._compile_groups(requests)
             entries = [
                 BatchEntry(i, r.label, r.service, dict(r.actuals))
@@ -412,141 +404,28 @@ class BatchEngine:
                     entry.error = exc
                 obs.observe("batch.entry.seconds", time.perf_counter() - t0)
 
-    def _use_shm(self, plan, indices) -> bool:
-        """Whether a pooled group rides the shared-memory transport:
-        multi-entry robust groups, on a platform that has shared memory."""
-        if plan.backend != "robust" or len(indices) <= 1:
-            return False
-        from repro.engine import shm
-
-        return shm.available()
-
-    def _submit_shm(self, executor, futures, plan, indices, entries, workspaces):
-        """Lay out one shared workspace for a robust group and fan its
-        rows across the pool — workers read the model document and write
-        result rows in place; nothing heavy is pickled."""
-        from repro.engine import shm
-
-        formals = plan.formals
-        n, k = len(indices), max(1, len(formals))
-        workspace = shm.ShmWorkspace.create(
-            plan.assembly_json.encode("utf-8"),
-            {
-                "points": ((n, k), "float64"),
-                "mask": ((n, k), "uint8"),
-                "results": ((n,), "float64"),
-                "status": ((n,), "uint8"),
-            },
-        )
-        workspaces.append(workspace)
-        points = workspace.array("points")
-        mask = workspace.array("mask")
-        for row, index in enumerate(indices):
-            actuals = entries[index].actuals
-            for column, name in enumerate(formals):
-                if name in actuals:
-                    points[row, column] = float(actuals[name])
-                    mask[row, column] = 1
-        shm._charge(rows=n)
-        config = {
-            "service": plan.service,
-            "fingerprint": plan.fingerprint,
-            "formals": list(formals),
-            "solver": plan.solver,
-            "incremental": plan.incremental,
-        }
-        spec = workspace.spec()
-        for rows in split_evenly(list(range(n)), self.jobs):
-            payload = {
-                "spec": spec,
-                "config": config,
-                "start": rows[0],
-                "stop": rows[-1] + 1,
-                "deadline": remaining_deadline(self.budget),
-                "observe": observe_token(),
-                "dispatched_at": time.time(),
-            }
-            futures[executor.submit(shm.shm_plan_rows, payload)] = (
-                "shm",
-                plan,
-                indices[rows[0]:rows[-1] + 1],
-                workspace,
-                rows[0],
-            )
-
     def _run_parallel(self, groups, entries: list[BatchEntry]) -> None:
-        from concurrent.futures.process import BrokenProcessPool
-
-        executor = make_executor(self.jobs, self.mode)
-        if executor is None:  # pragma: no cover - guarded by caller
-            return self._run_serial(groups, entries)
-        futures = {}
-        workspaces: list = []
-        try:
-            with executor:
-                for plan, indices in groups.values():
-                    if isinstance(plan, ReproError):
-                        for index in indices:
-                            entries[index].error = plan
-                        continue
-                    if self._use_shm(plan, indices):
-                        self._submit_shm(
-                            executor, futures, plan, indices, entries, workspaces
-                        )
-                        continue
-                    for chunk in split_evenly(indices, self.jobs):
-                        payload = {
-                            "plan": plan,
-                            "points": [entries[i].actuals for i in chunk],
-                            "deadline": remaining_deadline(self.budget),
-                            "observe": observe_token(),
-                            "dispatched_at": time.time(),
-                        }
-                        futures[executor.submit(evaluate_plan_points, payload)] = (
-                            "points",
-                            plan,
-                            chunk,
-                        )
-                pending = set(futures)
-                try:
-                    while pending:
-                        done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                        if self.budget is not None:
-                            self.budget.check_deadline("batch collection")
-                        for future in done:
-                            tag = futures[future]
-                            if tag[0] == "shm":
-                                _, plan, chunk, workspace, start = tag
-                                failures = unpack_worker_payload(future.result())
-                                results = workspace.array("results")
-                                for offset, index in enumerate(chunk):
-                                    entry = entries[index]
-                                    entry.backend = plan.backend
-                                    failure = failures.get(start + offset)
-                                    if failure is not None:
-                                        entry.error = rebuild_error(failure)
-                                    else:
-                                        entry.pfail = float(results[start + offset])
-                                continue
-                            _, plan, chunk = tag
-                            outcomes = unpack_worker_payload(future.result())
-                            for index, outcome in zip(chunk, outcomes):
-                                entry = entries[index]
-                                entry.backend = plan.backend
-                                if isinstance(outcome, WorkerFailure):
-                                    entry.error = rebuild_error(outcome)
-                                else:
-                                    entry.pfail = float(outcome)
-                except BrokenProcessPool as exc:
-                    affected = [
-                        e.index for e in entries
-                        if e.pfail is None and e.error is None
-                    ]
-                    raise broken_pool_error(
-                        "batch evaluation", affected, exc
-                    ) from exc
-        finally:
-            for future in futures:
-                future.cancel()
-            for workspace in workspaces:
-                workspace.close()
+        payloads, covers = [], []
+        for plan, indices in groups.values():
+            if isinstance(plan, ReproError):
+                for index in indices:
+                    entries[index].error = plan
+                continue
+            for chunk in split_evenly(indices, self.jobs):
+                payloads.append({
+                    "plan": plan,
+                    "points": [entries[i].actuals for i in chunk],
+                })
+                covers.append(chunk)
+        outcomes = fan_out(
+            "batch evaluation", evaluate_plan_points, payloads, covers,
+            jobs=self.jobs, budget=self.budget,
+        )
+        for payload, chunk, chunk_outcomes in zip(payloads, covers, outcomes):
+            for index, outcome in zip(chunk, chunk_outcomes):
+                entry = entries[index]
+                entry.backend = payload["plan"].backend
+                if isinstance(outcome, WorkerFailure):
+                    entry.error = rebuild_error(outcome)
+                else:
+                    entry.pfail = float(outcome)

@@ -5,11 +5,15 @@ chunks, Monte-Carlo trial blocks, fuzz cases — across a
 :mod:`concurrent.futures` pool.  This module holds everything that must be
 importable from a fresh worker process:
 
-- **executor selection** (:func:`resolve_jobs`, :func:`make_executor`):
+- **the fail-fast fan-out** (:func:`resolve_jobs`, :func:`fan_out`):
   ``jobs <= 1`` short-circuits to the serial path (no pool, no pickling);
-  otherwise a process pool gives true CPU parallelism for the pure-Python
-  solve paths (numpy-vectorized symbolic work never needs a pool: it runs
-  fused, in-process);
+  otherwise one process pool gives true CPU parallelism for the
+  pure-Python solve paths (numpy-vectorized symbolic work never needs a
+  pool: it runs fused, in-process).  The batch engine, numeric sweeps,
+  Monte-Carlo trial blocks and fuzz shards all dispatch through
+  :func:`fan_out`; a dead worker fails the whole fan-out with a typed
+  :class:`~repro.errors.WorkerCrashedError`.  Retry and quarantine live
+  in :mod:`repro.workunits`, which keeps its own pool;
 - **module-level worker functions** (process pools can only call picklable
   top-level callables) that receive plain-data payloads: compiled
   :class:`~repro.engine.plan.EvaluationPlan` objects, canonical assembly
@@ -30,7 +34,6 @@ import os
 import threading
 import time
 import warnings
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
 
 import repro.errors as _errors
@@ -47,9 +50,9 @@ __all__ = [
     "WorkerFailure",
     "broken_pool_error",
     "evaluate_plan_points",
+    "fan_out",
     "fused_counts",
     "fuzz_block",
-    "make_executor",
     "numeric_sweep_chunk",
     "observe_token",
     "rebuild_error",
@@ -186,23 +189,6 @@ def resolve_jobs(jobs: int | None) -> int:
     return resolved
 
 
-def make_executor(jobs: int, mode: str = "process") -> Executor | None:
-    """A process pool for ``jobs`` workers, or ``None`` for the serial path.
-
-    Args:
-        jobs: resolved worker count (see :func:`resolve_jobs`).
-        mode: ``"process"`` or ``"serial"``.
-    """
-    if mode not in ("process", "serial"):
-        raise EvaluationError(f"unknown executor mode {mode!r}")
-    if jobs <= 1 or mode == "serial":
-        return None
-    # the process-pool stack (multiprocessing included) loads only here
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=jobs)
-
-
 def remaining_deadline(budget: EvaluationBudget | None) -> float | None:
     """Seconds of deadline left to hand a worker, or ``None`` if unlimited.
 
@@ -230,8 +216,8 @@ def broken_pool_error(
     A worker killed hard (SIGKILL, OOM, native crash) breaks the whole
     pool: every pending ``future.result()`` raises
     ``concurrent.futures.process.BrokenProcessPool``, which is not a
-    :class:`ReproError` and would escape as a traceback.  Collection loops
-    catch it and raise the returned
+    :class:`ReproError` and would escape as a traceback.  :func:`fan_out`
+    catches it and raises the returned
     :class:`~repro.errors.WorkerCrashedError` instead, carrying the
     indices of the entries whose results were lost.
     """
@@ -241,6 +227,60 @@ def broken_pool_error(
     error = WorkerCrashedError(what, indices)
     error.__cause__ = cause
     return error
+
+
+def fan_out(
+    what: str,
+    worker,
+    payloads,
+    covers,
+    *,
+    jobs: int,
+    budget: EvaluationBudget | None = None,
+) -> list:
+    """Run ``worker`` over ``payloads`` on a ``jobs``-process pool.
+
+    Fail-fast: the first error ends the fan-out and cancels what has not
+    started.  Each payload is stamped at dispatch with the observability
+    keys (``observe``, ``dispatched_at``) and, when a ``budget`` is
+    given, the remaining ``deadline`` (see :func:`remaining_deadline`).
+    Results come back in submission order, unpacked of any shipped
+    worker metrics and spans (:func:`unpack_worker_payload`); the budget
+    deadline is checked after each one.
+
+    ``covers[i]`` lists the entry indices payload ``i`` serves.  A worker
+    killed hard breaks the pool, during submission or collection alike;
+    that becomes a :class:`~repro.errors.WorkerCrashedError` carrying the
+    union of ``covers[i]`` over every payload whose result was not
+    collected.
+    """
+    # the process-pool stack (multiprocessing included) loads only here
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    executor = ProcessPoolExecutor(max_workers=jobs)
+    futures: list = []
+    results: list = []
+    try:
+        for payload in payloads:
+            stamped = {
+                **payload,
+                "observe": observe_token(),
+                "dispatched_at": time.time(),
+            }
+            if budget is not None:
+                stamped["deadline"] = remaining_deadline(budget)
+            futures.append(executor.submit(worker, stamped))
+        for future in futures:
+            results.append(unpack_worker_payload(future.result()))
+            if budget is not None:
+                budget.check_deadline(what)
+    except BrokenProcessPool as exc:
+        lost = [index for cover in covers[len(results):] for index in cover]
+        raise broken_pool_error(what, lost, exc) from exc
+    finally:
+        executor.shutdown(wait=True, cancel_futures=True)
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -292,49 +292,23 @@ class FuzzHarness:
         return report
 
     def _run_parallel(self, mutations: list, jobs: int) -> list[FuzzCase]:
-        from concurrent.futures.process import BrokenProcessPool
+        from repro.engine.parallel import fan_out, fuzz_block, split_evenly
 
-        from repro.engine.parallel import (
-            broken_pool_error,
-            fuzz_block,
-            make_executor,
-            observe_token,
-            split_evenly,
-            unpack_worker_payload,
-        )
-
-        executor = make_executor(jobs, "process")
-        cases: list[FuzzCase] = []
         shards = split_evenly(mutations, jobs)
-        with executor:
-            futures = [
-                executor.submit(
-                    fuzz_block,
-                    {
-                        "cases": shard,
-                        "service": self.service,
-                        "actuals": self.actuals,
-                        "seed": self.seed,
-                        "trials": self.trials,
-                        "deadline": self.deadline,
-                        "observe": observe_token(),
-                        "dispatched_at": time.time(),
-                    },
-                )
-                for shard in shards
-            ]
-            collected = 0
-            try:
-                for future in futures:
-                    cases.extend(unpack_worker_payload(future.result()))
-                    collected += 1
-            except BrokenProcessPool as exc:
-                affected = [
-                    index
-                    for shard in shards[collected:]
-                    for index, _ in shard
-                ]
-                raise broken_pool_error(
-                    "fuzz campaign", affected, exc
-                ) from exc
+        payloads = [
+            {
+                "cases": shard,
+                "service": self.service,
+                "actuals": self.actuals,
+                "seed": self.seed,
+                "trials": self.trials,
+                "deadline": self.deadline,
+            }
+            for shard in shards
+        ]
+        blocks = fan_out(
+            "fuzz campaign", fuzz_block, payloads,
+            [[index for index, _ in shard] for shard in shards], jobs=jobs,
+        )
+        cases = [case for block in blocks for case in block]
         return sorted(cases, key=lambda case: case.index)

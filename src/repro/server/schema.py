@@ -345,9 +345,8 @@ ENDPOINTS: tuple[Endpoint, ...] = (
                     "fallback_condition}` of the incremental "
                     "(Sherman-Morrison-Woodbury) re-solve path.  The "
                     "`engine.fused` block counts stacked-kernel group "
-                    "executions (`groups`/`entries`/`fallbacks`) and the "
-                    "shared-memory transport's `shm` "
-                    "`{segments, rows}` totals.  The numbers are live "
+                    "executions (`groups`/`entries`/`fallbacks`).  The "
+                    "numbers are live "
                     "regardless of whether metrics collection is enabled — "
                     "this is the endpoint warm-cache smoke tests watch.",
         response_example={
@@ -363,8 +362,7 @@ ENDPOINTS: tuple[Endpoint, ...] = (
                                    "fallback_condition": 0}},
             "model": {"hits": 10, "misses": 2, "evictions": 0,
                       "hit_rate": 0.833, "size": 2},
-            "engine": {"fused": {"groups": 2, "entries": 9, "fallbacks": 0,
-                                 "shm": {"segments": 1, "rows": 40}}},
+            "engine": {"fused": {"groups": 2, "entries": 9, "fallbacks": 0}},
             "server": {"requests": 12, "evaluations": 3, "coalesced": 2},
         },
         status_codes=((200, "always"),),

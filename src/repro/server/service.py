@@ -269,7 +269,7 @@ class EvaluationService:
             factorization_count,
             plan_count,
         )
-        from repro.engine import fused_counts, shm_counts
+        from repro.engine import fused_counts
         from repro.markov.updates import update_counts
         from repro.symbolic import default_kernel_cache
 
@@ -284,7 +284,7 @@ class EvaluationService:
             "solver": solver,
             "model": _stats_dict(self.models),
             "engine": {
-                "fused": {**fused_counts(), "shm": shm_counts()},
+                "fused": fused_counts(),
             },
             "server": {
                 "requests": self.requests,

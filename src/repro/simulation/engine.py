@@ -31,7 +31,6 @@ for every scenario in the repository.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,18 +238,12 @@ class MonteCarloSimulator:
     def _estimate_parallel(
         self, service: str | Service, trials: int, jobs: int, actuals: dict
     ) -> SimulationResult:
-        from concurrent.futures.process import BrokenProcessPool
-
         from repro.engine.fingerprint import canonical_json
         from repro.engine.parallel import (
             WorkerFailure,
-            broken_pool_error,
-            make_executor,
-            observe_token,
+            fan_out,
             rebuild_error,
-            remaining_deadline,
             simulate_block,
-            unpack_worker_payload,
         )
 
         name = service.name if isinstance(service, Service) else str(service)
@@ -259,39 +252,28 @@ class MonteCarloSimulator:
         sizes = [base + (1 if i < extra else 0) for i in range(blocks)]
         seeds = np.random.SeedSequence(self._seed).spawn(blocks)
         assembly_json = canonical_json(self.assembly)
-        executor = make_executor(jobs, "process")
+        payloads = [
+            {
+                "assembly_json": assembly_json,
+                "service": name,
+                "actuals": dict(actuals),
+                "trials": size,
+                "seed": seed,
+            }
+            for size, seed in zip(sizes, seeds)
+        ]
+        outcomes = fan_out(
+            "Monte Carlo trial blocks", simulate_block, payloads,
+            [[block] for block in range(blocks)],
+            jobs=jobs, budget=self.budget,
+        )
         total_trials = total_failures = 0
-        with executor:
-            futures = [
-                executor.submit(
-                    simulate_block,
-                    {
-                        "assembly_json": assembly_json,
-                        "service": name,
-                        "actuals": dict(actuals),
-                        "trials": size,
-                        "seed": seed,
-                        "deadline": remaining_deadline(self.budget),
-                        "observe": observe_token(),
-                        "dispatched_at": time.time(),
-                    },
-                )
-                for size, seed in zip(sizes, seeds)
-            ]
-            try:
-                for block, future in enumerate(futures):
-                    outcome = unpack_worker_payload(future.result())
-                    if isinstance(outcome, WorkerFailure):
-                        raise rebuild_error(outcome)
-                    block_trials, block_failures = outcome
-                    total_trials += block_trials
-                    total_failures += block_failures
-            except BrokenProcessPool as exc:
-                raise broken_pool_error(
-                    "Monte Carlo trial blocks",
-                    range(block, len(futures)),
-                    exc,
-                ) from exc
+        for outcome in outcomes:
+            if isinstance(outcome, WorkerFailure):
+                raise rebuild_error(outcome)
+            block_trials, block_failures = outcome
+            total_trials += block_trials
+            total_failures += block_failures
         return SimulationResult(total_trials, total_failures)
 
     def compile(self, service: str | Service, **actuals: float):

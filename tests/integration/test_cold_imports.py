@@ -3,9 +3,9 @@
 ``import repro`` and the four one-shot CLI commands (``evaluate``,
 ``sweep``, ``batch``, ``closed-form``) each run in a fresh interpreter
 that reports ``sys.modules`` on exit.  None of them may load scipy (a
-dense one-shot solve is one ``numpy.linalg.solve``), the process-pool
-stack or the shared-memory transport: those load on first real need,
-which the last tests check still happens.
+dense one-shot solve is one ``numpy.linalg.solve``) or the
+process-pool stack: those load on first real need, which the last tests
+check still happens.
 """
 
 import os
@@ -26,8 +26,7 @@ from repro.scenarios import (
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: Modules a one-shot call must never load.
-HEAVY = ("scipy", "concurrent.futures.process", "multiprocessing",
-         "repro.engine.shm")
+HEAVY = ("scipy", "concurrent.futures.process", "multiprocessing")
 
 #: Prints the loaded module names as the last stderr line.
 REPORT = "print('MODULES', ' '.join(sorted(sys.modules)), file=sys.stderr)\n"

@@ -233,6 +233,11 @@ class TestParallel:
         with pytest.raises(EvaluationError):
             BatchEngine(jobs=2, mode="thread")
 
+    def test_serial_mode_rejected(self):
+        # jobs=1 is the serial path; "process" is the only mode
+        with pytest.raises(EvaluationError):
+            BatchEngine(jobs=2, mode="serial")
+
     def test_parallel_error_isolation_survives_pickling(self):
         points = [dict(POINTS[0]), {"elem": 1.0, "list": float("nan"), "res": 1.0},
                   dict(POINTS[2])]

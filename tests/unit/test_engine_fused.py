@@ -1,4 +1,4 @@
-"""The fused execution path: stacked kernels, counters, shm lifecycle.
+"""The fused execution path: stacked kernels, counters, the robust pool.
 
 Covers the contracts the fused executor adds on top of the batch engine:
 
@@ -11,8 +11,8 @@ Covers the contracts the fused executor adds on top of the batch engine:
 - ``BatchEngine`` fused-group accounting (``fused_entries``,
   ``engine.fused.*`` counters) and per-entry error isolation when a
   poisoned point forces the fallback;
-- the shared-memory workspace lifecycle: idempotent close, no segment
-  leaked even when a worker is SIGKILLed mid-flight;
+- robust groups the fused path does not serve: a jobs=2 pool batch
+  equals the jobs=1 batch bitwise;
 - the retired ``compile``/``fused`` knobs: the CLI and server refuse
   them, `/v1/cache-stats` still reports fused counters, work-unit ids did
   not move, and a journal written with a non-default flag is refused on
@@ -20,7 +20,6 @@ Covers the contracts the fused executor adds on top of the batch engine:
 """
 
 import os
-import signal
 
 import numpy as np
 import pytest
@@ -30,9 +29,7 @@ from repro.engine import (
     PlanCache,
     fused_counts,
     reset_fused_counts,
-    shm_counts,
 )
-from repro.engine import shm
 from repro.engine.plan import compile_plan
 from repro.errors import BudgetExceededError
 from repro.runtime.budget import EvaluationBudget
@@ -158,78 +155,26 @@ class TestEngineFused:
 
 
 # ---------------------------------------------------------------------------
-# shared-memory workspace lifecycle (tentpole (b) + satellite 6)
+# robust groups through the process pool
 # ---------------------------------------------------------------------------
 
 
-def _kill_self():  # pragma: no cover - dies by design
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-@pytest.mark.skipif(not shm.available(), reason="no shared-memory support")
-class TestShmLifecycle:
-    def _segments(self, workspace):
-        names = [workspace.spec()["doc"]["name"]]
-        names += [
-            spec[0] for spec in workspace.spec()["arrays"].values()
-        ]
-        return [name.lstrip("/") for name in names]
-
-    def test_roundtrip_and_idempotent_close(self):
-        before = shm_counts()["segments"]
-        workspace = shm.ShmWorkspace.create(
-            b"{}", {"results": ((4,), "float64"), "status": ((4,), "uint8")}
-        )
-        names = self._segments(workspace)
-        try:
-            workspace.array("results")[:] = [1.0, 2.0, 3.0, 4.0]
-            attached = shm._Attached(workspace.spec())
-            assert attached.doc == b"{}"
-            assert np.array_equal(
-                attached.arrays["results"], [1.0, 2.0, 3.0, 4.0]
-            )
-            attached.close()
-        finally:
-            workspace.close()
-            workspace.close()  # idempotent
-        assert shm_counts()["segments"] == before + len(names)
-        for name in names:
-            assert not os.path.exists(f"/dev/shm/{name}")
-
-    def test_no_leak_when_worker_is_sigkilled(self):
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        workspace = shm.ShmWorkspace.create(
-            b"{}", {"results": ((2,), "float64")}
-        )
-        names = self._segments(workspace)
-        executor = ProcessPoolExecutor(max_workers=1)
-        try:
-            with pytest.raises(BrokenProcessPool):
-                executor.submit(_kill_self).result(timeout=30)
-        finally:
-            executor.shutdown(wait=True)
-            workspace.close()
-        for name in names:
-            assert not os.path.exists(f"/dev/shm/{name}")
-
-    def test_parallel_shm_batch_matches_serial(self, monkeypatch):
+class TestRobustPool:
+    def test_parallel_robust_batch_matches_serial(self, monkeypatch):
         # this box may have one core; the engine clamps jobs to the cpu
-        # count, so pretend there are enough to exercise the shm path
+        # count, so pretend there are enough to exercise the pool
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         assembly = recursive_assembly()
         points = [{"size": float(1 + (i % 5))} for i in range(8)]
         serial = BatchEngine(jobs=1, cache=PlanCache(), solver="sparse")
         expected = [e.pfail for e in serial.evaluate(assembly, "A", points)]
-        rows_before = shm_counts()["rows"]
         engine = BatchEngine(
             jobs=2, cache=PlanCache(), solver="sparse", mode="process"
         )
         result = engine.evaluate(assembly, "A", points)
         assert result.ok
+        assert [e.backend for e in result] == ["robust"] * len(points)
         assert [e.pfail for e in result] == expected
-        assert shm_counts()["rows"] - rows_before == len(points)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +267,8 @@ class TestFusedKnob:
 
         stats = EvaluationService().cache_stats()
         fused = stats["engine"]["fused"]
-        assert set(fused) >= {"groups", "entries", "fallbacks", "shm"}
-        assert set(fused["shm"]) == {"segments", "rows"}
+        assert set(fused) == {"groups", "entries", "fallbacks"}
+        assert "shm" not in fused
 
     def test_workunit_ids_stable_under_default_fused(self, local):
         sweep = _sweep_campaign(local)
