@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 from repro.core.evaluator import ReliabilityEvaluator
 from repro.core.failure_structure import augment_with_failures
-from repro.core.state_failure import state_failure_probability
 from repro.errors import CyclicAssemblyError
 from repro.markov import AbsorbingChainAnalysis
 from repro.model.assembly import Assembly
@@ -92,7 +91,7 @@ def expected_invocations(
     counts: dict[str, float] = {}
     top = assembly.service(service)
     _accumulate(
-        assembly, evaluator, top,
+        evaluator, top,
         {name: float(value) for name, value in actuals.items()},
         weight=1.0, counts=counts,
     )
@@ -100,7 +99,6 @@ def expected_invocations(
 
 
 def _accumulate(
-    assembly: Assembly,
     evaluator: ReliabilityEvaluator,
     service: Service,
     actuals: dict[str, float],
@@ -113,32 +111,21 @@ def _accumulate(
 
     env = service.evaluation_environment(actuals, check=False)
     # failure-aware expected visits of each state
-    failures: dict[str, float] = {}
-    per_state: dict[str, tuple[list[float], list[float]]] = {}
-    for state in service.flow.states:
-        internal, external, masking = evaluator._state_probabilities(
-            service, state, env
-        )
-        per_state[state.name] = (internal, external)
-        failures[state.name] = state_failure_probability(
-            state.completion, state.shared, internal, external,
-            masking, groups=state.sharing_groups,
-        )
-    chain = augment_with_failures(service.flow, env, failures)
-    analysis = AbsorbingChainAnalysis(chain)
+    table, _, _, failures = evaluator._state_failures(service, env)
+    analysis = AbsorbingChainAnalysis(augment_with_failures(service.flow, env, failures))
 
-    for state in service.flow.states:
-        visits = analysis.expected_visits(START, state.name)
+    for state, (start, stop) in zip(table.states, table.bounds):
+        visits = analysis.expected_visits(START, state)
         if visits <= 0.0:
             continue
-        for request in state.requests:
-            resolved = assembly.resolve_request(service.name, request)
+        for resolved in table.requests[start:stop]:
+            request = resolved.request
             callee_actuals = {
                 name: float(request.actuals[name].evaluate(env))
                 for name in resolved.provider.formal_parameters
             }
             _accumulate(
-                assembly, evaluator, resolved.provider, callee_actuals,
+                evaluator, resolved.provider, callee_actuals,
                 weight * visits, counts,
             )
             if resolved.connector is not None:
@@ -147,6 +134,6 @@ def _accumulate(
                     for name in resolved.connector.formal_parameters
                 }
                 _accumulate(
-                    assembly, evaluator, resolved.connector, connector_actuals,
+                    evaluator, resolved.connector, connector_actuals,
                     weight * visits, counts,
                 )

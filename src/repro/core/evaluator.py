@@ -29,6 +29,7 @@ treatment the paper proposes instead.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,16 +38,12 @@ from repro.errors import (
     CyclicAssemblyError,
     EvaluationError,
     ModelError,
-    ProbabilityRangeError,
 )
 from repro.core.failure_structure import augment_with_failures
-from repro.core.state_failure import (
-    external_failure_probability,
-    state_failure_probability,
-)
+from repro.core.state_failure import _check_probability, completion_class_failure
 from repro.markov import AbsorbingChainAnalysis
 from repro.model.assembly import Assembly
-from repro.model.flow import END, START, FlowState
+from repro.model.flow import END, START
 from repro.model.service import CompositeService, Service, SimpleService
 from repro.model.validation import validate_assembly
 from repro.runtime.budget import EvaluationBudget
@@ -54,25 +51,16 @@ from repro.symbolic import Environment
 
 __all__ = ["ReliabilityEvaluator", "StateBreakdown", "EvaluationReport"]
 
-_TOL = 1e-9
 
-
+@dataclass(frozen=True, repr=False)
 class StateBreakdown:
     """Per-state diagnostic record produced by :meth:`ReliabilityEvaluator.report`."""
 
-    def __init__(
-        self,
-        state: str,
-        failure_probability: float,
-        request_internal: tuple[float, ...],
-        request_external: tuple[float, ...],
-        expected_visits: float,
-    ):
-        self.state = state
-        self.failure_probability = failure_probability
-        self.request_internal = request_internal
-        self.request_external = request_external
-        self.expected_visits = expected_visits
+    state: str
+    failure_probability: float
+    request_internal: tuple[float, ...]
+    request_external: tuple[float, ...]
+    expected_visits: float
 
     def __repr__(self) -> str:
         return (
@@ -132,6 +120,46 @@ class EvaluationReport:
         return "\n".join(lines)
 
 
+class RequestTable:
+    """A composite service's requests, resolved once per evaluator.
+
+    ``states`` names the flow states in order; ``requests`` holds their
+    resolved requests (:class:`~repro.model.assembly.ResolvedRequest`) in
+    the same order, state ``i`` owning the slice ``bounds[i]``.
+    ``classes`` groups the states with requests into completion classes
+    (same required successes ``k`` and dependency partition ``groups``) as
+    ``(k, groups, rows, columns)``: ``rows`` indexes ``states``, the
+    ``(len(rows), n)`` matrix ``columns`` indexes ``requests``.
+    """
+
+    def __init__(self, assembly: Assembly, service: CompositeService):
+        self.states = tuple(state.name for state in service.flow.states)
+        self.requests = []
+        self.bounds = []
+        members: dict[tuple, tuple[list[int], list[range]]] = {}
+        for row, state in enumerate(service.flow.states):
+            start = len(self.requests)
+            self.requests += [
+                assembly.resolve_request(service.name, request)
+                for request in state.requests
+            ]
+            self.bounds.append((start, len(self.requests)))
+            n = len(state.requests)
+            if n:
+                key = (state.completion.required_successes(n), state.effective_groups())
+                rows, columns = members.setdefault(key, ([], []))
+                rows.append(row)
+                columns.append(range(start, start + n))
+        self.classes = [
+            (k, groups, np.array(rows), np.array(columns))
+            for (k, groups), (rows, columns) in members.items()
+        ]
+
+    def split(self, values: np.ndarray) -> list[tuple[float, ...]]:
+        """Per-request ``values`` cut into one tuple per state."""
+        return [tuple(values[start:stop].tolist()) for start, stop in self.bounds]
+
+
 class ReliabilityEvaluator:
     """Numeric implementation of ``Pfail_Alg`` over one assembly.
 
@@ -181,6 +209,7 @@ class ReliabilityEvaluator:
             report = validate_assembly(assembly)
             report.raise_if_invalid()
         self._cache: dict[tuple, float] = {}
+        self._tables: dict[str, RequestTable] = {}
         self._stack: list[str] = []
 
     # -- public API ----------------------------------------------------------
@@ -197,45 +226,21 @@ class ReliabilityEvaluator:
 
     def report(self, service: str | Service, **actuals: float) -> EvaluationReport:
         """Evaluate a composite service and return per-state diagnostics."""
-        svc = self._coerce(service)
-        if not isinstance(svc, CompositeService):
-            raise EvaluationError(
-                f"report() requires a composite service; {svc.name!r} is simple"
+        svc, normalized, env, (table, internal, external, failures) = (
+            self._composite_states("report", service, actuals)
+        )
+        analysis = self._solve_chain(
+            svc.name, augment_with_failures(svc.flow, env, failures)
+        )
+        breakdowns = tuple(
+            StateBreakdown(name, failures[name], request_internal, request_external,
+                           analysis.expected_visits(START, name))
+            for name, request_internal, request_external in zip(
+                table.states, table.split(internal), table.split(external)
             )
-        normalized = self._normalize(svc, actuals)
-        self._budget_check()
-        env = svc.evaluation_environment(dict(normalized), check=self.check_domains)
-        failures: dict[str, float] = {}
-        breakdowns: list[StateBreakdown] = []
-        self._stack.append(svc.name)
-        try:
-            for state in svc.flow.states:
-                internal, external, masking = self._state_probabilities(
-                    svc, state, env
-                )
-                failures[state.name] = state_failure_probability(
-                    state.completion, state.shared, internal, external,
-                    masking, groups=state.sharing_groups,
-                )
-                breakdowns.append(
-                    StateBreakdown(
-                        state.name,
-                        failures[state.name],
-                        tuple(internal),
-                        tuple(external),
-                        expected_visits=float("nan"),  # filled after absorption
-                    )
-                )
-        finally:
-            self._stack.pop()
-        chain = augment_with_failures(svc.flow, env, failures)
-        analysis = self._solve_chain(svc.name, chain)
-        for breakdown in breakdowns:
-            breakdown.expected_visits = analysis.expected_visits(
-                START, breakdown.state
-            )
+        )
         pfail = 1.0 - analysis.absorption_probability(START, END)
-        return EvaluationReport(svc.name, dict(normalized), pfail, tuple(breakdowns))
+        return EvaluationReport(svc.name, dict(normalized), pfail, breakdowns)
 
     def state_probabilities(
         self, service: str | Service, **actuals: float
@@ -245,29 +250,19 @@ class ReliabilityEvaluator:
 
         This exposes the raw inputs of eqs. (4)-(13) — used by the
         related-work adapters in :mod:`repro.baselines` and by diagnostic
-        tooling.
+        tooling.  A value outside ``[0, 1]`` (NaN included) raises
+        :class:`~repro.errors.ProbabilityRangeError`, as in :meth:`pfail`.
         """
-        svc = self._coerce(service)
-        if not isinstance(svc, CompositeService):
-            raise EvaluationError(
-                f"state_probabilities() requires a composite service; "
-                f"{svc.name!r} is simple"
-            )
-        normalized = self._normalize(svc, actuals)
-        env = svc.evaluation_environment(dict(normalized), check=self.check_domains)
-        out: dict[str, tuple[tuple[float, ...], tuple[float, ...]]] = {}
-        self._stack.append(svc.name)
-        try:
-            for state in svc.flow.states:
-                internal, external, _ = self._state_probabilities(svc, state, env)
-                out[state.name] = (tuple(internal), tuple(external))
-        finally:
-            self._stack.pop()
-        return out
+        _, _, _, (table, internal, external, _) = self._composite_states(
+            "state_probabilities", service, actuals
+        )
+        return dict(zip(table.states, zip(table.split(internal), table.split(external))))
 
     def clear_cache(self) -> None:
-        """Drop all memoized results (e.g. after mutating the assembly)."""
+        """Drop all memoized results and request tables (e.g. after
+        mutating the assembly)."""
         self._cache.clear()
+        self._tables.clear()
 
     # -- internals ---------------------------------------------------------
 
@@ -303,6 +298,25 @@ class ReliabilityEvaluator:
             values.append((name, float(value)))
         return tuple(values)
 
+    def _composite_states(
+        self, caller: str, service: str | Service, actuals: Mapping[str, float]
+    ) -> tuple:
+        """``(service, normalized actuals, environment, _state_failures)``
+        of a composite service evaluated on behalf of ``caller``."""
+        svc = self._coerce(service)
+        if not isinstance(svc, CompositeService):
+            raise EvaluationError(
+                f"{caller}() requires a composite service; {svc.name!r} is simple"
+            )
+        normalized = self._normalize(svc, actuals)
+        self._budget_check()
+        env = svc.evaluation_environment(dict(normalized), check=self.check_domains)
+        self._stack.append(svc.name)
+        try:
+            return svc, normalized, env, self._state_failures(svc, env)
+        finally:
+            self._stack.pop()
+
     def _budget_check(self) -> None:
         """Deadline + recursion-depth load shedding (no-op without budget)."""
         if self.budget is not None:
@@ -337,9 +351,7 @@ class ReliabilityEvaluator:
             value = self._compute(service, dict(actuals))
         finally:
             self._stack.pop()
-        if not -_TOL <= value <= 1.0 + _TOL:
-            raise ProbabilityRangeError(f"Pfail({service.name})", value)
-        value = min(max(value, 0.0), 1.0)
+        value = _check_probability(f"Pfail({service.name})", value)
         self._cache[key] = value
         return value
 
@@ -365,48 +377,52 @@ class ReliabilityEvaluator:
         if not isinstance(service, CompositeService):
             raise ModelError(f"cannot evaluate service of type {type(service)!r}")
         env = service.evaluation_environment(actuals, check=check)
-        failures: dict[str, float] = {}
-        for state in service.flow.states:
-            internal, external, masking = self._state_probabilities(
-                service, state, env
-            )
-            failures[state.name] = state_failure_probability(
-                state.completion, state.shared, internal, external,
-                masking, groups=state.sharing_groups,
-            )
+        _, _, _, failures = self._state_failures(service, env)
         chain = augment_with_failures(service.flow, env, failures)
         analysis = self._solve_chain(service.name, chain)
         return 1.0 - analysis.absorption_probability(START, END)
 
-    def _state_probabilities(
-        self, service: CompositeService, state: FlowState, env: Environment
-    ) -> tuple[list[float], list[float], list[float]]:
-        """Internal failure, external failure and error-masking
-        probabilities for every request of one state, under the caller's
-        environment."""
-        internal: list[float] = []
-        external: list[float] = []
-        masking: list[float] = []
-        for request in state.requests:
-            resolved = self.assembly.resolve_request(service.name, request)
-            p_int = float(request.internal_failure.evaluate(env))
+    def _state_failures(
+        self, service: CompositeService, env: Environment
+    ) -> tuple[RequestTable, np.ndarray, np.ndarray, dict[str, float]]:
+        """``p(i, Fail)`` of every flow state under the caller's environment
+        (eqs. 4–13), with the per-request internal and external failure
+        probabilities they came from.
 
-            callee_actuals = tuple(
+        One pass over the service's :class:`RequestTable` fills the
+        internal, external and masking vectors — provider and connector
+        ``Pfail`` through the memoized recursion, in request order — then
+        each vector is range-checked once and each completion class is one
+        :func:`~repro.core.state_failure.completion_class_failure` call.
+        """
+        table = self._tables.get(service.name)
+        if table is None:
+            table = self._tables[service.name] = RequestTable(self.assembly, service)
+        count = len(table.requests)
+        internal, masking = np.empty(count), np.empty(count)
+        p_service, p_connector = np.empty(count), np.zeros(count)
+        for j, resolved in enumerate(table.requests):
+            request, connector = resolved.request, resolved.connector
+            internal[j] = request.internal_failure.evaluate(env)
+            p_service[j] = self._pfail_service(resolved.provider, tuple(
                 (name, float(request.actuals[name].evaluate(env)))
                 for name in resolved.provider.formal_parameters
-            )
-            p_service = self._pfail_service(resolved.provider, callee_actuals)
-
-            if resolved.connector is None:
-                p_connector = 0.0
-            else:
-                connector_actuals = tuple(
+            ))
+            if connector is not None:
+                p_connector[j] = self._pfail_service(connector, tuple(
                     (name, float(resolved.connector_actuals[name].evaluate(env)))
-                    for name in resolved.connector.formal_parameters
-                )
-                p_connector = self._pfail_service(resolved.connector, connector_actuals)
-
-            internal.append(p_int)
-            external.append(external_failure_probability(p_service, p_connector))
-            masking.append(float(request.masking.evaluate(env)))
-        return internal, external, masking
+                    for name in connector.formal_parameters
+                ))
+            masking[j] = request.masking.evaluate(env)
+        internal = _check_probability("internal failure probability", internal)
+        # eq. (13)
+        external = _check_probability(
+            "external failure probability", 1.0 - (1.0 - p_service) * (1.0 - p_connector)
+        )
+        masking = _check_probability("masking probability", masking)
+        failures = np.zeros(len(table.states))
+        for k, groups, rows, columns in table.classes:
+            failures[rows] = completion_class_failure(
+                k, groups, internal[columns], external[columns], masking[columns]
+            )
+        return table, internal, external, dict(zip(table.states, failures.tolist()))

@@ -20,7 +20,12 @@ nearby points — exactly the shape the low-rank update path
 (:mod:`repro.markov.updates`) accelerates — so both cross-checks default
 to ``incremental=True``: the ``±h`` probe solves are served by
 Sherman-Morrison-Woodbury updates of one cached base factorization
-instead of fresh factorizations per probe.
+instead of fresh factorizations per probe.  End to end that saves little:
+perturbing a 3-caller provider of generated 150/1000/3000-state cyclic
+models, one :func:`finite_difference_attribute_sensitivity` call took
+20/205/590 ms with the updates and 21/213/623 ms without (median of 5;
+2 vCPUs, BLAS on one thread), because re-parsing the perturbed model,
+building its chain and validating it cost far more than the solve.
 """
 
 from __future__ import annotations

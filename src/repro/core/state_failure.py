@@ -17,10 +17,12 @@ extension) and on the **dependency model**:
 
 This module provides two independent routes to the same numbers:
 
-1. :func:`state_failure_probability` — the **general engine**: a
+1. :func:`completion_class_failure` — the **general engine**: a
    Poisson-binomial computation parameterized by the number of required
    successes, covering AND (``k = n``), OR (``k = 1``) and any ``k``-of-n,
-   under both dependency models;
+   under any partition of the requests into shared groups, run as array
+   operations over a ``(rows, n)`` matrix of states of one completion
+   class; :func:`state_failure_probability` is its one-state form;
 2. the paper's **closed forms** (:func:`and_no_sharing`,
    :func:`or_no_sharing`, :func:`and_sharing`, :func:`or_sharing`) —
    kept verbatim so tests can verify the engine reproduces each equation
@@ -34,6 +36,7 @@ which lets closed-form sweeps run vectorized.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import product
 
 import numpy as np
 
@@ -46,6 +49,7 @@ __all__ = [
     "poisson_binomial_below",
     "state_failure_probability",
     "grouped_state_failure_probability",
+    "completion_class_failure",
     "and_no_sharing",
     "or_no_sharing",
     "and_sharing",
@@ -57,13 +61,28 @@ _TOL = 1e-9
 
 def _check_probability(what: str, value) -> np.ndarray | float:
     """Validate a scalar-or-array probability, returning it clipped of
-    round-off but rejecting genuine range violations."""
+    round-off but rejecting genuine range violations (NaN included; the
+    first offending element is reported)."""
     arr = np.asarray(value, dtype=float)
-    if np.any(arr < -_TOL) or np.any(arr > 1.0 + _TOL):
-        bad = float(arr.min() if np.any(arr < -_TOL) else arr.max())
-        raise ProbabilityRangeError(what, bad)
+    bad = ~((arr >= -_TOL) & (arr <= 1.0 + _TOL))
+    if bad.any():
+        raise ProbabilityRangeError(what, float(arr[bad][0]))
     clipped = np.clip(arr, 0.0, 1.0)
     return float(clipped) if clipped.shape == () else clipped
+
+
+def _requests(what: str, values: Sequence) -> np.ndarray:
+    """Per-request values (scalars or broadcastable arrays) as one checked
+    ``(..., n)`` array, the request index last."""
+    if not len(values):
+        return np.zeros(0)
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
+    return _check_probability(what, np.stack(arrays, axis=-1))
+
+
+def _columns(what: str, values: Sequence):
+    """The checked per-request values, one ``(...)`` slice per request."""
+    return np.moveaxis(_requests(what, values), -1, 0)
 
 
 def external_failure_probability(p_service, p_connector):
@@ -88,13 +107,31 @@ def request_failure_probability(p_internal, p_external):
     return 1.0 - (1.0 - pi) * (1.0 - pe)
 
 
-def poisson_binomial_below(success_probabilities: Sequence, k: int):
-    """``P(#successes < k)`` for independent Bernoulli trials.
+def _below(successes: np.ndarray, k: int):
+    """``P(#successes < k)`` over the last axis of checked ``(..., n)``
+    success probabilities, ``1 <= k <= n + 1``.
 
     Dynamic program over the distribution of the success count; ``O(n*k)``
     and numerically stable (all quantities are convex combinations of
-    probabilities).  Accepts array-valued per-trial probabilities, which
-    broadcast elementwise.
+    probabilities).  ``dist[..., j] = P(exactly j successes so far)``; only
+    ``j < k`` matters, the ``>= k`` bucket is never tracked.
+    """
+    n = successes.shape[-1]
+    dist = np.zeros(successes.shape[:-1] + (min(k, n + 1),))
+    dist[..., 0] = 1.0
+    for j in range(n):
+        p = successes[..., j, None]
+        new = dist * (1.0 - p)
+        new[..., 1:] += dist[..., :-1] * p
+        dist = new
+    return _check_probability("Poisson-binomial tail", sum(np.moveaxis(dist, -1, 0)))
+
+
+def poisson_binomial_below(success_probabilities: Sequence, k: int):
+    """``P(#successes < k)`` for independent Bernoulli trials.
+
+    Accepts array-valued per-trial probabilities, which broadcast
+    elementwise; the range check runs once over all of them.
     """
     n = len(success_probabilities)
     if k < 0 or k > n + 1:
@@ -103,22 +140,47 @@ def poisson_binomial_below(success_probabilities: Sequence, k: int):
         return 0.0
     if n == 0:
         return 1.0  # k >= 1 successes required but no trials exist
-    probs = [_check_probability("success probability", p) for p in success_probabilities]
-    # dist[j] = P(exactly j successes so far); only j < k matters, plus an
-    # implicit absorbing ">= k" bucket we never need to track.
-    shape = np.broadcast(*[np.asarray(p) for p in probs]).shape if probs else ()
-    dist = [np.ones(shape) if shape else 1.0] + [
-        (np.zeros(shape) if shape else 0.0) for _ in range(min(k, n + 1) - 1)
-    ]
-    for p in probs:
-        new = []
-        for j in range(len(dist)):
-            stay = dist[j] * (1.0 - p)
-            step = dist[j - 1] * p if j > 0 else 0.0
-            new.append(stay + step)
-        dist = new
-    total = sum(dist)
-    return _check_probability("Poisson-binomial tail", total)
+    return _below(_requests("success probability", success_probabilities), k)
+
+
+def completion_class_failure(
+    k: int,
+    groups: Sequence[Sequence[int]],
+    internal: np.ndarray,
+    external: np.ndarray,
+    masking: np.ndarray,
+):
+    """``p(i, Fail)`` for every state of one completion class — eqs. (4)–(13)
+    as array operations over the request axis.
+
+    ``internal``, ``external`` and ``masking`` are range-checked
+    ``(..., n)`` float arrays (they broadcast); each row is one state of
+    ``n`` requests, ``k`` of which must succeed, partitioned into the
+    dependency ``groups`` (see :func:`grouped_state_failure_probability`).
+    Conditioning on the external-failure status of each multi-request group
+    leaves independent Bernoulli trials, so each status combination is one
+    Poisson-binomial tail.  Singleton groups give eqs. (6)/(7); one
+    all-request group gives eqs. (9)–(12).
+    """
+    multi = [g for g in groups if len(g) >= 2]
+    # a request outside any shared group: full eq. (8) failure, masked
+    independent = 1.0 - (1.0 - masking) * (1.0 - (1.0 - internal) * (1.0 - external))
+    # in a group whose shared service survived, only internal failures remain
+    internal_only = 1.0 - (1.0 - masking) * internal
+    total = 0.0
+    for statuses in product((False, True), repeat=len(multi)):
+        weight = 1.0
+        successes = independent.copy()
+        for group, group_failed in zip(multi, statuses):
+            no_ext = 1.0
+            for j in group:
+                no_ext = no_ext * (1.0 - external[..., j])
+            weight = weight * ((1.0 - no_ext) if group_failed else no_ext)
+            # the shared service is gone: fulfilled only if masked
+            source = masking if group_failed else internal_only
+            successes[..., group] = source[..., group]
+        total = total + weight * _below(successes, k)
+    return _check_probability("state failure probability", total)
 
 
 def state_failure_probability(
@@ -129,7 +191,7 @@ def state_failure_probability(
     masking: Sequence | None = None,
     groups: Sequence[Sequence[int]] | None = None,
 ):
-    """``p(i, Fail)`` for one flow state — the general engine.
+    """``p(i, Fail)`` for one flow state.
 
     Args:
         completion: the state's completion model (AND / OR / k-of-n).
@@ -161,50 +223,15 @@ def state_failure_probability(
     external failure anywhere, requests fail independently through their
     internal failures only (again attenuated by masking).  This reduces to
     eq. (11) for AND and eq. (12) for OR at ``m = 0``.
+
+    Both are partitions for :func:`completion_class_failure`: all
+    singletons, or one group of every request.
     """
-    if groups is not None:
-        return grouped_state_failure_probability(
-            completion, groups, internal, external, masking
-        )
-    if len(internal) != len(external):
-        raise ModelError(
-            f"internal ({len(internal)}) and external ({len(external)}) "
-            f"probability lists differ in length"
-        )
-    n = len(internal)
-    if n == 0:
-        return 0.0  # a state with no requests cannot fail
-    if masking is None:
-        masking = [0.0] * n
-    if len(masking) != n:
-        raise ModelError(
-            f"masking list ({len(masking)}) does not match request count ({n})"
-        )
-    k = completion.required_successes(n)
-    ints = [_check_probability("internal failure probability", p) for p in internal]
-    exts = [_check_probability("external failure probability", p) for p in external]
-    masks = [_check_probability("masking probability", m) for m in masking]
-
-    if not shared:
-        successes = [
-            1.0 - (1.0 - m) * (1.0 - (1.0 - pi) * (1.0 - pe))
-            for pi, pe, m in zip(ints, exts, masks)
-        ]
-        return poisson_binomial_below(successes, k)
-
-    # sharing: P(no external failure at all) = prod_j (1 - Pfail_ext_j)
-    no_ext = 1.0
-    for pe in exts:
-        no_ext = no_ext * (1.0 - pe)
-    internal_only = poisson_binomial_below(
-        [1.0 - (1.0 - m) * pi for pi, m in zip(ints, masks)], k
-    )
-    # under an external failure of the shared service, request j is
-    # fulfilled only if masked
-    under_ext = poisson_binomial_below(list(masks), k)
-    return _check_probability(
-        "state failure probability",
-        (1.0 - no_ext) * under_ext + no_ext * internal_only,
+    if groups is None:
+        n = len(internal)
+        groups = [range(n)] if shared else [(j,) for j in range(n)]
+    return grouped_state_failure_probability(
+        completion, groups, internal, external, masking
     )
 
 
@@ -225,17 +252,9 @@ def grouped_state_failure_probability(
     defeats the whole group — masking aside), while *distinct groups fail
     independently*.  Singleton groups reduce to the no-sharing model; a
     single all-request group reduces to the paper's sharing model — both
-    identities are property-tested.
-
-    Computation: condition on the ext-failure status of each multi-request
-    group (independent events, so the joint weight is a product), then the
-    requests are conditionally independent Bernoulli trials and the
-    completion model is one Poisson-binomial tail per status combination
-    (``2^G`` combinations for ``G`` multi-request groups; ``G`` is small in
-    any sane architecture).
+    identities are property-tested.  There are ``2^G`` status combinations
+    for ``G`` multi-request groups; ``G`` is small in any sane architecture.
     """
-    from itertools import product as _cartesian
-
     n = len(internal)
     if len(external) != n:
         raise ModelError(
@@ -243,9 +262,9 @@ def grouped_state_failure_probability(
             f"lists differ in length"
         )
     if n == 0:
-        return 0.0
+        return 0.0  # a state with no requests cannot fail
     if masking is None:
-        masking = [0.0] * n
+        masking = np.zeros(n)
     if len(masking) != n:
         raise ModelError(
             f"masking list ({len(masking)}) does not match request count ({n})"
@@ -257,40 +276,12 @@ def grouped_state_failure_probability(
             f"groups {normalized} must partition the request indices 0..{n - 1}"
         )
     k = completion.required_successes(n)
-    ints = [_check_probability("internal failure probability", p) for p in internal]
-    exts = [_check_probability("external failure probability", p) for p in external]
-    masks = [_check_probability("masking probability", m) for m in masking]
-
-    multi = [g for g in normalized if len(g) >= 2]
-    # independent (singleton) requests: full eq. (8) failure, masked
-    base_success: dict[int, object] = {}
-    for g in normalized:
-        if len(g) == 1:
-            j = g[0]
-            base_success[j] = 1.0 - (1.0 - masks[j]) * (
-                1.0 - (1.0 - ints[j]) * (1.0 - exts[j])
-            )
-
-    total = 0.0
-    for statuses in _cartesian((False, True), repeat=len(multi)):
-        weight = 1.0
-        successes: list = [None] * n
-        for j, value in base_success.items():
-            successes[j] = value
-        for group, group_failed in zip(multi, statuses):
-            no_ext = 1.0
-            for j in group:
-                no_ext = no_ext * (1.0 - exts[j])
-            weight = weight * ((1.0 - no_ext) if group_failed else no_ext)
-            for j in group:
-                if group_failed:
-                    # the shared service is gone: fulfilled only if masked
-                    successes[j] = masks[j]
-                else:
-                    # conditionally, only internal failures remain
-                    successes[j] = 1.0 - (1.0 - masks[j]) * ints[j]
-        total = total + weight * poisson_binomial_below(successes, k)
-    return _check_probability("state failure probability", total)
+    return completion_class_failure(
+        k, normalized,
+        _requests("internal failure probability", internal),
+        _requests("external failure probability", external),
+        _requests("masking probability", masking),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +314,9 @@ def and_sharing(internal: Sequence, external: Sequence):
     """
     no_int = 1.0
     no_ext = 1.0
-    for pi, pe in zip(internal, external):
-        no_int = no_int * (1.0 - _check_probability("internal", pi))
-        no_ext = no_ext * (1.0 - _check_probability("external", pe))
+    for pi, pe in zip(_columns("internal", internal), _columns("external", external)):
+        no_int = no_int * (1.0 - pi)
+        no_ext = no_ext * (1.0 - pe)
     return 1.0 - no_int * no_ext
 
 
@@ -338,7 +329,7 @@ def or_sharing(internal: Sequence, external: Sequence):
     """
     no_ext = 1.0
     all_int = 1.0
-    for pi, pe in zip(internal, external):
-        no_ext = no_ext * (1.0 - _check_probability("external", pe))
-        all_int = all_int * _check_probability("internal", pi)
+    for pi, pe in zip(_columns("internal", internal), _columns("external", external)):
+        no_ext = no_ext * (1.0 - pe)
+        all_int = all_int * pi
     return 1.0 - no_ext * (1.0 - all_int)
