@@ -27,7 +27,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.core.evaluator import ReliabilityEvaluator
-from repro.core.failure_structure import augment_with_failures
 from repro.errors import CyclicAssemblyError
 from repro.markov import AbsorbingChainAnalysis
 from repro.model.assembly import Assembly
@@ -109,31 +108,24 @@ def _accumulate(
     if not isinstance(service, CompositeService):
         return
 
-    env = service.evaluation_environment(actuals, check=False)
+    frame = evaluator._frame(service, tuple(actuals.items()))
     # failure-aware expected visits of each state
-    table, _, _, failures = evaluator._state_failures(service, env)
-    analysis = AbsorbingChainAnalysis(augment_with_failures(service.flow, env, failures))
+    _, failures = evaluator._state_failures(frame)
+    analysis = AbsorbingChainAnalysis(frame.augmentation.chain(failures))
 
-    for state, (start, stop) in zip(table.states, table.bounds):
+    for state, (start, stop) in zip(frame.table.states, frame.table.bounds):
         visits = analysis.expected_visits(START, state)
         if visits <= 0.0:
             continue
-        for resolved in table.requests[start:stop]:
-            request = resolved.request
-            callee_actuals = {
-                name: float(request.actuals[name].evaluate(env))
-                for name in resolved.provider.formal_parameters
-            }
+        for provider, provider_actuals, connector, connector_actuals in (
+            frame.calls[start:stop]
+        ):
             _accumulate(
-                evaluator, resolved.provider, callee_actuals,
+                evaluator, provider, dict(provider_actuals),
                 weight * visits, counts,
             )
-            if resolved.connector is not None:
-                connector_actuals = {
-                    name: float(resolved.connector_actuals[name].evaluate(env))
-                    for name in resolved.connector.formal_parameters
-                }
+            if connector is not None:
                 _accumulate(
-                    evaluator, resolved.connector, connector_actuals,
+                    evaluator, connector, dict(connector_actuals),
                     weight * visits, counts,
                 )

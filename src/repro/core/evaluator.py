@@ -17,7 +17,9 @@
 Results are memoized on ``(service, actual parameters)``: a service invoked
 many times with the same actuals (e.g. ``cpu1`` throughout the section 4
 example) is analyzed once, keeping the procedure polynomial on DAG
-assemblies.
+assemblies.  What a composite evaluation needs that does not depend on
+its callees' ``Pfail`` sits in an :class:`EvaluationFrame`, which the
+fixed-point sweeps of a recursive assembly reuse.
 
 Cyclic assemblies are detected (re-entry on a service already on the
 evaluation stack) and rejected with :class:`CyclicAssemblyError`, making the
@@ -39,7 +41,7 @@ from repro.errors import (
     EvaluationError,
     ModelError,
 )
-from repro.core.failure_structure import augment_with_failures
+from repro.core.failure_structure import AugmentationFrame
 from repro.core.state_failure import _check_probability, completion_class_failure
 from repro.markov import AbsorbingChainAnalysis
 from repro.model.assembly import Assembly
@@ -47,7 +49,6 @@ from repro.model.flow import END, START
 from repro.model.service import CompositeService, Service, SimpleService
 from repro.model.validation import validate_assembly
 from repro.runtime.budget import EvaluationBudget
-from repro.symbolic import Environment
 
 __all__ = ["ReliabilityEvaluator", "StateBreakdown", "EvaluationReport"]
 
@@ -160,6 +161,39 @@ class RequestTable:
         return [tuple(values[start:stop].tolist()) for start, stop in self.bounds]
 
 
+class EvaluationFrame:
+    """What one ``(composite service, actuals)`` evaluation needs that does
+    not depend on the callees' ``Pfail``: per request of ``table``, the
+    ``calls`` ``(provider, actuals, connector, actuals)`` (memo-key
+    tuples; ``None`` for no connector) and the range-checked ``internal``
+    and ``masking`` vectors, plus the flow's ``augmentation`` frame."""
+
+    def __init__(self, table: RequestTable, service: CompositeService, actuals: tuple):
+        self.table = table
+        env = service.evaluation_environment(dict(actuals), check=False)
+        count = len(table.requests)
+        internal, masking = np.empty(count), np.empty(count)
+
+        def bind(callee, actuals):
+            return tuple(
+                (name, float(actuals[name].evaluate(env)))
+                for name in callee.formal_parameters
+            )
+
+        self.calls = []
+        for j, resolved in enumerate(table.requests):
+            request, connector = resolved.request, resolved.connector
+            internal[j] = request.internal_failure.evaluate(env)
+            self.calls.append((
+                resolved.provider, bind(resolved.provider, request.actuals),
+                connector, connector and bind(connector, resolved.connector_actuals),
+            ))
+            masking[j] = request.masking.evaluate(env)
+        self.internal = _check_probability("internal failure probability", internal)
+        self.masking = _check_probability("masking probability", masking)
+        self.augmentation = AugmentationFrame(service.flow, env)
+
+
 class ReliabilityEvaluator:
     """Numeric implementation of ``Pfail_Alg`` over one assembly.
 
@@ -210,6 +244,8 @@ class ReliabilityEvaluator:
             report.raise_if_invalid()
         self._cache: dict[tuple, float] = {}
         self._tables: dict[str, RequestTable] = {}
+        #: frames of the current top-level call, kept across fixed-point sweeps
+        self._frames: dict[tuple, EvaluationFrame] = {}
         self._stack: list[str] = []
 
     # -- public API ----------------------------------------------------------
@@ -218,6 +254,7 @@ class ReliabilityEvaluator:
         """``Pfail(S, fp)`` for concrete actual parameters."""
         svc = self._coerce(service)
         with obs.span("evaluator.pfail", service=svc.name):
+            self._frames.clear()
             return self._pfail_service(svc, self._normalize(svc, actuals))
 
     def reliability(self, service: str | Service, **actuals: float) -> float:
@@ -226,17 +263,17 @@ class ReliabilityEvaluator:
 
     def report(self, service: str | Service, **actuals: float) -> EvaluationReport:
         """Evaluate a composite service and return per-state diagnostics."""
-        svc, normalized, env, (table, internal, external, failures) = (
+        svc, normalized, frame, (external, failures) = (
             self._composite_states("report", service, actuals)
         )
-        analysis = self._solve_chain(
-            svc.name, augment_with_failures(svc.flow, env, failures)
-        )
+        analysis = self._solve_chain(svc.name, frame.augmentation.chain(failures))
+        table = frame.table
         breakdowns = tuple(
-            StateBreakdown(name, failures[name], request_internal, request_external,
+            StateBreakdown(name, failure, request_internal, request_external,
                            analysis.expected_visits(START, name))
-            for name, request_internal, request_external in zip(
-                table.states, table.split(internal), table.split(external)
+            for name, failure, request_internal, request_external in zip(
+                table.states, failures.tolist(), table.split(frame.internal),
+                table.split(external),
             )
         )
         pfail = 1.0 - analysis.absorption_probability(START, END)
@@ -253,16 +290,20 @@ class ReliabilityEvaluator:
         tooling.  A value outside ``[0, 1]`` (NaN included) raises
         :class:`~repro.errors.ProbabilityRangeError`, as in :meth:`pfail`.
         """
-        _, _, _, (table, internal, external, _) = self._composite_states(
+        _, _, frame, (external, _) = self._composite_states(
             "state_probabilities", service, actuals
         )
-        return dict(zip(table.states, zip(table.split(internal), table.split(external))))
+        table = frame.table
+        return dict(zip(
+            table.states, zip(table.split(frame.internal), table.split(external))
+        ))
 
     def clear_cache(self) -> None:
-        """Drop all memoized results and request tables (e.g. after
+        """Drop all memoized results, request tables and frames (e.g. after
         mutating the assembly)."""
         self._cache.clear()
         self._tables.clear()
+        self._frames.clear()
 
     # -- internals ---------------------------------------------------------
 
@@ -301,8 +342,8 @@ class ReliabilityEvaluator:
     def _composite_states(
         self, caller: str, service: str | Service, actuals: Mapping[str, float]
     ) -> tuple:
-        """``(service, normalized actuals, environment, _state_failures)``
-        of a composite service evaluated on behalf of ``caller``."""
+        """``(service, normalized actuals, frame, _state_failures)`` of a
+        composite service evaluated on behalf of ``caller``."""
         svc = self._coerce(service)
         if not isinstance(svc, CompositeService):
             raise EvaluationError(
@@ -310,10 +351,13 @@ class ReliabilityEvaluator:
             )
         normalized = self._normalize(svc, actuals)
         self._budget_check()
-        env = svc.evaluation_environment(dict(normalized), check=self.check_domains)
+        if self.check_domains:
+            svc.interface.check_actuals(dict(normalized))
+        self._frames.clear()
         self._stack.append(svc.name)
         try:
-            return svc, normalized, env, self._state_failures(svc, env)
+            frame = self._frame(svc, normalized)
+            return svc, normalized, frame, self._state_failures(frame)
         finally:
             self._stack.pop()
 
@@ -348,7 +392,7 @@ class ReliabilityEvaluator:
             )
         self._stack.append(service.name)
         try:
-            value = self._compute(service, dict(actuals))
+            value = self._compute(service, actuals)
         finally:
             self._stack.pop()
         value = _check_probability(f"Pfail({service.name})", value)
@@ -365,64 +409,57 @@ class ReliabilityEvaluator:
         """
         raise CyclicAssemblyError(cycle)
 
-    def _compute(self, service: Service, actuals: dict[str, float]) -> float:
+    def _compute(self, service: Service, actuals: tuple[tuple[str, float], ...]) -> float:
         # Abstract domains constrain what callers may request of the
         # assembly, so they are enforced on the top-level actuals only;
         # derived actuals (e.g. list * log2(list)) may fall between the
         # representative elements of an integer domain.
         check = self.check_domains and len(self._stack) == 1
         if isinstance(service, SimpleService):
-            env = service.evaluation_environment(actuals, check=check)
+            env = service.evaluation_environment(dict(actuals), check=check)
             return float(service.failure_probability.evaluate(env))
         if not isinstance(service, CompositeService):
             raise ModelError(f"cannot evaluate service of type {type(service)!r}")
-        env = service.evaluation_environment(actuals, check=check)
-        _, _, _, failures = self._state_failures(service, env)
-        chain = augment_with_failures(service.flow, env, failures)
-        analysis = self._solve_chain(service.name, chain)
+        if check:
+            service.interface.check_actuals(dict(actuals))
+        frame = self._frame(service, actuals)
+        _, failures = self._state_failures(frame)
+        analysis = self._solve_chain(service.name, frame.augmentation.chain(failures))
         return 1.0 - analysis.absorption_probability(START, END)
 
-    def _state_failures(
-        self, service: CompositeService, env: Environment
-    ) -> tuple[RequestTable, np.ndarray, np.ndarray, dict[str, float]]:
-        """``p(i, Fail)`` of every flow state under the caller's environment
-        (eqs. 4–13), with the per-request internal and external failure
-        probabilities they came from.
+    def _frame(self, service: CompositeService, actuals: tuple) -> EvaluationFrame:
+        key = (service.name, actuals)
+        frame = self._frames.get(key)
+        if frame is None:
+            table = self._tables.get(service.name)
+            if table is None:
+                table = self._tables[service.name] = RequestTable(self.assembly, service)
+            frame = self._frames[key] = EvaluationFrame(table, service, actuals)
+        return frame
 
-        One pass over the service's :class:`RequestTable` fills the
-        internal, external and masking vectors — provider and connector
-        ``Pfail`` through the memoized recursion, in request order — then
-        each vector is range-checked once and each completion class is one
-        :func:`~repro.core.state_failure.completion_class_failure` call.
-        """
-        table = self._tables.get(service.name)
-        if table is None:
-            table = self._tables[service.name] = RequestTable(self.assembly, service)
+    def _state_failures(self, frame: EvaluationFrame) -> tuple[np.ndarray, np.ndarray]:
+        """A frame's per-request external failure probabilities and each
+        flow state's ``p(i, Fail)`` (eqs. 4–13): provider and connector
+        ``Pfail`` come through the memoized recursion in request order, and
+        each completion class is one
+        :func:`~repro.core.state_failure.completion_class_failure` call."""
+        table = frame.table
         count = len(table.requests)
-        internal, masking = np.empty(count), np.empty(count)
         p_service, p_connector = np.empty(count), np.zeros(count)
-        for j, resolved in enumerate(table.requests):
-            request, connector = resolved.request, resolved.connector
-            internal[j] = request.internal_failure.evaluate(env)
-            p_service[j] = self._pfail_service(resolved.provider, tuple(
-                (name, float(request.actuals[name].evaluate(env)))
-                for name in resolved.provider.formal_parameters
-            ))
+        for j, (provider, provider_actuals, connector, connector_actuals) in enumerate(
+            frame.calls
+        ):
+            p_service[j] = self._pfail_service(provider, provider_actuals)
             if connector is not None:
-                p_connector[j] = self._pfail_service(connector, tuple(
-                    (name, float(resolved.connector_actuals[name].evaluate(env)))
-                    for name in connector.formal_parameters
-                ))
-            masking[j] = request.masking.evaluate(env)
-        internal = _check_probability("internal failure probability", internal)
+                p_connector[j] = self._pfail_service(connector, connector_actuals)
         # eq. (13)
         external = _check_probability(
             "external failure probability", 1.0 - (1.0 - p_service) * (1.0 - p_connector)
         )
-        masking = _check_probability("masking probability", masking)
         failures = np.zeros(len(table.states))
         for k, groups, rows, columns in table.classes:
             failures[rows] = completion_class_failure(
-                k, groups, internal[columns], external[columns], masking[columns]
+                k, groups, frame.internal[columns], external[columns],
+                frame.masking[columns],
             )
-        return table, internal, external, dict(zip(table.states, failures.tolist()))
+        return external, failures

@@ -17,14 +17,65 @@ which eq. (3) is one absorption query.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import InvalidFlowError, ProbabilityRangeError
-from repro.markov import ChainBuilder, DiscreteTimeMarkovChain
+from repro.markov import DiscreteTimeMarkovChain
 from repro.model.flow import END, FAIL, START, ServiceFlow
 from repro.symbolic import Environment
 
-__all__ = ["augment_with_failures", "FAIL"]
+__all__ = ["AugmentationFrame", "augment_with_failures", "FAIL"]
+
+
+class AugmentationFrame:
+    """The failure-independent part of a flow's augmented chain under one
+    environment: the state order (``Start``, internal states, ``End``,
+    ``Fail``) and the flow's positive transition probabilities, evaluated
+    and row-checked once.  :meth:`chain` adds the state failure
+    probabilities, so fixed-point sweeps redo only that part."""
+
+    def __init__(
+        self, flow: ServiceFlow, environment: Environment | Mapping[str, float]
+    ):
+        flow.check_probabilities(environment)
+        self.names = tuple(state.name for state in flow.states)
+        self.states = (START, *self.names, END, FAIL)
+        index = {state: i for i, state in enumerate(self.states)}
+        edges = [
+            (index[source], index[transition.target], probability)
+            for source in (START, *self.names)
+            for transition in flow.outgoing(source)
+            if (probability := float(transition.probability.evaluate(environment)))
+            > 0.0
+        ]
+        self._rows, self._columns, self._probabilities = map(np.array, zip(*edges))
+
+    def chain(self, failures: Sequence[float] | np.ndarray) -> DiscreteTimeMarkovChain:
+        """The augmented DTMC for ``p(i, Fail)`` of each internal state, in
+        flow order (:class:`ProbabilityRangeError` names the first state
+        outside ``[0, 1]``)."""
+        failures = np.asarray(failures, dtype=float)
+        bad = ~((failures >= 0.0) & (failures <= 1.0 + 1e-12))
+        if bad.any():
+            first = int(np.argmax(bad))
+            raise ProbabilityRangeError(
+                f"failure probability of state {self.names[first]!r}",
+                float(failures[first]),
+            )
+        failures = np.minimum(failures, 1.0)
+        survive = np.ones(len(self.states))
+        survive[1:-2] = 1.0 - failures
+        matrix = np.zeros((len(self.states), len(self.states)))
+        # parallel transitions add up in flow order, one edge at a time
+        np.add.at(
+            matrix, (self._rows, self._columns),
+            survive[self._rows] * self._probabilities,
+        )
+        matrix[1:-2, -1] = np.where(failures > 0.0, failures, 0.0)
+        matrix[-2, -2] = matrix[-1, -1] = 1.0  # End and Fail absorb
+        return DiscreteTimeMarkovChain(self.states, matrix)
 
 
 def augment_with_failures(
@@ -63,37 +114,5 @@ def augment_with_failures(
         raise InvalidFlowError(
             f"failure probabilities missing for states {sorted(missing)}"
         )
-
-    flow.check_probabilities(environment)
-
-    builder = ChainBuilder()
-    # pin a deterministic state order: Start, internal states, End, Fail
-    builder.add_state(START)
-    for state in flow.states:
-        builder.add_state(state.name)
-    builder.add_state(END)
-    builder.add_state(FAIL)
-
-    for transition in flow.outgoing(START):
-        probability = float(transition.probability.evaluate(environment))
-        if probability > 0.0:
-            builder.add_edge(START, transition.target, probability)
-
-    for state in flow.states:
-        fail_probability = float(state_failure_probabilities[state.name])
-        if not 0.0 <= fail_probability <= 1.0 + 1e-12:
-            raise ProbabilityRangeError(
-                f"failure probability of state {state.name!r}", fail_probability
-            )
-        fail_probability = min(fail_probability, 1.0)
-        survive = 1.0 - fail_probability
-        for transition in flow.outgoing(state.name):
-            probability = float(transition.probability.evaluate(environment))
-            if probability > 0.0:
-                builder.add_edge(state.name, transition.target, survive * probability)
-        if fail_probability > 0.0:
-            builder.add_edge(state.name, FAIL, fail_probability)
-
-    # End/Fail get their absorbing self-loops from ChainBuilder's
-    # no-outgoing-edges convention.
-    return builder.build()
+    frame = AugmentationFrame(flow, environment)
+    return frame.chain([state_failure_probabilities[name] for name in frame.names])

@@ -95,6 +95,7 @@ class FixedPointEvaluator(ReliabilityEvaluator):
         top_key = (svc.name, normalized)
 
         self._estimates = {}
+        self._frames.clear()  # the sweeps below share this solve's frames
         previous_top = None
         for iteration in range(1, self.max_iterations + 1):
             if self.budget is not None:

@@ -211,6 +211,10 @@ class BatchEngine:
     to the workers as pickled chunks (:func:`~repro.engine.parallel.fan_out`),
     and a worker killed hard fails the batch with
     :class:`~repro.errors.WorkerCrashedError` naming the lost entries.
+    The pool is the process-wide warm pool of ``jobs`` workers, shared by
+    every engine and reused across :meth:`run` calls; its workers keep the
+    plans they are sent, so a repeated batch pays for neither the pool
+    start-up nor the plans' evaluators again.
     """
 
     def __init__(

@@ -11,9 +11,10 @@ importable from a fresh worker process:
   pure-Python solve paths (numpy-vectorized symbolic work never needs a
   pool: it runs fused, in-process).  The batch engine, numeric sweeps,
   Monte-Carlo trial blocks and fuzz shards all dispatch through
-  :func:`fan_out`; a dead worker fails the whole fan-out with a typed
-  :class:`~repro.errors.WorkerCrashedError`.  Retry and quarantine live
-  in :mod:`repro.workunits`, which keeps its own pool;
+  :func:`fan_out`, which keeps one warm pool per worker count for the
+  life of the process; a dead worker fails the whole fan-out with a typed
+  :class:`~repro.errors.WorkerCrashedError` and retires that pool.  Retry
+  and quarantine live in :mod:`repro.workunits`, which keeps its own pool;
 - **module-level worker functions** (process pools can only call picklable
   top-level callables) that receive plain-data payloads: compiled
   :class:`~repro.engine.plan.EvaluationPlan` objects, canonical assembly
@@ -38,6 +39,7 @@ from dataclasses import dataclass, field
 
 import repro.errors as _errors
 from repro import observability as obs
+from repro.caching import LRUCache
 from repro.errors import (
     BudgetExceededError,
     EvaluationError,
@@ -112,8 +114,10 @@ def split_evenly(items: list, parts: int) -> list[list]:
 
     Contiguity preserves result ordering under simple concatenation; the
     first ``len(items) % parts`` chunks carry one extra element.  Empty
-    chunks are never produced.
+    chunks are never produced: no items give no chunks.
     """
+    if not items:
+        return []
     parts = max(1, min(int(parts), len(items)))
     base, extra = divmod(len(items), parts)
     chunks: list[list] = []
@@ -229,6 +233,43 @@ def broken_pool_error(
     return error
 
 
+#: The warm pools, one per ``(pid, worker count)``: a forked child never
+#: looks up the pools it inherited, whose workers belong to its parent.
+_pools: dict[tuple[int, int], object] = {}
+_pools_lock = threading.Lock()
+
+
+def _pool(jobs: int):
+    """This process's pool of ``jobs`` workers, created on first need and
+    joined by ``concurrent.futures``' own exit hook."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    key = (os.getpid(), jobs)
+    with _pools_lock:
+        executor = _pools.get(key)
+        if executor is None:
+            executor = _pools[key] = ProcessPoolExecutor(
+                max_workers=jobs, initializer=_exit_with_parent
+            )
+        return executor
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: end the worker once its parent is gone.
+
+    A parent killed hard runs no exit hook, and an idle worker blocked on
+    the call queue would otherwise outlive it for good.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(0)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def fan_out(
     what: str,
     worker,
@@ -238,27 +279,28 @@ def fan_out(
     jobs: int,
     budget: EvaluationBudget | None = None,
 ) -> list:
-    """Run ``worker`` over ``payloads`` on a ``jobs``-process pool.
+    """Run ``worker`` over ``payloads`` on the warm ``jobs``-process pool.
 
-    Fail-fast: the first error ends the fan-out and cancels what has not
-    started.  Each payload is stamped at dispatch with the observability
-    keys (``observe``, ``dispatched_at``) and, when a ``budget`` is
-    given, the remaining ``deadline`` (see :func:`remaining_deadline`).
-    Results come back in submission order, unpacked of any shipped
-    worker metrics and spans (:func:`unpack_worker_payload`); the budget
-    deadline is checked after each one.
+    The first fan-out with a payload starts the pool; later ones, on any
+    thread, reuse it.  Fail-fast: the first error ends the fan-out and
+    cancels this call's payloads that have not started (no other call's).
+    Each payload is stamped at dispatch with the observability keys
+    (``observe``, ``dispatched_at``) and, when a ``budget`` is given, the
+    remaining ``deadline`` (see :func:`remaining_deadline`).  Results come
+    back in submission order, unpacked of any shipped worker metrics and
+    spans (:func:`unpack_worker_payload`); the budget deadline is checked
+    after each one.
 
     ``covers[i]`` lists the entry indices payload ``i`` serves.  A worker
     killed hard breaks the pool, during submission or collection alike;
     that becomes a :class:`~repro.errors.WorkerCrashedError` carrying the
     union of ``covers[i]`` over every payload whose result was not
-    collected.
+    collected; the broken pool is retired, so the next fan-out starts anew.
     """
     # the process-pool stack (multiprocessing included) loads only here
-    from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    executor = ProcessPoolExecutor(max_workers=jobs)
+    executor = None
     futures: list = []
     results: list = []
     try:
@@ -270,16 +312,23 @@ def fan_out(
             }
             if budget is not None:
                 stamped["deadline"] = remaining_deadline(budget)
+            if executor is None:
+                executor = _pool(jobs)
             futures.append(executor.submit(worker, stamped))
         for future in futures:
             results.append(unpack_worker_payload(future.result()))
             if budget is not None:
                 budget.check_deadline(what)
     except BrokenProcessPool as exc:
+        with _pools_lock:  # retire it, unless another call already did
+            if _pools.get((os.getpid(), jobs)) is executor:
+                del _pools[(os.getpid(), jobs)]
         lost = [index for cover in covers[len(results):] for index in cover]
         raise broken_pool_error(what, lost, exc) from exc
-    finally:
-        executor.shutdown(wait=True, cancel_futures=True)
+    except BaseException:
+        for future in futures:
+            future.cancel()
+        raise
     return results
 
 
@@ -426,17 +475,28 @@ def unpack_worker_payload(outcome):
 # ---------------------------------------------------------------------------
 
 
+#: Plans this worker has been sent, so a warm worker reuses a robust
+#: plan's evaluator instead of rebuilding it from JSON on every payload.
+_worker_plans = LRUCache(8)
+
+
 def evaluate_plan_points(payload: dict) -> list:
     """Evaluate one compiled plan at many actual-parameter points.
 
     Payload: ``plan`` (:class:`EvaluationPlan`), ``points`` (list of
     name→value dicts), ``deadline`` (remaining seconds or ``None``).
+    An equal plan sent again is evaluated on the worker's warm copy.
     Returns one entry per point: a float ``Pfail`` or a
     :class:`WorkerFailure` (per-point isolation: one bad point does not
     poison the block).
     """
     owned = _begin_worker_observation(payload)
     plan = payload["plan"]
+    plan = _worker_plans.get_or_create(
+        (plan.fingerprint, plan.backend, plan.solver, plan.incremental,
+         plan.symbolic_attributes),
+        lambda: plan,
+    )
     budget = worker_budget(payload.get("deadline"))
     results: list = []
     for point in payload["points"]:

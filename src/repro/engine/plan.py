@@ -104,6 +104,10 @@ class EvaluationPlan:
             updates (:mod:`repro.markov.updates`) — consecutive points of
             a numeric sweep/bisection then diff into row-deltas against
             the cached base factorization instead of re-factoring.
+
+    A robust plan builds its :class:`~repro.runtime.RobustEvaluator` once
+    per process (pool workers keep the plans they are sent) and runs each
+    call under that call's budget, or under none.
     """
 
     def __init__(
@@ -304,13 +308,13 @@ class EvaluationPlan:
         from repro.runtime.robust import RobustEvaluator
 
         if self._evaluator is None:
-            assembly = load_assembly(self.assembly_json)
             self._evaluator = RobustEvaluator(
-                assembly, budget=budget, solver=self.solver,
+                load_assembly(self.assembly_json), solver=self.solver,
                 incremental=self.incremental,
             )
-        elif budget is not None:
-            self._evaluator.budget = budget
+        # each call runs under its own budget, or an unlimited one: a
+        # reused evaluator must not keep an earlier call's clock or caps
+        self._evaluator.budget = budget if budget is not None else EvaluationBudget()
         return self._evaluator
 
     def __repr__(self) -> str:

@@ -110,7 +110,9 @@ class TestHelpers:
 
     def test_split_evenly_never_empty(self):
         assert split_evenly([1, 2], 5) == [[1], [2]]
-        assert split_evenly([], 3) == [[]][:0] or split_evenly([], 3) == [[]]
+
+    def test_split_evenly_of_nothing_is_no_chunks(self):
+        assert split_evenly([], 3) == []
 
 
 class TestEvaluate:

@@ -10,6 +10,8 @@ The contract under test (see docs/performance_guide.md):
   repeated batch workload.
 """
 
+import time
+
 import pytest
 
 from repro.core.evaluator import ReliabilityEvaluator
@@ -21,7 +23,8 @@ from repro.engine import (
     compile_plan,
     plan_key,
 )
-from repro.errors import EvaluationError
+from repro.errors import AllTiersFailedError, BudgetExceededError, EvaluationError
+from repro.runtime import EvaluationBudget
 from repro.scenarios import local_assembly, recursive_assembly, remote_assembly
 from repro.scenarios.search_sort import SearchSortParameters
 
@@ -167,3 +170,26 @@ class TestBackends:
             compile_plan(
                 recursive_assembly(), "A", symbolic_attributes=True
             )
+
+
+class TestRobustPlanBudgets:
+    """A robust plan reuses its evaluator across calls, never a budget."""
+
+    POINT = {"size": 3.0}
+
+    def test_expired_deadline_does_not_outlive_its_call(self):
+        plan = compile_plan(recursive_assembly(), "A")
+        expected = compile_plan(recursive_assembly(), "A").pfail(self.POINT)
+        try:
+            plan.pfail(self.POINT, budget=EvaluationBudget(deadline=0.05))
+        except BudgetExceededError:
+            pass
+        time.sleep(0.1)
+        assert plan.pfail(self.POINT) == expected
+
+    def test_sweep_cap_does_not_outlive_its_call(self):
+        plan = compile_plan(recursive_assembly(), "A")
+        expected = compile_plan(recursive_assembly(), "A").pfail(self.POINT)
+        with pytest.raises(AllTiersFailedError):
+            plan.pfail(self.POINT, budget=EvaluationBudget(max_sweeps=3))
+        assert plan.pfail(self.POINT) == expected
