@@ -82,19 +82,12 @@ def compare_assemblies(
     fixed: Mapping[str, float] | None = None,
     method: str = "symbolic",
     refine_crossovers: bool = True,
-    solver: str = "auto",
-    incremental: bool = True,
 ) -> AssemblyComparison:
     """Sweep ``service`` in both assemblies and locate ranking flips.
 
     Both assemblies must offer a service named ``service`` with the swept
     formal parameter; crossover refinement bisects the *numeric* evaluators
-    (domain checks off) between bracketing grid points.  The bisection
-    cascade re-evaluates the same two chains at nearby points, so with
-    ``incremental`` (the default) refinement steps after the first are
-    served by low-rank updates of the cached base factorizations
-    (:mod:`repro.markov.updates`); ``solver`` picks their linear-solver
-    backend.
+    (domain checks off) between bracketing grid points.
     """
     if assembly_a.name == assembly_b.name:
         raise EvaluationError(
@@ -107,8 +100,7 @@ def compare_assemblies(
     refine = None
     if refine_crossovers:
         refine = pfail_difference(
-            assembly_a, assembly_b, service, parameter, fixed,
-            solver=solver, incremental=incremental,
+            assembly_a, assembly_b, service, parameter, fixed
         )
 
     crossovers = find_crossovers(

@@ -95,29 +95,18 @@ def pfail_difference(
     service: str,
     parameter: str,
     fixed: Mapping[str, float] | None = None,
-    solver: str = "auto",
-    incremental: bool = True,
 ) -> Callable[[float], float]:
     """Continuous ``pfail_a(x) - pfail_b(x)`` suitable as the ``refine``
     argument of :func:`find_crossovers`.
 
     Builds one numeric evaluator per assembly (domain checks off — the
     bisection probes non-grid points) and returns the difference of their
-    predictions as a function of the swept ``parameter``.  Bisection
-    evaluates the *same* two models at a cascade of nearby points, which
-    is exactly the shape the low-rank update path accelerates, so
-    ``incremental`` defaults to ``True``: each step after the first is
-    served by a Sherman-Morrison-Woodbury update of the cached base
-    factorization (:mod:`repro.markov.updates`) instead of a fresh one.
+    predictions as a function of the swept ``parameter``.
     """
     from repro.core.evaluator import ReliabilityEvaluator
 
-    eval_a = ReliabilityEvaluator(
-        assembly_a, check_domains=False, solver=solver, incremental=incremental
-    )
-    eval_b = ReliabilityEvaluator(
-        assembly_b, check_domains=False, solver=solver, incremental=incremental
-    )
+    eval_a = ReliabilityEvaluator(assembly_a, check_domains=False)
+    eval_b = ReliabilityEvaluator(assembly_b, check_domains=False)
     fixed_map = dict(fixed or {})
 
     def difference(x: float) -> float:

@@ -61,8 +61,6 @@ def select_assembly(
     service: str,
     actuals: Mapping[str, float],
     label: Callable[[object], str] = str,
-    solver: str = "auto",
-    incremental: bool = True,
 ) -> list[CandidateEvaluation]:
     """Evaluate every candidate and rank by predicted reliability.
 
@@ -73,12 +71,6 @@ def select_assembly(
         actuals: the representative actual parameters to predict at (the
             expected usage profile point).
         label: how to name candidates in the results.
-        solver: linear-solver backend for the absorbing solves.
-        incremental: serve structurally identical candidates (same flows,
-            different published attributes — the common broker shape)
-            through low-rank updates of the cached base factorization
-            (:mod:`repro.markov.updates`) instead of re-factoring each
-            one; enabled by default.
 
     Returns:
         Evaluations sorted best-first (successful ones ranked by ascending
@@ -92,10 +84,7 @@ def select_assembly(
         name = label(candidate)
         try:
             assembly = build(candidate)
-            evaluator = ReliabilityEvaluator(
-                assembly, solver=solver, incremental=incremental
-            )
-            pfail = evaluator.pfail(service, **dict(actuals))
+            pfail = ReliabilityEvaluator(assembly).pfail(service, **dict(actuals))
         except ReproError as exc:
             results.append(CandidateEvaluation(name, None, None, error=str(exc)))
             continue

@@ -115,8 +115,7 @@ def _fused_symbolic(plan, parameter, grid, fixed, budget) -> np.ndarray:
 
 
 def _parallel_numeric(
-    assembly, service, parameter, grid, fixed, jobs, budget, solver="auto",
-    incremental=False,
+    assembly, service, parameter, grid, fixed, jobs, budget
 ) -> np.ndarray:
     from repro.engine.fingerprint import canonical_json
     from repro.engine.parallel import fan_out, numeric_sweep_chunk, split_evenly
@@ -130,8 +129,6 @@ def _parallel_numeric(
             "parameter": parameter,
             "values": [grid[i] for i in chunk],
             "fixed": dict(fixed),
-            "solver": solver,
-            "incremental": incremental,
         }
         for chunk in chunks
     ]
@@ -151,8 +148,6 @@ def sweep_parameter(
     jobs: int = 1,
     cache=None,
     budget: EvaluationBudget | None = None,
-    solver: str = "auto",
-    incremental: bool = False,
 ) -> SweepResult:
     """Sweep one formal parameter of ``service`` across ``values``.
 
@@ -176,13 +171,6 @@ def sweep_parameter(
             sweeps of the same model re-derive nothing.
         budget: optional :class:`~repro.runtime.EvaluationBudget` enforced
             during derivation and cooperatively by every worker.
-        solver: linear-solver backend for the numeric method's absorbing
-            solves (``"auto"``, ``"dense"`` or ``"sparse"``; the symbolic
-            method never solves numerically and ignores it).
-        incremental: serve consecutive numeric points through low-rank
-            (Sherman-Morrison-Woodbury) updates of the cached base
-            factorization instead of re-factoring per point
-            (:mod:`repro.markov.updates`); numeric method only.
     """
     from repro.engine.parallel import resolve_jobs
 
@@ -213,13 +201,11 @@ def sweep_parameter(
         elif method == "numeric":
             if jobs > 1:
                 pfail = _parallel_numeric(
-                    assembly, service, parameter, grid, fixed, jobs,
-                    budget, solver=solver, incremental=incremental,
+                    assembly, service, parameter, grid, fixed, jobs, budget
                 )
             else:
                 evaluator = ReliabilityEvaluator(
-                    assembly, check_domains=False, budget=budget,
-                    solver=solver, incremental=incremental,
+                    assembly, check_domains=False, budget=budget
                 )
                 pfail = np.array(
                     [

@@ -184,23 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="parallel workers (0 = all cores, 1 = sequential)",
         )
 
-    def add_solver(sub):
-        sub.add_argument(
-            "--solver", choices=["auto", "dense", "sparse"], default="auto",
-            help="linear-solver backend for absorbing-chain solves: auto "
-                 "(structure-aware; default), dense (numpy), sparse "
-                 "(CSR + splu / triangular fast path; needs scipy)",
-        )
-
-    def add_incremental(sub):
-        sub.add_argument(
-            "--incremental", action="store_true",
-            help="serve structurally identical re-solves through low-rank "
-                 "(Sherman-Morrison-Woodbury) updates of the cached base "
-                 "factorization instead of re-factoring per point "
-                 "(numeric solves only; needs scipy, silently off without)",
-        )
-
     def metrics_mode(text: str) -> str:
         if text in ("off", "summary") or text.startswith("json:"):
             return text
@@ -300,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("service")
     add_set(sub)
     add_budget(sub)
-    add_solver(sub)
-    add_incremental(sub)
     sub.add_argument(
         "--report", action="store_true",
         help="include the per-state failure breakdown",
@@ -345,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_jobs(sub)
     add_budget(sub)
-    add_solver(sub)
-    add_incremental(sub)
     add_campaign(sub)
     add_observability(sub)
 
@@ -364,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_set(sub)
     add_jobs(sub)
     add_budget(sub)
-    add_solver(sub)
-    add_incremental(sub)
     add_campaign(sub)
     add_observability(sub)
 
@@ -539,17 +516,11 @@ def _cmd_evaluate(args) -> int:
     if args.robust:
         from repro.runtime import RobustEvaluator
 
-        evaluator = RobustEvaluator(
-            assembly, budget=budget, solver=args.solver,
-            incremental=args.incremental,
-        )
+        evaluator = RobustEvaluator(assembly, budget=budget)
         print(evaluator.evaluate(args.service, **bindings))
         return 0
     cls = FixedPointEvaluator if args.fixed_point else ReliabilityEvaluator
-    evaluator = cls(
-        assembly, budget=budget, solver=args.solver,
-        incremental=args.incremental,
-    )
+    evaluator = cls(assembly, budget=budget)
     if args.report:
         print(evaluator.report(args.service, **bindings))
     else:
@@ -643,8 +614,6 @@ def _cmd_batch_campaign(args) -> int:
         [(path, _load(path)) for path in args.model],
         args.service,
         points,
-        solver=args.solver,
-        incremental=args.incremental,
         units=args.units,
     )
     report = _campaign_run(args, campaign)
@@ -681,12 +650,7 @@ def _cmd_batch(args) -> int:
         }
 
     points = [_parse_bindings(group) for group in args.at] if args.at else None
-    engine = BatchEngine(
-        jobs=args.jobs,
-        budget=_budget_from_args(args),
-        solver=args.solver,
-        incremental=args.incremental,
-    )
+    engine = BatchEngine(jobs=args.jobs, budget=_budget_from_args(args))
     models = [_load(path) for path in args.model]
     requests = [
         BatchRequest(assembly, args.service, point, label=path)
@@ -730,8 +694,6 @@ def _cmd_sweep_campaign(args) -> int:
         [float(v) for v in np.linspace(args.start, args.stop, args.points)],
         _parse_bindings(args.set),
         method=args.method,
-        solver=args.solver,
-        incremental=args.incremental,
         units=args.units,
     )
     report = _campaign_run(args, campaign)
@@ -749,7 +711,6 @@ def _cmd_sweep(args) -> int:
     sweep = sweep_parameter(
         assembly, args.service, args.parameter, grid, _parse_bindings(args.set),
         method=args.method, jobs=args.jobs, budget=_budget_from_args(args),
-        solver=args.solver, incremental=args.incremental,
     )
     print(format_sweep(sweep))
     print(_kernel_stats_line())

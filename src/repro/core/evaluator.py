@@ -211,13 +211,8 @@ class ReliabilityEvaluator:
         solver: linear-solver backend for the absorbing solves —
             ``"auto"`` (default; structure-aware), ``"dense"`` or
             ``"sparse"``; see :mod:`repro.markov.solvers`.
-        incremental: serve absorbing solves of structurally repeated
-            chains through low-rank (Sherman-Morrison-Woodbury) updates of
-            the cached base factorization instead of re-factoring
-            (:mod:`repro.markov.updates`) — the what-if fast path for
-            sensitivity probes, crossover bisection and architecture
-            comparison; results stay within solver tolerance of the full
-            solve (automatic fallback otherwise).
+        incremental: accepted and ignored; the flag of the retired
+            low-rank update tier, still passed by ``perfbench``.
     """
 
     def __init__(
@@ -235,7 +230,6 @@ class ReliabilityEvaluator:
         self.check_domains = check_domains
         self.budget = budget
         self.solver = validate_solver(solver)
-        self.incremental = bool(incremental)
         #: Absorbing-chain solves performed (cache hits never solve); the
         #: engine-layer cache tests assert re-evaluation costs zero solves.
         self.solve_count = 0
@@ -376,9 +370,7 @@ class ReliabilityEvaluator:
                 chain.matrix.shape[0], f"absorbing solve for {service_name!r}"
             )
         self.solve_count += 1
-        return AbsorbingChainAnalysis(
-            chain, solver=self.solver, incremental=self.incremental
-        )
+        return AbsorbingChainAnalysis(chain, solver=self.solver)
 
     def _pfail_service(self, service: Service, actuals: tuple[tuple[str, float], ...]) -> float:
         self._budget_check()

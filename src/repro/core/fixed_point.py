@@ -64,11 +64,10 @@ class FixedPointEvaluator(ReliabilityEvaluator):
         check_domains: bool = True,
         budget: EvaluationBudget | None = None,
         solver: str = "auto",
-        incremental: bool = False,
     ):
         super().__init__(
             assembly, validate=validate, check_domains=check_domains,
-            budget=budget, solver=solver, incremental=incremental,
+            budget=budget, solver=solver,
         )
         if tolerance <= 0:
             raise FixedPointDivergenceError("tolerance must be positive")

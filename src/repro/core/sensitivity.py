@@ -16,14 +16,11 @@ and evaluates the derivatives at a concrete design point.  A
 finite-difference cross-check is provided for validation.
 
 The finite-difference probes evaluate *structurally identical* models at
-nearby points — exactly the shape the low-rank update path
-(:mod:`repro.markov.updates`) accelerates — so both cross-checks default
-to ``incremental=True``: the ``±h`` probe solves are served by
-Sherman-Morrison-Woodbury updates of one cached base factorization
-instead of fresh factorizations per probe.  End to end that saves little:
-perturbing a 3-caller provider of generated 150/1000/3000-state cyclic
-models, one :func:`finite_difference_attribute_sensitivity` call took
-20/205/590 ms with the updates and 21/213/623 ms without (median of 5;
+nearby points, so they share one cached structural solve plan and each
+probe pays only its own factorization.  Reusing one factorization across
+probes through low-rank updates does not pay: perturbing a 3-caller
+provider of generated 150/1000/3000-state cyclic models, it saved 4-5%
+of a :func:`finite_difference_attribute_sensitivity` call (median of 5;
 2 vCPUs, BLAS on one thread), because re-parsing the perturbed model,
 building its chain and validating it cost far more than the solve.
 """
@@ -150,21 +147,14 @@ def finite_difference_sensitivity(
     actuals: Mapping[str, float],
     parameter: str,
     step: float = 1e-4,
-    solver: str = "auto",
-    incremental: bool = True,
 ) -> float:
     """Central finite-difference ``d Pfail / d parameter`` — a
     model-independent cross-check of the symbolic derivatives.
 
     Domain checks are disabled for the probe points (the half-steps around
-    an integer-domain point are intentionally non-integral).  The two
-    probe evaluations share chain structure, so with ``incremental`` (the
-    default) the second one is served by a low-rank update of the first
-    one's factorization (:mod:`repro.markov.updates`).
+    an integer-domain point are intentionally non-integral).
     """
-    evaluator = ReliabilityEvaluator(
-        assembly, check_domains=False, solver=solver, incremental=incremental
-    )
+    evaluator = ReliabilityEvaluator(assembly, check_domains=False)
     value = float(actuals[parameter])
     h = step * max(abs(value), 1.0)
     up = dict(actuals)
@@ -180,20 +170,16 @@ def finite_difference_attribute_sensitivity(
     actuals: Mapping[str, float],
     attribute: str,
     step: float = 1e-4,
-    solver: str = "auto",
-    incremental: bool = True,
+    incremental: bool = False,
 ) -> float:
     """Central finite-difference ``d Pfail / d (service::attribute)`` by
     re-evaluating *perturbed copies* of the assembly — the numeric
     cross-check of :func:`attribute_sensitivities`.
 
     Each probe rebuilds the assembly with the published attribute nudged
-    by ``±h`` and re-runs the full recursive evaluation.  The perturbed
-    copies are structurally identical to each other (same flows, same
-    chain sparsity), so with ``incremental`` (the default) the probe
-    solves after the first are served by rank-``k`` updates of the cached
-    base factorization instead of fresh ones — this is the
-    attribute-perturbation fast path the low-rank update layer exists for.
+    by ``±h`` and re-runs the full recursive evaluation.  ``incremental``
+    is accepted and ignored; it is the flag of the retired low-rank update
+    tier, still passed by ``perfbench``.
 
     When ``v - h`` leaves the attribute's domain (a failure rate below the
     step probes negative and raises :class:`ProbabilityRangeError`), the
@@ -223,8 +209,7 @@ def finite_difference_attribute_sensitivity(
     def probe(delta: float) -> float:
         target["interface"]["attributes"][attr] = value + delta
         evaluator = ReliabilityEvaluator(
-            load_assembly(json.dumps(document)), check_domains=False,
-            solver=solver, incremental=incremental,
+            load_assembly(json.dumps(document)), check_domains=False
         )
         return evaluator.pfail(service, **dict(actuals))
 

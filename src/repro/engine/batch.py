@@ -197,12 +197,6 @@ class BatchEngine:
         budget: optional shared :class:`~repro.runtime.EvaluationBudget`;
             the deadline is enforced in the parent at dispatch/collection
             and cooperatively inside every worker.
-        solver: linear-solver backend threaded into every compiled plan
-            (``"auto"``, ``"dense"`` or ``"sparse"``; see
-            :mod:`repro.markov.solvers`).
-        incremental: route robust plans' numeric solves through low-rank
-            factorization updates (:mod:`repro.markov.updates`) when
-            consecutive entries share chain structure.
 
     Each same-fingerprint symbolic group of two or more entries is served
     through **one** stacked kernel call in the parent (no per-point Python
@@ -223,14 +217,8 @@ class BatchEngine:
         mode: str = "process",
         cache: PlanCache | None | bool = None,
         budget: EvaluationBudget | None = None,
-        solver: str = "auto",
-        incremental: bool = False,
     ):
-        from repro.markov.solvers import validate_solver
-
         self.jobs = resolve_jobs(jobs)
-        self.solver = validate_solver(solver)
-        self.incremental = bool(incremental)
         if mode != "process":
             raise EvaluationError(f"unknown executor mode {mode!r}")
         if cache is False:
@@ -314,13 +302,9 @@ class BatchEngine:
     def _plan_for(self, assembly: Assembly, service: str) -> EvaluationPlan:
         if self.cache is not None:
             return self.cache.get_or_compile(
-                assembly, service, budget=self.budget, solver=self.solver,
-                incremental=self.incremental,
+                assembly, service, budget=self.budget
             )
-        return compile_plan(
-            assembly, service, budget=self.budget, solver=self.solver,
-            incremental=self.incremental,
-        )
+        return compile_plan(assembly, service, budget=self.budget)
 
     def _compile_groups(
         self, requests: Sequence[BatchRequest]

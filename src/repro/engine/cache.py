@@ -72,18 +72,13 @@ class PlanCache:
         assembly: Assembly,
         service: str | Service,
         symbolic_attributes: bool = False,
-        solver: str = "auto",
-        incremental: bool = False,
     ) -> EvaluationPlan | None:
         """The cached plan for this (model, service, mode), or ``None``.
 
         Does not update hit/miss statistics; use :meth:`get_or_compile`
         for the accounted path.
         """
-        return self._lru.get(
-            plan_key(assembly, service, symbolic_attributes, solver,
-                     incremental)
-        )
+        return self._lru.get(plan_key(assembly, service, symbolic_attributes))
 
     def get_or_compile(
         self,
@@ -93,8 +88,6 @@ class PlanCache:
         symbolic_attributes: bool = False,
         backend: str = "auto",
         budget: EvaluationBudget | None = None,
-        solver: str = "auto",
-        incremental: bool = False,
     ) -> EvaluationPlan:
         """The plan for this (model, service, mode), compiling on miss.
 
@@ -104,8 +97,7 @@ class PlanCache:
         equal fingerprints are interchangeable, so this is only duplicated
         work, never wrong answers).
         """
-        key = plan_key(assembly, service, symbolic_attributes, solver,
-                       incremental)
+        key = plan_key(assembly, service, symbolic_attributes)
         return self._lru.get_or_create(
             key,
             lambda: compile_plan(
@@ -114,8 +106,6 @@ class PlanCache:
                 symbolic_attributes=symbolic_attributes,
                 backend=backend,
                 budget=budget,
-                solver=solver,
-                incremental=incremental,
             ),
         )
 

@@ -89,20 +89,13 @@ def plan_key(
     assembly: Assembly,
     service: str | Service,
     symbolic_attributes: bool = False,
-    solver: str = "auto",
-    incremental: bool = False,
-) -> tuple[str, str, bool, str, bool]:
+) -> tuple[str, str, bool]:
     """The cache key of one evaluation plan.
 
-    A tuple ``(assembly digest, service name, symbolic_attributes,
-    solver, incremental)`` — attribute-symbolic plans answer different
-    questions (attribute sweeps, sensitivities) than fully bound ones,
-    robust plans carry their solver backend, and incremental plans route
-    numeric solves through the low-rank update path, so each caches
+    A tuple ``(assembly digest, service name, symbolic_attributes)`` —
+    attribute-symbolic plans answer different questions (attribute
+    sweeps, sensitivities) than fully bound ones, so they cache
     separately.
     """
     name = service.name if isinstance(service, Service) else str(service)
-    return (
-        assembly_fingerprint(assembly), name, bool(symbolic_attributes),
-        str(solver), bool(incremental),
-    )
+    return (assembly_fingerprint(assembly), name, bool(symbolic_attributes))

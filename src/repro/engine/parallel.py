@@ -493,8 +493,7 @@ def evaluate_plan_points(payload: dict) -> list:
     owned = _begin_worker_observation(payload)
     plan = payload["plan"]
     plan = _worker_plans.get_or_create(
-        (plan.fingerprint, plan.backend, plan.solver, plan.incremental,
-         plan.symbolic_attributes),
+        (plan.fingerprint, plan.backend, plan.symbolic_attributes),
         lambda: plan,
     )
     budget = worker_budget(payload.get("deadline"))
@@ -513,9 +512,8 @@ def numeric_sweep_chunk(payload: dict) -> list[float] | WorkerFailure:
     """Evaluate one grid chunk through the recursive numeric evaluator.
 
     Payload: ``assembly_json`` (canonical ``repro/1`` text), ``service``,
-    ``parameter``, ``values``, ``fixed``, ``deadline``, optional
-    ``solver`` and ``incremental``.  The assembly is rebuilt from JSON
-    because live assemblies do not pickle.
+    ``parameter``, ``values``, ``fixed``, ``deadline``.  The assembly is
+    rebuilt from JSON because live assemblies do not pickle.
     """
     from repro.core.evaluator import ReliabilityEvaluator
     from repro.dsl import load_assembly
@@ -526,9 +524,7 @@ def numeric_sweep_chunk(payload: dict) -> list[float] | WorkerFailure:
     try:
         assembly = load_assembly(payload["assembly_json"])
         evaluator = ReliabilityEvaluator(
-            assembly, validate=False, check_domains=False, budget=budget,
-            solver=payload.get("solver", "auto"),
-            incremental=payload.get("incremental", False),
+            assembly, validate=False, check_domains=False, budget=budget
         )
         fixed = payload["fixed"]
         parameter = payload["parameter"]

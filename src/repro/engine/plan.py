@@ -96,14 +96,6 @@ class EvaluationPlan:
         formals: the service's formal parameter names.
         symbolic_attributes: whether interface attributes were left free
             (``service::attribute`` symbols) at compilation.
-        solver: linear-solver backend used by a robust plan's numeric
-            tiers (``"auto"``, ``"dense"`` or ``"sparse"``; symbolic
-            plans never solve, so they merely record it).
-        incremental: whether a robust plan's numeric tiers serve
-            repeated-structure solves through low-rank factorization
-            updates (:mod:`repro.markov.updates`) — consecutive points of
-            a numeric sweep/bisection then diff into row-deltas against
-            the cached base factorization instead of re-factoring.
 
     A robust plan builds its :class:`~repro.runtime.RobustEvaluator` once
     per process (pool workers keep the plans they are sent) and runs each
@@ -119,8 +111,6 @@ class EvaluationPlan:
         expression: Expression | None = None,
         assembly_json: str | None = None,
         symbolic_attributes: bool = False,
-        solver: str = "auto",
-        incremental: bool = False,
     ):
         if backend not in ("symbolic", "robust"):
             raise EvaluationError(f"unknown plan backend {backend!r}")
@@ -135,10 +125,6 @@ class EvaluationPlan:
         self.expression = expression
         self.assembly_json = assembly_json
         self.symbolic_attributes = bool(symbolic_attributes)
-        from repro.markov.solvers import validate_solver
-
-        self.solver = validate_solver(solver)
-        self.incremental = bool(incremental)
         self._evaluator = None  # per-process, rebuilt after pickling
         self._kernel_obj = None  # lazy CompiledKernel, rebuilt after pickling
 
@@ -308,10 +294,7 @@ class EvaluationPlan:
         from repro.runtime.robust import RobustEvaluator
 
         if self._evaluator is None:
-            self._evaluator = RobustEvaluator(
-                load_assembly(self.assembly_json), solver=self.solver,
-                incremental=self.incremental,
-            )
+            self._evaluator = RobustEvaluator(load_assembly(self.assembly_json))
         # each call runs under its own budget, or an unlimited one: a
         # reused evaluator must not keep an earlier call's clock or caps
         self._evaluator.budget = budget if budget is not None else EvaluationBudget()
@@ -331,8 +314,6 @@ def compile_plan(
     symbolic_attributes: bool = False,
     backend: str = "auto",
     budget: EvaluationBudget | None = None,
-    solver: str = "auto",
-    incremental: bool = False,
 ) -> EvaluationPlan:
     """Compile an (assembly, service) pair into an :class:`EvaluationPlan`.
 
@@ -346,10 +327,6 @@ def compile_plan(
             the assembly is cyclic or the derivation fails with a typed
             symbolic error).
         budget: optional budget charged during the derivation.
-        solver: linear-solver backend recorded on the plan and used by
-            robust plans' numeric tiers (see :mod:`repro.markov.solvers`).
-        incremental: record the low-rank-update opt-in on the plan (robust
-            numeric tiers only; see :mod:`repro.markov.updates`).
 
     Every call performs real work and bumps :func:`compilation_count`;
     reuse compiled plans through :class:`repro.engine.cache.PlanCache`
@@ -386,8 +363,6 @@ def compile_plan(
                     svc.formal_parameters,
                     expression=expression,
                     symbolic_attributes=symbolic_attributes,
-                    solver=solver,
-                    incremental=incremental,
                 )
 
         if symbolic_attributes:
@@ -403,6 +378,4 @@ def compile_plan(
             "robust",
             svc.formal_parameters,
             assembly_json=canonical_json(assembly),
-            solver=solver,
-            incremental=incremental,
         )

@@ -24,11 +24,6 @@ from repro.markov.stationary import (
     mean_first_passage_time,
     stationary_distribution,
 )
-from repro.markov.updates import (
-    UpdatedFactorization,
-    rank_crossover,
-    update_counts,
-)
 
 __all__ = [
     "SOLVERS",
@@ -37,15 +32,12 @@ __all__ = [
     "ContinuousTimeMarkovChain",
     "DiscreteTimeMarkovChain",
     "HiddenMarkovModel",
-    "UpdatedFactorization",
     "absorption_probability",
     "default_solver_cache",
     "is_irreducible",
     "mean_first_passage_time",
-    "rank_crossover",
     "scipy_available",
     "solver_cache_stats",
     "stationary_distribution",
-    "update_counts",
     "validate_solver",
 ]

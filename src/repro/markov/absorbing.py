@@ -75,12 +75,6 @@ class AbsorbingChainAnalysis:
             ``"dense"`` or ``"sparse"``; see :mod:`repro.markov.solvers`.
         solver_cache: structural-plan cache override (``None`` shares the
             process-wide cache, ``False`` disables plan caching).
-        incremental: opt into low-rank (Sherman-Morrison-Woodbury) reuse
-            of the plan's cached base factorization when only a few rows
-            of ``Q`` changed since the last solve of this structure
-            (:mod:`repro.markov.updates`); falls back to a fresh
-            factorization automatically, so results stay within solver
-            tolerance of the full solve either way.
     """
 
     def __init__(
@@ -88,7 +82,6 @@ class AbsorbingChainAnalysis:
         chain: DiscreteTimeMarkovChain,
         solver: str = "auto",
         solver_cache=None,
-        incremental: bool = False,
     ):
         self._chain = chain
         self._solver = solvers.validate_solver(solver)
@@ -134,9 +127,7 @@ class AbsorbingChainAnalysis:
         # absorbing state, i.e. the chain keeps probability mass cycling
         # forever; the reliability question is then ill-posed.
         try:
-            factorization = solvers.factorize_chain(
-                matrix, plan, incremental=incremental
-            )
+            factorization = solvers.factorize_chain(matrix, plan)
             self._absorption = np.asarray(factorization.solve(r))
         except solvers.SingularSystemError as exc:
             raise NotAbsorbingError(
@@ -212,17 +203,6 @@ class AbsorbingChainAnalysis:
         """The resolved solver backend (``"dense"``, ``"sparse-lu"`` or
         ``"sparse-tri"``; ``"dense"`` for chains with no transient state)."""
         return self._plan.backend if self._plan is not None else "dense"
-
-    @property
-    def solve_method(self) -> str:
-        """How this chain's system was actually solved: the factorization
-        method (``"dense"``, ``"sparse-lu"``, ``"sparse-tri"``), with an
-        ``"+smw"`` suffix when a low-rank update served the solve (e.g.
-        ``"sparse-lu+smw"``); ``"none"`` for chains with no transient
-        state."""
-        if self._factorization is None:
-            return "none"
-        return self._factorization.method
 
     @property
     def structural_fingerprint(self) -> str | None:

@@ -13,7 +13,7 @@ This module makes the solve *pluggable* and *structure-aware*:
 - **dense** — the compatibility backend.  The first right-hand side is one
   ``numpy.linalg.solve``; when a second one arrives and scipy is installed,
   the LU factors are computed once (``scipy.linalg.lu_factor``) and reused
-  across visits, steps, low-rank updates and the condition estimate.
+  across visits, steps and the condition estimate.
 - **sparse** — assemble ``I - Q`` in CSR and factor once with
   ``scipy.sparse.linalg.splu``; every subsequent right-hand side is a pair
   of triangular substitutions.  Requires scipy.
@@ -25,6 +25,12 @@ This module makes the solve *pluggable* and *structure-aware*:
 - ``auto`` picks per system: dense below :data:`SPARSE_THRESHOLD` states or
   above :data:`SPARSE_DENSITY` fill, dense whenever scipy is missing,
   sparse (triangular when possible) otherwise.
+
+``auto`` is the only choice the layers above the core make.  The
+``"dense"``/``"sparse"`` overrides stay on :func:`factorize`,
+:func:`chain_plan`, :class:`~repro.markov.absorbing.AbsorbingChainAnalysis`
+and the numeric evaluators, for the goldens and the dense/sparse parity
+suites.
 
 The exact condition number is replaced everywhere by a 1-norm *estimate*
 (``scipy.sparse.linalg.onenormest`` over the factorization, or a pure-numpy
@@ -46,17 +52,6 @@ zero re-factorization, and the LU paths skip all pattern/permutation work.
 Hit/miss counters (:func:`solver_cache_stats`) and the
 :func:`plan_count` / :func:`factorization_count` monotone counters make
 that reuse assertable in tests and benchmarks.
-
-**Base-factorization slot (low-rank updates).**  Each plan additionally
-carries one *base factorization* slot: the factored system and the value
-vector it was factored from.  Callers that opt in
-(``factorize_chain(..., incremental=True)``) get the next speed tier — a
-re-solve whose values differ from the base in only ``k`` rows is served by
-a Sherman-Morrison-Woodbury rank-``k`` update against the cached
-factorization (:mod:`repro.markov.updates`) instead of a fresh one, with
-automatic fallback (and a slot refresh) above a rank crossover or when the
-capacitance matrix is ill-conditioned.  The ``solver.updates.*`` counters
-record applied updates and both fallback reasons.
 """
 
 from __future__ import annotations
@@ -520,13 +515,11 @@ class ChainSolvePlan:
             coordinates (unused by the dense backend).
         order: topological permutation of the transient states
             (``"sparse-tri"`` only).
-        update_slot: the base-factorization slot used by the incremental
-            (low-rank update) path; see :class:`_UpdateSlot`.
     """
 
     __slots__ = (
         "fingerprint", "backend", "transient", "absorbing",
-        "q_rows", "q_cols", "order", "update_slot",
+        "q_rows", "q_cols", "order",
     )
 
     def __init__(self, fingerprint, backend, transient, absorbing,
@@ -538,26 +531,6 @@ class ChainSolvePlan:
         self.q_rows = q_rows
         self.q_cols = q_cols
         self.order = order
-        self.update_slot = _UpdateSlot()
-
-
-class _UpdateSlot:
-    """One plan's cached *base* factorization for the incremental path.
-
-    Holds the last fully-factored system and the ``Q``-pattern value
-    vector it was factored from.  The slot always stores a *full*
-    factorization, never an SMW view — deltas are taken against the base
-    directly, so update error never compounds across a sweep.  Guarded by
-    its own lock; the plan itself is shared through the structural cache
-    across threads.
-    """
-
-    __slots__ = ("lock", "values", "factorization")
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.values: np.ndarray | None = None
-        self.factorization: Factorization | None = None
 
 
 _default_cache: LRUCache | None = None
@@ -682,9 +655,7 @@ def _build_plan(
     )
 
 
-def factorize_chain(
-    matrix: np.ndarray, plan: ChainSolvePlan, incremental: bool = False
-) -> Factorization:
+def factorize_chain(matrix: np.ndarray, plan: ChainSolvePlan) -> Factorization:
     """Factor ``I - Q`` for the *values* in ``matrix`` along a structural
     plan.
 
@@ -692,27 +663,10 @@ def factorize_chain(
     plan makes it ``O(nnz)`` gather + assembly for the sparse backends —
     and for ``"sparse-tri"`` nothing is numerically factored at all.
 
-    With ``incremental=True`` the plan's base-factorization slot is
-    consulted first: when the values differ from the cached base in only a
-    few rows, a Sherman-Morrison-Woodbury rank-``k`` view of the base
-    factorization is returned instead of a fresh one
-    (:mod:`repro.markov.updates`), falling back — and refreshing the slot —
-    above the rank crossover or when the capacitance matrix is
-    ill-conditioned.  Requires a reusable base (any backend with scipy);
-    without scipy the flag is a no-op, since the dense path re-factors per
-    solve anyway.
-
     Raises :class:`SingularSystemError` when the system is exactly
     singular (the caller decides what that means).
     """
-    transient = plan.transient
-    if incremental and _HAVE_SCIPY and transient.size:
-        return _factorize_incremental(matrix, plan)
     obs.count(f"solver.backend.{plan.backend}")
-    return _full_factorize(matrix, plan)
-
-
-def _full_factorize(matrix: np.ndarray, plan: ChainSolvePlan) -> Factorization:
     transient = plan.transient
     m = transient.size
     if plan.backend == "dense":
@@ -727,43 +681,6 @@ def _full_factorize(matrix: np.ndarray, plan: ChainSolvePlan) -> Factorization:
     if plan.backend == "sparse-tri":
         return _SparseTriangularFactorization(system, plan.order)
     return _SparseLUFactorization(system)
-
-
-def _factorize_incremental(
-    matrix: np.ndarray, plan: ChainSolvePlan
-) -> Factorization:
-    """The update path: serve off the plan's base slot when the delta is
-    low-rank and well-conditioned, otherwise re-factor and refresh it."""
-    from repro.markov import updates
-
-    transient = plan.transient
-    m = transient.size
-    values = matrix[transient[plan.q_rows], transient[plan.q_cols]]
-    slot = plan.update_slot
-    with slot.lock:
-        base = slot.factorization
-        base_values = slot.values
-    if base is not None and base.reusable:
-        delta = updates.extract_row_delta(
-            plan.q_rows, plan.q_cols, base_values, values, m
-        )
-        if delta is None:
-            # rank 0: the values are bit-identical to the factored base
-            updates._charge("applied")
-            return base
-        try:
-            return updates.apply_low_rank_update(
-                base, delta, rank_limit=updates.rank_crossover(m)
-            )
-        except updates.UpdateRejected:
-            pass  # fall through to a fresh factorization + slot refresh
-    obs.count(f"solver.backend.{plan.backend}")
-    fresh = _full_factorize(matrix, plan)
-    if fresh.reusable:
-        with slot.lock:
-            slot.factorization = fresh
-            slot.values = values
-    return fresh
 
 
 def factorize(a: np.ndarray, solver: str = "auto") -> Factorization:

@@ -1,352 +1,15 @@
-"""Low-rank (Sherman-Morrison-Woodbury) updates of cached factorizations.
+"""Counters of the retired low-rank (Sherman-Morrison-Woodbury) solve tier.
 
-The what-if workloads — attribute sensitivities, crossover bisection,
-pairwise architecture comparison, optimization loops — evaluate long runs
-of *structurally identical* chains whose values differ in only a handful of
-rows of ``Q``: perturbing one attribute changes the outgoing probabilities
-of the states that call the perturbed service and nothing else.  PR 4's
-structural plan cache already skips pattern/permutation work for those
-re-solves; this module skips the *numeric re-factorization* too.
-
-Write the perturbed system as a rank-``k`` row update of the base system:
-
-.. math::
-
-    A' \\;=\\; A + U W, \\qquad
-    U \\in \\mathbb{R}^{m \\times k},\\; W \\in \\mathbb{R}^{k \\times m},
-
-where ``A = I - Q`` is the *factored base*, the columns of ``U`` are the
-unit vectors of the ``k`` changed rows and ``W`` stacks the row deltas
-``\\Delta A = -\\Delta Q``.  Sherman-Morrison-Woodbury then solves the
-perturbed system entirely through the *base* factorization:
-
-.. math::
-
-    A'^{-1} r \\;=\\; A^{-1} r \\;-\\; Z \\, C^{-1} \\, (W \\, A^{-1} r),
-    \\qquad Z = A^{-1} U, \\quad C = I_k + W Z,
-
-i.e. ``k`` extra base solves (amortized: ``Z`` is computed once per delta)
-plus dense ``k \\times k`` work — ``O(n \\cdot k)`` per solve instead of a
-fresh ``O(n^3)`` / nnz-factor factorization.
-
-The update is *guarded*, never silently wrong:
-
-- **rank crossover** — above :func:`rank_crossover` changed rows the
-  ``k``-solve setup stops beating a fresh factorization and the caller
-  falls back (counter ``solver.updates.fallback_rank``);
-- **capacitance conditioning** — the exact 1-norm conditioning of the
-  ``k \\times k`` capacitance matrix ``C`` (cheap at these ranks), taken
-  as ``||C^{-1}||_1 \\cdot \\max(||C||_1, 1)`` so that a uniformly tiny
-  ``C`` — nearly singular perturbed system, which the scale-invariant
-  condition number would call perfect — still registers.  Past
-  :data:`CAPACITANCE_MAX_CONDITION` the update formula itself would
-  amplify error, so the caller falls back to a fresh factorization
-  (counter ``solver.updates.fallback_condition``).
-
-Every applied update still flows through the absorbing-chain guards in
-:class:`~repro.markov.absorbing.AbsorbingChainAnalysis`:
-:meth:`UpdatedFactorization.matvec` multiplies by the *exact* perturbed
-system, so the residual check genuinely verifies the updated solution, and
-the condition estimate runs through the updated solves.
-
-Callers do not use this module directly — they pass
-``incremental=True`` down the stack (evaluators, sweeps, sensitivities,
-selection/comparison) and :func:`repro.markov.solvers.factorize_chain`
-routes through :func:`apply_low_rank_update` against the plan's
-base-factorization slot.
+Every absorbing solve now takes the one :func:`repro.markov.solvers.
+factorize_chain` path, so these counters never move.  The module stays
+only because the benchmark harness still reads :func:`update_counts`.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro import observability as obs
-from repro.markov.solvers import Factorization
-
-__all__ = [
-    "CAPACITANCE_MAX_CONDITION",
-    "RowDelta",
-    "UpdateRejected",
-    "UpdatedFactorization",
-    "apply_low_rank_update",
-    "extract_row_delta",
-    "rank_crossover",
-    "reset_update_counters",
-    "update_counts",
-]
-
-#: Maximum tolerated conditioning ``||C^{-1}||_1 * max(||C||_1, 1)`` of
-#: the k-by-k capacitance matrix ``C = I + W Z`` before the update is
-#: rejected in favor of a fresh factorization.  SMW amplifies base-solve
-#: error by roughly this factor; past this bound the "exact parity"
-#: contract with the full solve can no longer be honored.
-CAPACITANCE_MAX_CONDITION = 1e8
-
-
-def rank_crossover(m: int) -> int:
-    """Largest delta rank worth updating for an ``m``-state system.
-
-    The update costs ``k`` base solves plus ``O(k^2 m)`` dense work; a
-    fresh sparse factorization costs roughly ``O(m^{1.5})`` on the flows
-    this library produces.  ``k ~ sqrt(m)`` is where the two meet, with a
-    floor of 4 so paper-sized systems still exercise the update path.
-    """
-    return max(4, int(round(float(m) ** 0.5)))
-
-
-class UpdateRejected(Exception):
-    """The low-rank update was rejected in favor of a fresh factorization.
-
-    Attributes:
-        reason: ``"rank"`` (delta rank above the crossover threshold) or
-            ``"condition"`` (capacitance matrix ill-conditioned/singular).
-    """
-
-    def __init__(self, reason: str, message: str):
-        super().__init__(message)
-        self.reason = reason
-
-
-# ---------------------------------------------------------------------------
-# counters (same pattern as the solvers module: in-process integers for
-# tests/benchmarks, mirrored onto the metrics registry)
-# ---------------------------------------------------------------------------
-
-_counter_lock = threading.Lock()
-_applied = 0
-_fallback_rank = 0
-_fallback_condition = 0
+__all__ = ["update_counts"]
 
 
 def update_counts() -> dict[str, int]:
-    """Monotone per-process counters of the update path.
-
-    ``applied`` counts solves served off a cached base factorization
-    (including rank-0 reuse when the values did not change at all);
-    ``fallback_rank`` / ``fallback_condition`` count rejections that fell
-    back to a fresh factorization.
-    """
-    with _counter_lock:
-        return {
-            "applied": _applied,
-            "fallback_rank": _fallback_rank,
-            "fallback_condition": _fallback_condition,
-        }
-
-
-def reset_update_counters() -> None:
-    """Zero the update counters (test isolation helper)."""
-    global _applied, _fallback_rank, _fallback_condition
-    with _counter_lock:
-        _applied = 0
-        _fallback_rank = 0
-        _fallback_condition = 0
-
-
-def _charge(counter: str) -> None:
-    global _applied, _fallback_rank, _fallback_condition
-    with _counter_lock:
-        if counter == "applied":
-            _applied += 1
-        elif counter == "fallback_rank":
-            _fallback_rank += 1
-        else:
-            _fallback_condition += 1
-    obs.count(f"solver.updates.{counter}")
-
-
-# ---------------------------------------------------------------------------
-# delta extraction
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RowDelta:
-    """A row-sparse delta ``A' - A`` of one ``m``-state system ``I - Q``.
-
-    Attributes:
-        rows: sorted transient-local indices of the changed rows.
-        delta: dense ``k x m`` stack of the changed rows of ``A' - A``
-            (i.e. ``-(Q' - Q)`` restricted to those rows).
-        m: the system order.
-    """
-
-    rows: np.ndarray
-    delta: np.ndarray
-    m: int
-
-    @property
-    def rank(self) -> int:
-        """Number of changed rows ``k``."""
-        return int(self.rows.size)
-
-
-def extract_row_delta(
-    q_rows: np.ndarray,
-    q_cols: np.ndarray,
-    base_values: np.ndarray,
-    new_values: np.ndarray,
-    m: int,
-) -> RowDelta | None:
-    """Diff two value vectors on a shared ``Q`` sparsity pattern.
-
-    ``q_rows`` / ``q_cols`` are the plan's transient-local pattern arrays
-    and the value vectors are the gathers ``Q[q_rows, q_cols]`` for the
-    base and the perturbed matrix — structurally identical chains (same
-    fingerprint) always gather on the same pattern, so a positional
-    comparison is exact.  Returns ``None`` when nothing changed (rank 0).
-    """
-    changed = base_values != new_values
-    if not np.any(changed):
-        return None
-    idx = np.flatnonzero(changed)
-    rows = np.unique(q_rows[idx])
-    delta = np.zeros((rows.size, m))
-    # pattern entries are unique per (row, col): plain fancy assignment
-    delta[np.searchsorted(rows, q_rows[idx]), q_cols[idx]] = -(
-        new_values[idx] - base_values[idx]
-    )
-    return RowDelta(rows=rows, delta=delta, m=int(m))
-
-
-# ---------------------------------------------------------------------------
-# the updated factorization
-# ---------------------------------------------------------------------------
-
-
-class UpdatedFactorization(Factorization):
-    """SMW view of ``A' = A + U W`` through a base factorization of ``A``.
-
-    Behaves exactly like a factorization of the *perturbed* system:
-    :meth:`solve` / :meth:`solve_transpose` apply the Woodbury correction,
-    :meth:`matvec` multiplies by the exact perturbed matrix (so residual
-    checks verify the updated solution, not the base one), and the
-    inherited condition estimate runs through the corrected solves.
-
-    ``norm1`` returns the triangle-inequality bound
-    ``||A||_1 + ||\\Delta A||_1`` — an upper bound, which only makes the
-    downstream condition guard *more* conservative.
-    """
-
-    reusable = True
-
-    def __init__(self, base: Factorization, delta: RowDelta):
-        super().__init__(base.n)
-        if delta.m != base.n:
-            raise ValueError(
-                f"delta is for an order-{delta.m} system, base has order "
-                f"{base.n}"
-            )
-        self.method = f"{base.method}+smw"
-        self._base = base
-        self._delta = delta
-        rows = delta.rows
-        k = rows.size
-        u = np.zeros((base.n, k))
-        u[rows, np.arange(k)] = 1.0
-        z = np.asarray(base.solve(u), dtype=float)  # Z = A^{-1} U  (m x k)
-        c = np.eye(k) + delta.delta @ z             # capacitance   (k x k)
-        self._z = z
-        self._c = c
-        self._zt: np.ndarray | None = None  # A^{-T} W^T, lazily for transpose
-        # ||C^{-1}||_1 * max(||C||_1, 1): the plain condition number is
-        # scale-invariant, so a uniformly tiny C (nearly singular perturbed
-        # system, huge SMW correction) would look perfectly conditioned —
-        # flooring the scale at ||I_k||_1 = 1 makes the guard catch it.
-        if not np.all(np.isfinite(c)):
-            self._capacitance_condition = float("inf")
-        else:
-            try:
-                inverse_norm = float(
-                    np.abs(np.linalg.inv(c)).sum(axis=0).max()
-                )
-                scale = max(float(np.abs(c).sum(axis=0).max()), 1.0)
-                self._capacitance_condition = inverse_norm * scale
-            except np.linalg.LinAlgError:
-                self._capacitance_condition = float("inf")
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def base(self) -> Factorization:
-        """The factorization of the unperturbed system ``A``."""
-        return self._base
-
-    @property
-    def rank(self) -> int:
-        """Rank ``k`` of the applied update."""
-        return self._delta.rank
-
-    @property
-    def capacitance_condition(self) -> float:
-        """Conditioning ``||C^{-1}||_1 * max(||C||_1, 1)`` of the
-        capacitance matrix ``C = I + W Z`` (the guarded quantity)."""
-        return self._capacitance_condition
-
-    # -- Factorization interface -------------------------------------------
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        y = np.asarray(self._base.solve(rhs), dtype=float)
-        correction = np.linalg.solve(self._c, self._delta.delta @ y)
-        return y - self._z @ correction
-
-    def solve_transpose(self, rhs: np.ndarray) -> np.ndarray:
-        # A'^T = A^T + W^T U^T; the capacitance of the transposed system
-        # is exactly C^T, so no second capacitance factorization is needed.
-        s = np.asarray(self._base.solve_transpose(rhs), dtype=float)
-        if self._zt is None:
-            self._zt = np.asarray(
-                self._base.solve_transpose(self._delta.delta.T), dtype=float
-            )
-        correction = np.linalg.solve(self._c.T, s[self._delta.rows])
-        return s - self._zt @ correction
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(self._base.matvec(x), dtype=float).copy()
-        out[self._delta.rows] += self._delta.delta @ x
-        return out
-
-    def norm1(self) -> float:
-        if self._norm1 is None:
-            delta_norm = float(
-                np.abs(self._delta.delta).sum(axis=0).max(initial=0.0)
-            )
-            self._norm1 = self._base.norm1() + delta_norm
-        return self._norm1
-
-
-def apply_low_rank_update(
-    base: Factorization,
-    delta: RowDelta,
-    rank_limit: int | None = None,
-    max_condition: float = CAPACITANCE_MAX_CONDITION,
-) -> UpdatedFactorization:
-    """Build the SMW view of ``base`` perturbed by ``delta``, or reject.
-
-    Raises :class:`UpdateRejected` (charging the matching fallback
-    counter) when the delta rank exceeds ``rank_limit`` or the capacitance
-    matrix's exact condition number exceeds ``max_condition`` — the caller
-    then re-factors from scratch.  On success charges
-    ``solver.updates.applied``.
-    """
-    if rank_limit is not None and delta.rank > rank_limit:
-        _charge("fallback_rank")
-        raise UpdateRejected(
-            "rank",
-            f"delta rank {delta.rank} exceeds crossover threshold "
-            f"{rank_limit}",
-        )
-    updated = UpdatedFactorization(base, delta)
-    condition = updated.capacitance_condition
-    if not np.isfinite(condition) or condition > max_condition:
-        _charge("fallback_condition")
-        raise UpdateRejected(
-            "condition",
-            f"capacitance matrix condition {condition:.3e} exceeds "
-            f"{max_condition:.3e}",
-        )
-    _charge("applied")
-    return updated
+    """Always zero: no solve is served by a low-rank update any more."""
+    return {"applied": 0, "fallback_rank": 0, "fallback_condition": 0}

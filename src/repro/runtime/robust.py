@@ -160,12 +160,6 @@ class RobustEvaluator:
         retries: extra attempts for the retrying tiers (fixed-point
             tolerance relaxation, Monte Carlo reseeding).
         validate: validate the assembly up front (recommended).
-        solver: linear-solver backend for the numeric/fixed-point tiers
-            (``"auto"``, ``"dense"`` or ``"sparse"``; see
-            :mod:`repro.markov.solvers`).
-        incremental: serve repeated-structure absorbing solves in the
-            numeric/fixed-point tiers through low-rank factorization
-            updates (:mod:`repro.markov.updates`).
     """
 
     def __init__(
@@ -177,11 +171,7 @@ class RobustEvaluator:
         seed: int = 0,
         retries: int = 2,
         validate: bool = True,
-        solver: str = "auto",
-        incremental: bool = False,
     ):
-        from repro.markov.solvers import validate_solver
-
         unknown = [t for t in tiers if t not in DEFAULT_TIERS]
         if unknown:
             raise EvaluationError(f"unknown evaluation tiers {unknown}")
@@ -191,8 +181,6 @@ class RobustEvaluator:
         self.trials = int(trials)
         self.seed = int(seed)
         self.retries = int(retries)
-        self.solver = validate_solver(solver)
-        self.incremental = bool(incremental)
         if validate:
             try:
                 validate_assembly(assembly).raise_if_invalid()
@@ -311,8 +299,7 @@ class RobustEvaluator:
 
         if self._numeric_evaluator is None:
             self._numeric_evaluator = ReliabilityEvaluator(
-                self.assembly, validate=False, budget=self.budget,
-                solver=self.solver, incremental=self.incremental,
+                self.assembly, validate=False, budget=self.budget
             )
         else:
             self._numeric_evaluator.budget = self.budget
@@ -327,8 +314,7 @@ class RobustEvaluator:
         for _ in range(self.retries + 1):
             evaluator = FixedPointEvaluator(
                 self.assembly, tolerance=tolerance, validate=False,
-                budget=self.budget, solver=self.solver,
-                incremental=self.incremental,
+                budget=self.budget,
             )
             try:
                 value = evaluator.pfail(service, **actuals)

@@ -53,12 +53,6 @@ ACTUALS = {
     "description": "actual parameter bindings, `{name: value}`",
 }
 
-SOLVER = {
-    "enum": ["auto", "dense", "sparse"],
-    "description": "linear-solver backend for absorbing-chain solves "
-                   "(default `auto`)",
-}
-
 BUDGET = {
     "type": "object",
     "additionalProperties": False,
@@ -103,7 +97,6 @@ EVALUATE_REQUEST = {
             "description": "name of the service to evaluate",
         },
         "actuals": ACTUALS,
-        "solver": SOLVER,
         "budget": BUDGET,
     },
 }
@@ -138,7 +131,6 @@ BATCH_REQUEST = {
                 },
             },
         },
-        "solver": SOLVER,
         "budget": BUDGET,
     },
 }
@@ -173,7 +165,6 @@ SWEEP_REQUEST = {
             "description": "grid back-end: vectorized closed form "
                            "(default) or per-point recursion",
         },
-        "solver": SOLVER,
         "budget": BUDGET,
     },
 }
@@ -339,11 +330,8 @@ ENDPOINTS: tuple[Endpoint, ...] = (
                     "each as `{hits, misses, evictions, hit_rate, size}`, "
                     "plus the coalescer's request accounting.  The "
                     "`solver` block additionally carries the monotone "
-                    "per-process totals: structural `plans` built, numeric "
-                    "`factorizations` performed, and the low-rank "
-                    "`updates` counters `{applied, fallback_rank, "
-                    "fallback_condition}` of the incremental "
-                    "(Sherman-Morrison-Woodbury) re-solve path.  The "
+                    "per-process totals: structural `plans` built and "
+                    "numeric `factorizations` performed.  The "
                     "`engine.fused` block counts stacked-kernel group "
                     "executions (`groups`/`entries`/`fallbacks`).  The "
                     "numbers are live "
@@ -357,9 +345,7 @@ ENDPOINTS: tuple[Endpoint, ...] = (
                        "hit_rate": 0.75, "size": 2},
             "solver": {"hits": 4, "misses": 1, "evictions": 0,
                        "hit_rate": 0.8, "size": 1,
-                       "plans": 5, "factorizations": 7,
-                       "updates": {"applied": 18, "fallback_rank": 1,
-                                   "fallback_condition": 0}},
+                       "plans": 5, "factorizations": 7},
             "model": {"hits": 10, "misses": 2, "evictions": 0,
                       "hit_rate": 0.833, "size": 2},
             "engine": {"fused": {"groups": 2, "entries": 9, "fallbacks": 0}},
@@ -385,7 +371,6 @@ ENDPOINTS: tuple[Endpoint, ...] = (
             "model": _LOCAL_MODEL_NOTE,
             "service": "search",
             "actuals": {"elem": 1, "list": 500, "res": 1},
-            "solver": "auto",
             "budget": {"deadline": 5.0},
         },
         response_example={

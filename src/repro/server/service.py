@@ -125,11 +125,7 @@ class EvaluationService:
             name: float(value)
             for name, value in (payload.get("actuals") or {}).items()
         }
-        solver = payload.get("solver", "auto")
-        key = (
-            "evaluate", digest, service,
-            tuple(sorted(actuals.items())), solver,
-        )
+        key = ("evaluate", digest, service, tuple(sorted(actuals.items())))
 
         def compute() -> dict:
             budget = self._budget(payload)
@@ -137,7 +133,7 @@ class EvaluationService:
                 self.evaluations += 1
             obs.count("server.evaluations")
             plan = self.plan_cache.get_or_compile(
-                assembly, service, budget=budget, solver=solver
+                assembly, service, budget=budget
             )
             pfail = plan.pfail(actuals, budget=budget)
             return {
@@ -162,12 +158,10 @@ class EvaluationService:
 
         validate_request("/v1/batch", payload, BATCH_REQUEST)
         budget = self._budget(payload)
-        solver = payload.get("solver", "auto")
         engine = BatchEngine(
             jobs=1,  # connection threads provide the concurrency
             cache=self.plan_cache,
             budget=budget,
-            solver=solver,
         )
         requests = []
         for entry in payload["requests"]:
@@ -226,14 +220,13 @@ class EvaluationService:
             for name, value in (payload.get("fixed") or {}).items()
         }
         method = payload.get("method", "symbolic")
-        solver = payload.get("solver", "auto")
         grid = [
             float(v)
             for v in np.linspace(payload["start"], payload["stop"], points)
         ]
         key = (
             "sweep", digest, service, parameter, tuple(grid),
-            tuple(sorted(fixed.items())), method, solver,
+            tuple(sorted(fixed.items())), method,
         )
 
         def compute() -> dict:
@@ -244,7 +237,6 @@ class EvaluationService:
             sweep = sweep_parameter(
                 assembly, service, parameter, grid, fixed,
                 method=method, cache=self.plan_cache, budget=budget,
-                solver=solver,
             )
             return {
                 "schema": RESPONSE_SCHEMA,
@@ -270,13 +262,11 @@ class EvaluationService:
             plan_count,
         )
         from repro.engine import fused_counts
-        from repro.markov.updates import update_counts
         from repro.symbolic import default_kernel_cache
 
         solver = _stats_dict(default_solver_cache())
         solver["plans"] = plan_count()
         solver["factorizations"] = factorization_count()
-        solver["updates"] = update_counts()
         return {
             "schema": RESPONSE_SCHEMA,
             "plan": _stats_dict(self.plan_cache),

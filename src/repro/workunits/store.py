@@ -47,6 +47,11 @@ SCHEMA = "repro/workunits/1"
 #: unit; the rest describe one failed attempt (the unit may still retry).
 ATTEMPT_STATUSES = ("done", "failed", "timeout", "crashed", "corrupt")
 
+#: Config settings that no longer exist, with the only value a resumable
+#: journal can hold: a campaign written with any other value ran a solve
+#: path that is gone, so its results cannot be extended.
+RETIRED_SETTINGS = {"solver": "auto", "incremental": False}
+
 
 @dataclass
 class StoreState:
@@ -195,6 +200,14 @@ class ResultStore:
                     f"{path}: unknown store schema "
                     f"{state.header.get('schema')!r} (expected {SCHEMA})"
                 )
+            config = state.header.get("config")
+            for name, only in RETIRED_SETTINGS.items():
+                if isinstance(config, dict) and config.get(name, only) != only:
+                    raise CampaignStoreError(
+                        f"{path} was written with the retired setting "
+                        f"{name}={config[name]!r}; only {name}={only!r} "
+                        f"journals can resume"
+                    )
             if state.campaign_id != campaign.campaign_id:
                 raise CampaignStoreError(
                     f"{path} was written for campaign "

@@ -7,8 +7,8 @@ its slice of the results:
 - the **model** as canonical ``repro/1`` JSON plus its structural
   fingerprint (live assemblies do not pickle and would not survive a
   restart anyway);
-- the **configuration** that affects results (solver backend, kernel
-  compilation, evaluation method, seeds);
+- the **configuration** that affects results (evaluation method, seeds,
+  trials);
 - the **slice**: a contiguous run of grid values, batch points or fuzz
   cases.
 
@@ -65,8 +65,8 @@ class WorkUnit:
             schedules and result assembly key on it).
         fingerprint: structural fingerprint of the model the unit
             evaluates (the batch kind may span one model per unit).
-        config: result-affecting configuration (solver, method, seed,
-            trials, ...), shared across the campaign.
+        config: result-affecting configuration (method, seed, trials,
+            ...), shared across the campaign.
         payload: the slice itself — ``assembly_json`` plus kind-specific
             data (``values``/``entries``/``cases``).
     """
@@ -124,7 +124,7 @@ class Campaign:
 
     The ``campaign_id`` digests the unit ids and config, so a results
     store written for one campaign refuses to resume a different one
-    (different model, grid, seed or solver ⇒ different id).
+    (different model, grid, seed or method ⇒ different id).
     """
 
     kind: str
@@ -184,8 +184,6 @@ def sweep_campaign(
     fixed: Mapping[str, float] | None = None,
     *,
     method: str = "symbolic",
-    solver: str = "auto",
-    incremental: bool = False,
     units: int | None = None,
 ) -> Campaign:
     """Shard a parameter sweep into work units.
@@ -202,11 +200,6 @@ def sweep_campaign(
         values: the full grid (ascending or not — order is preserved).
         fixed: the non-swept actuals.
         method: ``"symbolic"`` or ``"numeric"`` (as in ``sweep_parameter``).
-        solver: linear-solver backend for the numeric method.
-        incremental: low-rank (Sherman-Morrison-Woodbury) re-solve updates
-            for the numeric method (:mod:`repro.markov.updates`); recorded
-            in the config — and the campaign id — only when enabled, so
-            journals written before the flag existed still resume.
         units: optional shard count (default: ``ceil(points / 8)``).
     """
     from repro.engine.fingerprint import assembly_fingerprint, canonical_json
@@ -228,14 +221,14 @@ def sweep_campaign(
     config = {
         "assembly": assembly.name,
         "method": method,
-        "solver": str(solver),
-        "compile": True,  # constant: unit and campaign ids must not move
+        # retired settings kept at their constant values: unit and
+        # campaign ids must not move
+        "solver": "auto",
+        "compile": True,
         "service": service,
         "parameter": parameter,
         "fixed": {k: float(v) for k, v in dict(fixed or {}).items()},
     }
-    if incremental:
-        config["incremental"] = True
     per_unit = _per_unit(len(grid), units, SWEEP_POINTS_PER_UNIT)
     built = [
         WorkUnit(
@@ -259,8 +252,6 @@ def batch_campaign(
     service: str,
     points: Sequence[Mapping[str, float]] | None,
     *,
-    solver: str = "auto",
-    incremental: bool = False,
     units: int | None = None,
 ) -> Campaign:
     """Shard a batch (many models × many points) into work units.
@@ -274,10 +265,6 @@ def batch_campaign(
         models: ``(label, assembly)`` pairs, in submission order.
         points: the evaluation points; ``None`` evaluates each model at
             its domain-representative defaults (as the CLI does).
-        solver: linear-solver backend threaded into every plan.
-        incremental: low-rank re-solve updates for numeric plan backends
-            (recorded in the config only when enabled, as in
-            :func:`sweep_campaign`).
         units: optional shard count (default: ``ceil(requests / 4)``).
     """
     from repro.engine.fingerprint import assembly_fingerprint, canonical_json
@@ -285,10 +272,9 @@ def batch_campaign(
 
     if not models:
         raise EvaluationError("a batch campaign needs at least one model")
-    # "compile" is a constant: unit and campaign ids must not move
-    config = {"solver": str(solver), "compile": True, "service": service}
-    if incremental:
-        config["incremental"] = True
+    # retired settings kept at their constant values: unit and campaign
+    # ids must not move
+    config = {"solver": "auto", "compile": True, "service": service}
     total = 0
     per_model: list[tuple[str, Assembly, list[dict]]] = []
     for label, assembly in models:

@@ -78,9 +78,7 @@ def _execute_sweep(unit: dict, budget) -> list[float]:
         from repro.core.evaluator import ReliabilityEvaluator
 
         evaluator = ReliabilityEvaluator(
-            assembly, validate=False, check_domains=False, budget=budget,
-            solver=config["solver"],
-            incremental=bool(config.get("incremental", False)),
+            assembly, validate=False, check_domains=False, budget=budget
         )
         fixed = config["fixed"]
         parameter = config["parameter"]
@@ -107,10 +105,7 @@ def _execute_batch(unit: dict, budget) -> list[dict]:
 
     config = unit["config"]
     assembly = load_assembly(unit["payload"]["assembly_json"])
-    plan = compile_plan(
-        assembly, config["service"], budget=budget, solver=config["solver"],
-        incremental=bool(config.get("incremental", False)),
-    )
+    plan = compile_plan(assembly, config["service"], budget=budget)
     unit_entries = unit["payload"]["entries"]
     if plan.backend == "symbolic" and len(unit_entries) > 1:
         # one stacked kernel call for the whole unit (bitwise-identical

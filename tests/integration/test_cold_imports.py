@@ -5,7 +5,10 @@
 that reports ``sys.modules`` on exit.  None of them may load scipy (a
 dense one-shot solve is one ``numpy.linalg.solve``) or the
 process-pool stack: those load on first real need, which the last tests
-check still happens.
+check still happens.  The numeric what-if calls (finite-difference
+attribute sensitivity, candidate selection) on a model below
+``SPARSE_THRESHOLD`` states load no scipy either: each probe is its own
+dense one-shot solve.
 """
 
 import os
@@ -16,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.dsl import dump_assembly
-from repro.markov.solvers import scipy_available
+from repro.markov.solvers import SPARSE_THRESHOLD, scipy_available
 from repro.scenarios import (
     local_assembly,
     recursive_assembly,
@@ -43,6 +46,49 @@ CLI = (
 )
 
 POINT = ["elem=1", "list=500", "res=1"]
+
+#: Builds ``cyclic(states)``: one composite ``app`` whose flow states
+#: each call one of four providers ``p0..p3``, with a retry loop back
+#: seven states from every fifth state past the tenth.  Only every 50th
+#: state calls ``p0``, so perturbing ``p0::fp`` changes a few rows of the
+#: chain (the shape a low-rank update of one factorization would serve).
+CYCLIC = """\
+from repro.model import (
+    AnalyticInterface, Assembly, CompositeService, FlowBuilder,
+    ServiceRequest, SimpleService,
+)
+from repro.model.parameters import FormalParameter
+from repro.symbolic import Constant, Parameter
+
+
+def cyclic(states, rates=(1e-4, 2e-4, 3e-4, 4e-4)):
+    assembly = Assembly(f"cyclic{states}")
+    for j, fp in enumerate(rates):
+        assembly.add_service(SimpleService(
+            f"p{j}",
+            AnalyticInterface(formal_parameters=(FormalParameter("n"),),
+                              attributes={"fp": fp}),
+            Constant(1.0) - (Constant(1.0) - Parameter("fp")) ** Parameter("n"),
+        ))
+    builder = FlowBuilder(formals=("n",))
+    for i in range(states):
+        provider = 0 if i % 50 == 7 else 1 + i % (len(rates) - 1)
+        builder.state(f"s{i}", [ServiceRequest(
+            f"p{provider}", actuals={"n": Parameter("n")})])
+    builder.transition("Start", "s0", 1)
+    for i in range(states):
+        forward = f"s{i + 1}" if i + 1 < states else "End"
+        if i >= 10 and i % 5 == 0:
+            builder.transition(f"s{i}", forward, 0.9)
+            builder.transition(f"s{i}", f"s{i - 7}", 0.1)
+        else:
+            builder.transition(f"s{i}", forward, 1)
+    assembly.add_service(CompositeService("app", AnalyticInterface(
+        formal_parameters=(FormalParameter("n"),)), builder.build()))
+    for j in range(len(rates)):
+        assembly.bind("app", f"p{j}", f"p{j}")
+    return assembly
+"""
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +154,36 @@ def test_parallel_batch_loads_the_pool_stack(models):
     assert "multiprocessing" in modules
 
 
+def test_numeric_what_if_below_the_sparse_threshold_is_light():
+    states = 150
+    assert states < SPARSE_THRESHOLD
+    code = CYCLIC + (
+        "import sys\n"
+        "from repro.analysis import select_assembly\n"
+        "from repro.core.sensitivity import (\n"
+        "    finite_difference_attribute_sensitivity,\n"
+        ")\n"
+        "states = int(sys.argv[1])\n"
+        "model = cyclic(states)\n"
+        "for attribute in ('p0::fp', 'p3::fp'):\n"
+        "    finite_difference_attribute_sensitivity(\n"
+        "        model, 'app', {'n': 2.0}, attribute)\n"
+        "ranking = select_assembly(\n"
+        "    [1e-4, 5e-5, 2e-4],\n"
+        "    lambda fp: cyclic(states, (fp, 2e-4, 3e-4, 4e-4)),\n"
+        "    'app', {'n': 2.0})\n"
+        "assert all(candidate.ok for candidate in ranking)\n"
+    ) + REPORT
+    assert "scipy" not in loaded_modules(code, str(states))
+
+
 @pytest.mark.skipif(not scipy_available(), reason="needs scipy")
-def test_sparse_solve_loads_scipy(models):
-    modules = loaded_modules(CLI, "evaluate", models["local"], "search",
-                             "--set", *POINT, "--solver", "sparse")
+def test_sparse_solve_loads_scipy(tmp_path):
+    # auto sends a sparse chain of SPARSE_THRESHOLD states down the
+    # sparse backend, which is when scipy has to load
+    namespace = {}
+    exec(CYCLIC, namespace)
+    path = tmp_path / "cyclic.json"
+    path.write_text(dump_assembly(namespace["cyclic"](SPARSE_THRESHOLD)))
+    modules = loaded_modules(CLI, "evaluate", str(path), "app", "--set", "n=2")
     assert "scipy" in modules

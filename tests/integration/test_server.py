@@ -191,10 +191,10 @@ def test_schema_violation_answers_400_with_problem_paths(server):
     error = post_error(
         server.url + "/v1/evaluate",
         json.dumps({"model": MODEL, "service": "search",
-                    "solver": "quantum"}).encode(),
+                    "solver": "auto"}).encode(),
     )
     assert error.code == 400
-    assert "$.solver" in json.loads(error.read())["error"]
+    assert "$: unexpected key 'solver'" in json.loads(error.read())["error"]
 
 
 @pytest.mark.parametrize("path, body", [

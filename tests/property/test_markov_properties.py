@@ -7,6 +7,16 @@ from hypothesis import strategies as st
 
 from repro.markov import AbsorbingChainAnalysis, DiscreteTimeMarkovChain
 
+# A kept dense LU (a second right-hand side: expected steps or visits)
+# imports scipy on first need, about 0.3 s.  Load it here so that cost
+# does not land on whichever example first needs it and trip the
+# hypothesis deadline.
+try:
+    import scipy.linalg  # noqa: F401
+    import scipy.sparse.linalg  # noqa: F401
+except ImportError:
+    pass
+
 
 @st.composite
 def absorbing_chains(draw, max_transient=5):

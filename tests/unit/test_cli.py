@@ -319,15 +319,27 @@ class TestJobsFlag:
 
 
 class TestSolverFlag:
+    """``auto`` is the only backend the CLI uses: its output equals the
+    core evaluator's forced dense and sparse solves, and the retired
+    ``--solver``/``--incremental`` flags are usage errors."""
+
     EVALUATE = ["search", "--set", "elem=1", "list=500", "res=1"]
+    POINT = {"elem": 1.0, "list": 500.0, "res": 1.0}
+
+    def forced(self, local_file, solver):
+        from pathlib import Path
+
+        from repro.dsl import load_assembly
+
+        assembly = load_assembly(Path(local_file).read_text())
+        pfail = ReliabilityEvaluator(assembly, solver=solver).pfail(
+            "search", **self.POINT
+        )
+        return f"Pfail(search) = {pfail:.9e}\nR(search)     = {1.0 - pfail:.9f}\n"
 
     def test_dense_matches_default(self, local_file, capsys):
         assert main(["evaluate", local_file] + self.EVALUATE) == 0
-        default = capsys.readouterr().out
-        assert main(
-            ["evaluate", local_file, "--solver", "dense"] + self.EVALUATE
-        ) == 0
-        assert capsys.readouterr().out == default
+        assert capsys.readouterr().out == self.forced(local_file, "dense")
 
     def test_sparse_matches_default(self, local_file, capsys):
         from repro.markov import scipy_available
@@ -335,23 +347,37 @@ class TestSolverFlag:
         if not scipy_available():
             pytest.skip("sparse backend requires scipy")
         assert main(["evaluate", local_file] + self.EVALUATE) == 0
-        default = capsys.readouterr().out
-        assert main(
-            ["evaluate", local_file, "--solver", "sparse"] + self.EVALUATE
-        ) == 0
-        assert capsys.readouterr().out == default
+        assert capsys.readouterr().out == self.forced(local_file, "sparse")
 
-    def test_unknown_solver_is_usage_error(self, local_file):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["evaluate", local_file, "--solver", "banded"]
-                 + self.EVALUATE)
-        assert excinfo.value.code == 2
+    def test_unknown_solver_is_usage_error(self, local_file, capsys):
+        for flags in (["--solver", "dense"], ["--solver", "banded"],
+                      ["--incremental"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["evaluate", local_file] + flags + self.EVALUATE)
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_sweep_numeric_solver_matches(self, local_file, capsys):
+        from pathlib import Path
+
+        import numpy as np
+
+        from repro.analysis import format_sweep
+        from repro.analysis.sweep import SweepResult
+        from repro.dsl import load_assembly
+
         argv = ["sweep", local_file, "search", "list",
                 "--from", "1", "--to", "1000", "--points", "5",
                 "--method", "numeric", "--set", "elem=1", "res=1"]
         assert main(argv) == 0
         default = capsys.readouterr().out
-        assert main(argv + ["--solver", "dense"]) == 0
-        assert capsys.readouterr().out == default
+        assembly = load_assembly(Path(local_file).read_text())
+        dense = ReliabilityEvaluator(assembly, check_domains=False,
+                                     solver="dense")
+        fixed = {"elem": 1.0, "res": 1.0}
+        grid = np.linspace(1.0, 1000.0, 5)
+        pfail = np.array([dense.pfail("search", **fixed, list=float(v))
+                          for v in grid])
+        sweep = SweepResult(assembly.name, "search", "list", grid, pfail,
+                            fixed)
+        assert default.startswith(format_sweep(sweep) + "\n")

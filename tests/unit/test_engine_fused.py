@@ -76,7 +76,7 @@ class TestGridFastPath:
 
 @pytest.fixture(scope="module")
 def robust_plan():
-    return compile_plan(recursive_assembly(), "A", solver="sparse")
+    return compile_plan(recursive_assembly(), "A")
 
 
 class TestRobustDeadlines:
@@ -166,11 +166,9 @@ class TestRobustPool:
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         assembly = recursive_assembly()
         points = [{"size": float(1 + (i % 5))} for i in range(8)]
-        serial = BatchEngine(jobs=1, cache=PlanCache(), solver="sparse")
+        serial = BatchEngine(jobs=1, cache=PlanCache())
         expected = [e.pfail for e in serial.evaluate(assembly, "A", points)]
-        engine = BatchEngine(
-            jobs=2, cache=PlanCache(), solver="sparse", mode="process"
-        )
+        engine = BatchEngine(jobs=2, cache=PlanCache(), mode="process")
         result = engine.evaluate(assembly, "A", points)
         assert result.ok
         assert [e.backend for e in result] == ["robust"] * len(points)

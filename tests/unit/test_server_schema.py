@@ -42,7 +42,6 @@ def test_valid_evaluate_body_has_no_problems():
         "model": {"schema": "repro/1"},
         "service": "search",
         "actuals": {"list": 500},
-        "solver": "auto",
         "budget": {"deadline": 5.0, "max_states": 100},
     }
     assert schema_problems(body, EVALUATE_REQUEST) == []
@@ -76,9 +75,24 @@ def test_bool_is_not_an_integer_or_number():
 
 
 def test_enum_violation_is_reported():
-    body = {"model": {}, "service": "s", "solver": "quantum"}
-    problems = schema_problems(body, EVALUATE_REQUEST)
-    assert any("$.solver" in p and "quantum" in p for p in problems)
+    body = {"model": {}, "service": "s", "parameter": "p", "start": 0,
+            "stop": 1, "method": "quantum"}
+    problems = schema_problems(body, SWEEP_REQUEST)
+    assert any("$.method" in p and "quantum" in p for p in problems)
+
+
+@pytest.mark.parametrize("schema, body", [
+    (EVALUATE_REQUEST, {"model": {}, "service": "s"}),
+    (BATCH_REQUEST, {"requests": [{"model": {}, "service": "s"}]}),
+    (SWEEP_REQUEST, {"model": {}, "service": "s", "parameter": "p",
+                     "start": 0, "stop": 1}),
+])
+def test_retired_solver_field_is_an_unexpected_key(schema, body):
+    # auto is the only backend the daemon uses; the field went with the
+    # dense/sparse overrides
+    assert schema_problems(body, schema) == []
+    problems = schema_problems({**body, "solver": "auto"}, schema)
+    assert problems == ["$: unexpected key 'solver'"]
 
 
 def test_bounds_are_enforced():
@@ -342,14 +356,12 @@ def test_service_reuses_warm_caches(model_document):
     assert service.plan_cache.stats.hits > before
     assert stats["model"]["hits"] >= 1
     assert stats["server"]["evaluations"] == 2
-    # the solver block carries plan/factorization counters and the
-    # low-rank update outcomes next to the LRU stats
+    # the solver block carries plan/factorization counters next to the
+    # LRU stats
     solver = stats["solver"]
     assert solver["plans"] >= 0
     assert solver["factorizations"] >= 0
-    assert set(solver["updates"]) == {
-        "applied", "fallback_rank", "fallback_condition"
-    }
+    assert "updates" not in solver
 
 
 def test_service_rejects_invalid_payloads(model_document):

@@ -51,7 +51,7 @@ class TestWorkUnits:
         assert [u.unit_id for u in a.units] == [u.unit_id for u in b.units]
         assert a.campaign_id == b.campaign_id
         # any input change moves every affected id
-        c = sweep20(solver="dense")
+        c = sweep20(method="numeric")
         assert a.campaign_id != c.campaign_id
         assert all(
             x.unit_id != y.unit_id for x, y in zip(a.units, c.units)
@@ -170,7 +170,7 @@ class TestStore:
         store, _ = ResultStore.for_campaign(path, sweep20())
         store.close()
         with pytest.raises(CampaignStoreError, match="was written for"):
-            ResultStore.for_campaign(path, sweep20(solver="dense"))
+            ResultStore.for_campaign(path, sweep20(method="numeric"))
 
     def test_refuses_non_journal_file(self, tmp_path):
         path = tmp_path / "s.jsonl"
