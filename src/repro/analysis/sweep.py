@@ -88,18 +88,6 @@ def _validated_grid(values: Sequence[float] | np.ndarray) -> np.ndarray:
     return grid
 
 
-def _collect_chunks(chunk_results: list) -> np.ndarray:
-    """Concatenate ordered chunk outputs, rehydrating worker failures."""
-    from repro.engine.parallel import WorkerFailure, rebuild_error
-
-    out: list[float] = []
-    for result in chunk_results:
-        if isinstance(result, WorkerFailure):
-            raise rebuild_error(result)
-        out.extend(result)
-    return np.asarray(out, dtype=float)
-
-
 def _fused_symbolic(plan, parameter, grid, fixed, budget) -> np.ndarray:
     """One vectorized kernel pass over the whole grid, in-process.
 
@@ -132,10 +120,11 @@ def _parallel_numeric(
         }
         for chunk in chunks
     ]
-    return _collect_chunks(fan_out(
+    results = fan_out(
         "numeric sweep evaluation", numeric_sweep_chunk, payloads, chunks,
         jobs=jobs, budget=budget,
-    ))
+    )
+    return np.asarray([v for chunk in results for v in chunk], dtype=float)
 
 
 def sweep_parameter(

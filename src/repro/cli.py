@@ -606,6 +606,20 @@ def _campaign_run(args, campaign, budget=_BUDGET_FROM_FLAGS):
     return report
 
 
+def _print_batch_entries(entries) -> None:
+    """One line per batch entry: its ``Pfail`` and backend, or its typed
+    error — the same lines whether the batch ran plain or as a campaign."""
+    for entry in entries:
+        point = " ".join(
+            f"{k}={v:g}" for k, v in sorted(entry.actuals.items())
+        ) or "-"
+        if entry.ok:
+            outcome = f"Pfail = {entry.pfail:.9e}  [{entry.backend}]"
+        else:
+            outcome = f"error[{type(entry.error).__name__}]: {entry.error}"
+        print(f"{entry.label:24s} {point:32s} {outcome}")
+
+
 def _cmd_batch_campaign(args) -> int:
     from repro.workunits import assemble_batch, batch_campaign
 
@@ -618,20 +632,7 @@ def _cmd_batch_campaign(args) -> int:
     )
     report = _campaign_run(args, campaign)
     entries = assemble_batch(campaign, report)
-    for entry in entries:
-        point = " ".join(
-            f"{k}={v:g}" for k, v in sorted(entry.actuals.items())
-        ) or "-"
-        if entry.ok:
-            print(
-                f"{entry.label:24s} {point:32s} "
-                f"Pfail = {entry.pfail:.9e}  [{entry.backend}]"
-            )
-        else:
-            print(
-                f"{entry.label:24s} {point:32s} "
-                f"error[{type(entry.error).__name__}]: {entry.error}"
-            )
+    _print_batch_entries(entries)
     return 0 if report.ok and all(e.ok for e in entries) else 1
 
 
@@ -658,20 +659,7 @@ def _cmd_batch(args) -> int:
         for point in (points if points is not None else [default_point(assembly)])
     ]
     result = engine.run(requests)
-    for entry in result:
-        point = " ".join(
-            f"{k}={v:g}" for k, v in sorted(entry.actuals.items())
-        ) or "-"
-        if entry.ok:
-            print(
-                f"{entry.label:24s} {point:32s} "
-                f"Pfail = {entry.pfail:.9e}  [{entry.backend}]"
-            )
-        else:
-            print(
-                f"{entry.label:24s} {point:32s} "
-                f"error[{type(entry.error).__name__}]: {entry.error}"
-            )
+    _print_batch_entries(result)
     stats = result.stats
     print(
         f"batch: {stats.entries} evaluations over {stats.plans} plans "

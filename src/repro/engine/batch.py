@@ -38,15 +38,13 @@ from dataclasses import dataclass, field
 from repro import observability as obs
 from repro.engine.cache import PlanCache
 from repro.engine.parallel import (
-    WorkerFailure,
     charge_fused,
     evaluate_plan_points,
     fan_out,
-    rebuild_error,
     resolve_jobs,
     split_evenly,
 )
-from repro.engine.plan import EvaluationPlan, compile_plan, compilation_count
+from repro.engine.plan import EvaluationPlan, compile_plan
 from repro.errors import EvaluationError, ReproError
 from repro.model.assembly import Assembly
 from repro.model.service import Service
@@ -114,9 +112,10 @@ class BatchStats:
     Attributes:
         entries: number of points evaluated.
         plans: distinct (model, service) targets in the batch.
-        compilations: plan compilations this run actually performed —
-            with a warm cache this is 0 regardless of batch size.
-        cache_hits / cache_misses: cache traffic attributable to this run.
+        compilations: plans this run compiled — with a warm cache this
+            is 0 regardless of batch size.  Counted by the run itself, so
+            concurrent runs sharing a cache never charge each other.
+        cache_hits / cache_misses: this run's own plan-cache lookups.
         jobs: worker count used.
         fused_entries: entries served by stacked (fused) kernel calls
             instead of per-point dispatch.
@@ -258,14 +257,12 @@ class BatchEngine:
         started = time.monotonic()
         if self.budget is not None:
             self.budget.start()
-        compilations_before = compilation_count()
-        hits_before = self.cache.stats.hits if self.cache else 0
-        misses_before = self.cache.stats.misses if self.cache else 0
+        stats = BatchStats(entries=len(requests), jobs=self.jobs)
 
         serial = self.jobs <= 1 or len(requests) <= 1
         obs.gauge("batch.jobs", 1 if serial else self.jobs)
         with obs.span("batch.run", entries=len(requests)) as run_span:
-            groups = self._compile_groups(requests)
+            groups = self._compile_groups(requests, stats)
             entries = [
                 BatchEntry(i, r.label, r.service, dict(r.actuals))
                 for i, r in enumerate(requests)
@@ -283,31 +280,37 @@ class BatchEngine:
                 failures=sum(1 for e in entries if not e.ok),
             )
 
-        stats = BatchStats(
-            entries=len(entries),
-            plans=len(groups),
-            compilations=compilation_count() - compilations_before,
-            cache_hits=(self.cache.stats.hits - hits_before) if self.cache else 0,
-            cache_misses=(
-                (self.cache.stats.misses - misses_before) if self.cache else 0
-            ),
-            jobs=self.jobs,
-            fused_entries=fused_entries,
-            elapsed=time.monotonic() - started,
-        )
+        stats.plans = len(groups)
+        stats.fused_entries = fused_entries
+        stats.elapsed = time.monotonic() - started
         return BatchResult(entries, stats)
 
     # -- internals ---------------------------------------------------------
 
-    def _plan_for(self, assembly: Assembly, service: str) -> EvaluationPlan:
-        if self.cache is not None:
-            return self.cache.get_or_compile(
-                assembly, service, budget=self.budget
+    def _plan_for(
+        self, assembly: Assembly, service: str, stats: BatchStats
+    ) -> EvaluationPlan:
+        if self.cache is None:
+            plan = compile_plan(assembly, service, budget=self.budget)
+            stats.compilations += 1
+            return plan
+        try:
+            plan, compiled = self.cache.lookup(
+                assembly, service,
+                symbolic_attributes=False, backend="auto", budget=self.budget,
             )
-        return compile_plan(assembly, service, budget=self.budget)
+        except ReproError:
+            stats.cache_misses += 1  # a failed compile missed the cache
+            raise
+        if compiled:
+            stats.cache_misses += 1
+            stats.compilations += 1
+        else:
+            stats.cache_hits += 1
+        return plan
 
     def _compile_groups(
-        self, requests: Sequence[BatchRequest]
+        self, requests: Sequence[BatchRequest], stats: BatchStats
     ) -> dict[str, tuple[EvaluationPlan, list[int]]]:
         """Compile each distinct target once; group request indices by plan.
 
@@ -322,7 +325,9 @@ class BatchEngine:
             fingerprint = by_identity.get(ident)
             if fingerprint is None:
                 try:
-                    plan = self._plan_for(request.assembly, request.service)
+                    plan = self._plan_for(
+                        request.assembly, request.service, stats
+                    )
                     fingerprint = plan.fingerprint
                 except ReproError as exc:
                     plan = exc
@@ -413,7 +418,7 @@ class BatchEngine:
             for index, outcome in zip(chunk, chunk_outcomes):
                 entry = entries[index]
                 entry.backend = payload["plan"].backend
-                if isinstance(outcome, WorkerFailure):
-                    entry.error = rebuild_error(outcome)
+                if isinstance(outcome, ReproError):
+                    entry.error = outcome
                 else:
                     entry.pfail = float(outcome)

@@ -9,6 +9,10 @@ identical across those points.  :class:`PlanCache` memoizes compiled
 
 - **hit**  — the fingerprint matches a cached plan: no derivation runs;
 - **miss** — first sight of this (model, service, mode): compile and keep;
+- **the requested backend decides, not the cache** — an ``auto`` plan and
+  a ``symbolic`` request share one entry only while the closed form
+  exists, and explicitly ``robust`` plans keep their own, so a lookup
+  answers exactly what a cold compile with that backend would;
 - **invalidation is automatic** — mutating the model (an attribute, a
   transition, a binding) changes the fingerprint, so the stale plan is
   simply never looked up again; a bounded cache evicts it in LRU order.
@@ -73,12 +77,15 @@ class PlanCache:
         service: str | Service,
         symbolic_attributes: bool = False,
     ) -> EvaluationPlan | None:
-        """The cached plan for this (model, service, mode), or ``None``.
+        """The cached ``auto`` plan for this (model, service, mode), or
+        ``None``.
 
         Does not update hit/miss statistics; use :meth:`get_or_compile`
         for the accounted path.
         """
-        return self._lru.get(plan_key(assembly, service, symbolic_attributes))
+        return self._lru.get(
+            plan_key(assembly, service, symbolic_attributes) + ("auto",)
+        )
 
     def get_or_compile(
         self,
@@ -89,7 +96,31 @@ class PlanCache:
         backend: str = "auto",
         budget: EvaluationBudget | None = None,
     ) -> EvaluationPlan:
-        """The plan for this (model, service, mode), compiling on miss.
+        """The plan for this (model, service, mode), compiling on miss."""
+        return self.lookup(
+            assembly,
+            service,
+            symbolic_attributes=symbolic_attributes,
+            backend=backend,
+            budget=budget,
+        )[0]
+
+    def lookup(
+        self,
+        assembly: Assembly,
+        service: str | Service,
+        *,
+        symbolic_attributes: bool,
+        backend: str,
+        budget: EvaluationBudget | None,
+    ) -> tuple[EvaluationPlan, bool]:
+        """:meth:`get_or_compile`, plus whether this call compiled.
+
+        The answer is what ``compile_plan(..., backend=backend)`` gives on
+        a cold cache.  ``auto`` and ``symbolic`` requests share an entry:
+        a symbolic plan serves both, and a ``symbolic`` request that finds
+        the ``auto`` fallback to the robust skeleton re-runs the
+        derivation, which raises its typed error as it would cold.
 
         Compilation runs outside the cache lock, so two threads missing on
         *different* models compile concurrently; two threads racing on the
@@ -97,17 +128,32 @@ class PlanCache:
         equal fingerprints are interchangeable, so this is only duplicated
         work, never wrong answers).
         """
-        key = plan_key(assembly, service, symbolic_attributes)
-        return self._lru.get_or_create(
-            key,
-            lambda: compile_plan(
+        compiled = False
+
+        def compile_(requested: str) -> EvaluationPlan:
+            nonlocal compiled
+            plan = compile_plan(
                 assembly,
                 service,
                 symbolic_attributes=symbolic_attributes,
-                backend=backend,
+                backend=requested,
                 budget=budget,
-            ),
-        )
+            )
+            compiled = True
+            return plan
+
+        key = plan_key(assembly, service, symbolic_attributes)
+        if backend == "robust":
+            plan = self._lru.get_or_create(
+                key + ("robust",), lambda: compile_("robust")
+            )
+        else:
+            plan = self._lru.get_or_create(
+                key + ("auto",), lambda: compile_(backend)
+            )
+            if backend == "symbolic" and plan.backend != "symbolic":
+                plan = compile_("symbolic")
+        return plan, compiled
 
     def put(self, key: tuple, plan: EvaluationPlan) -> None:
         """Store a compiled plan under its key, evicting past the bound."""

@@ -23,10 +23,14 @@ importable from a fresh worker process:
   deadline at dispatch (:func:`remaining_deadline`) and each worker
   enforces it locally through its own :class:`~repro.runtime.EvaluationBudget`;
   consumption caps (Monte-Carlo trials) are charged once, in the parent,
-  before dispatch.  A worker that trips its local budget reports a typed
-  :class:`WorkerFailure` which the parent rehydrates into the original
-  error class (:func:`rebuild_error`), so ``--jobs 8`` surfaces the same
-  exit codes as ``--jobs 1``.
+  before dispatch;
+- **typed errors travel as themselves**: a worker returns the
+  :class:`~repro.errors.ReproError` it caught (every subclass pickles as
+  itself, its cause chain as ``caused by …`` notes), and :func:`fan_out`
+  raises a returned error in the parent — so ``--jobs 8`` raises the same
+  class, message and exit code as ``--jobs 1``.  Batch workers return one
+  outcome per point (a ``Pfail`` or the point's error), so one bad point
+  fails only its own entry.
 """
 
 from __future__ import annotations
@@ -35,21 +39,13 @@ import os
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
 
-import repro.errors as _errors
 from repro import observability as obs
 from repro.caching import LRUCache
-from repro.errors import (
-    BudgetExceededError,
-    EvaluationError,
-    ReproError,
-    error_chain,
-)
+from repro.errors import EvaluationError, ReproError
 from repro.runtime.budget import EvaluationBudget
 
 __all__ = [
-    "WorkerFailure",
     "broken_pool_error",
     "evaluate_plan_points",
     "fan_out",
@@ -57,7 +53,6 @@ __all__ = [
     "fuzz_block",
     "numeric_sweep_chunk",
     "observe_token",
-    "rebuild_error",
     "remaining_deadline",
     "reset_clamp_warning",
     "reset_fused_counts",
@@ -289,7 +284,9 @@ def fan_out(
     remaining ``deadline`` (see :func:`remaining_deadline`).  Results come
     back in submission order, unpacked of any shipped worker metrics and
     spans (:func:`unpack_worker_payload`); the budget deadline is checked
-    after each one.
+    after each one.  A worker that returns a
+    :class:`~repro.errors.ReproError` instead of a result fails the
+    fan-out with that error, raised here in the parent.
 
     ``covers[i]`` lists the entry indices payload ``i`` serves.  A worker
     killed hard breaks the pool, during submission or collection alike;
@@ -316,7 +313,10 @@ def fan_out(
                 executor = _pool(jobs)
             futures.append(executor.submit(worker, stamped))
         for future in futures:
-            results.append(unpack_worker_payload(future.result()))
+            result = unpack_worker_payload(future.result())
+            if isinstance(result, ReproError):
+                raise result
+            results.append(result)
             if budget is not None:
                 budget.check_deadline(what)
     except BrokenProcessPool as exc:
@@ -330,83 +330,6 @@ def fan_out(
             future.cancel()
         raise
     return results
-
-
-# ---------------------------------------------------------------------------
-# typed-error transport
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class WorkerFailure:
-    """A typed error captured in a worker, in picklable form.
-
-    Custom :class:`~repro.errors.ReproError` subclasses take structured
-    ``__init__`` arguments, so the live exceptions do not survive pickling
-    across a process boundary; workers ship this transport record and the
-    parent rebuilds an equivalent error with :func:`rebuild_error`.
-
-    ``cause_chain`` carries the stringified ``__cause__``/``__context__``
-    chain of the original error (outermost first), so nested failures keep
-    their root cause across the process boundary instead of flattening to
-    the outer message alone.
-    """
-
-    kind: str
-    message: str
-    resource: str | None = None  # BudgetExceededError fields, when present
-    limit: float | None = None
-    used: float | None = None
-    cause_chain: tuple[str, ...] = field(default_factory=tuple)
-
-    @classmethod
-    def from_error(cls, error: ReproError) -> "WorkerFailure":
-        chain = error_chain(error)[1:]  # [0] repeats kind/message
-        if isinstance(error, BudgetExceededError):
-            return cls(
-                type(error).__name__, str(error),
-                resource=error.resource, limit=error.limit, used=error.used,
-                cause_chain=chain,
-            )
-        return cls(type(error).__name__, str(error), cause_chain=chain)
-
-
-def rebuild_error(failure: WorkerFailure) -> ReproError:
-    """Rehydrate a :class:`WorkerFailure` into a raisable typed error.
-
-    Budget trips reconstruct exactly (resource/limit/used survive the
-    transport); other classes are rebuilt by name when their constructor
-    takes a bare message, and fall back to the nearest base class
-    otherwise — the CLI exit-code taxonomy keys on ``isinstance``, so a
-    base-class fallback still maps to the right exit code family.
-
-    A transported ``cause_chain`` is re-attached as exception notes
-    (``add_note``), so ``--jobs 8`` tracebacks show the same root causes
-    as ``--jobs 1``.
-    """
-    if failure.resource is not None:
-        error: ReproError | None = BudgetExceededError(
-            failure.resource, failure.limit, failure.used, failure.message
-        )
-    else:
-        error = None
-        cls = getattr(_errors, failure.kind, None)
-        if isinstance(cls, type) and issubclass(cls, ReproError):
-            try:
-                error = cls(failure.message)
-            except TypeError:
-                for base in cls.__mro__[1:]:
-                    if issubclass(base, ReproError):
-                        try:
-                            error = base(f"[{failure.kind}] {failure.message}")
-                            break
-                        except TypeError:
-                            continue
-        if error is None:
-            error = EvaluationError(f"[{failure.kind}] {failure.message}")
-    for link in getattr(failure, "cause_chain", ()):
-        error.add_note(f"caused by {link}")
-    return error
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +409,9 @@ def evaluate_plan_points(payload: dict) -> list:
     Payload: ``plan`` (:class:`EvaluationPlan`), ``points`` (list of
     name→value dicts), ``deadline`` (remaining seconds or ``None``).
     An equal plan sent again is evaluated on the worker's warm copy.
-    Returns one entry per point: a float ``Pfail`` or a
-    :class:`WorkerFailure` (per-point isolation: one bad point does not
-    poison the block).
+    Returns one entry per point: a float ``Pfail`` or the point's
+    :class:`~repro.errors.ReproError` (per-point isolation: one bad point
+    does not poison the block).
     """
     owned = _begin_worker_observation(payload)
     plan = payload["plan"]
@@ -503,44 +426,30 @@ def evaluate_plan_points(payload: dict) -> list:
         try:
             results.append(plan.pfail(point, budget=budget))
         except ReproError as exc:
-            results.append(WorkerFailure.from_error(exc))
+            results.append(exc)
         obs.observe("batch.entry.seconds", time.perf_counter() - t0)
     return _ship_worker_observation(results, owned)
 
 
-def numeric_sweep_chunk(payload: dict) -> list[float] | WorkerFailure:
-    """Evaluate one grid chunk through the recursive numeric evaluator.
+def numeric_sweep_chunk(payload: dict) -> list[float] | ReproError:
+    """Evaluate one grid chunk as a serial numeric
+    :func:`~repro.analysis.sweep.sweep_parameter`.
 
     Payload: ``assembly_json`` (canonical ``repro/1`` text), ``service``,
     ``parameter``, ``values``, ``fixed``, ``deadline``.  The assembly is
     rebuilt from JSON because live assemblies do not pickle.
     """
-    from repro.core.evaluator import ReliabilityEvaluator
+    from repro.analysis.sweep import sweep_parameter
     from repro.dsl import load_assembly
 
-    owned = _begin_worker_observation(payload)
-    budget = worker_budget(payload.get("deadline"))
-    t0 = time.perf_counter()
-    try:
-        assembly = load_assembly(payload["assembly_json"])
-        evaluator = ReliabilityEvaluator(
-            assembly, validate=False, check_domains=False, budget=budget
-        )
-        fixed = payload["fixed"]
-        parameter = payload["parameter"]
-        result: list[float] | WorkerFailure = [
-            evaluator.pfail(
-                payload["service"], **{**fixed, parameter: float(v)}
-            )
-            for v in payload["values"]
-        ]
-    except ReproError as exc:
-        result = WorkerFailure.from_error(exc)
-    obs.observe("batch.entry.seconds", time.perf_counter() - t0)
-    return _ship_worker_observation(result, owned)
+    return _run_worker(payload, lambda budget: sweep_parameter(
+        load_assembly(payload["assembly_json"]), payload["service"],
+        payload["parameter"], payload["values"], payload["fixed"],
+        method="numeric", budget=budget,
+    ).pfail.tolist())
 
 
-def simulate_block(payload: dict) -> tuple[int, int] | WorkerFailure:
+def simulate_block(payload: dict) -> tuple[int, int] | ReproError:
     """Run one Monte-Carlo trial block; returns ``(trials, failures)``.
 
     Payload: ``assembly_json``, ``service``, ``actuals``, ``trials``,
@@ -550,22 +459,27 @@ def simulate_block(payload: dict) -> tuple[int, int] | WorkerFailure:
     from repro.dsl import load_assembly
     from repro.simulation.engine import MonteCarloSimulator
 
-    owned = _begin_worker_observation(payload)
-    budget = worker_budget(payload.get("deadline"))
-    t0 = time.perf_counter()
-    try:
-        assembly = load_assembly(payload["assembly_json"])
-        simulator = MonteCarloSimulator(
-            assembly, seed=payload["seed"], validate=False, budget=budget
-        )
-        estimate = simulator.estimate_pfail(
+    def simulate(budget) -> tuple[int, int]:
+        estimate = MonteCarloSimulator(
+            load_assembly(payload["assembly_json"]),
+            seed=payload["seed"], validate=False, budget=budget,
+        ).estimate_pfail(
             payload["service"], payload["trials"], **payload["actuals"]
         )
-        result: tuple[int, int] | WorkerFailure = (
-            estimate.trials, estimate.failures
-        )
+        return estimate.trials, estimate.failures
+
+    return _run_worker(payload, simulate)
+
+
+def _run_worker(payload: dict, work):
+    """Run ``work(budget)`` under the payload's deadline; the result, or
+    the typed error it raised, goes back with this scope's observations."""
+    owned = _begin_worker_observation(payload)
+    t0 = time.perf_counter()
+    try:
+        result = work(worker_budget(payload.get("deadline")))
     except ReproError as exc:
-        result = WorkerFailure.from_error(exc)
+        result = exc
     obs.observe("batch.entry.seconds", time.perf_counter() - t0)
     return _ship_worker_observation(result, owned)
 

@@ -22,7 +22,39 @@ from __future__ import annotations
 
 
 class ReproError(Exception):
-    """Base class for all errors raised by the repro library."""
+    """Base class for all errors raised by the repro library.
+
+    Every subclass pickles as itself: class, ``args`` and attributes come
+    back as they were, without re-running the subclass ``__init__`` (whose
+    structured arguments would otherwise be fed the rendered message), and
+    the cause chain, which pickling drops, comes back as ``caused by …``
+    notes.  A pool worker can therefore return or raise its error, and the
+    parent gets the same class, message and attributes.
+    """
+
+    def __reduce__(self):
+        return restore_error, (
+            type(self), self.args, self.__dict__, error_chain(self)[1:]
+        )
+
+
+def restore_error(cls, args, state, causes) -> ReproError:
+    """A ``cls`` error with these ``args`` and attributes, ``__init__`` unrun.
+
+    The inverse of :meth:`ReproError.__reduce__`, and the one way a typed
+    error crosses a process or journal boundary.  Each entry of ``causes``
+    (``"Type: message"``, as :func:`error_chain` renders it) is appended
+    as a ``caused by …`` note.
+    """
+    error = cls.__new__(cls)
+    error.args = tuple(args)
+    error.__dict__.update(state)
+    if causes:
+        error.__notes__ = [
+            *getattr(error, "__notes__", ()),
+            *(f"caused by {link}" for link in causes),
+        ]
+    return error
 
 
 def error_chain(error: BaseException) -> tuple[str, ...]:
@@ -52,8 +84,8 @@ def format_error_chain(error: BaseException) -> str:
     """One line: ``"Type: msg (caused by Type2: msg2; caused by ...)"``.
 
     The full cause chain of a nested failure, flattened for transport
-    through string-only channels (fuzz-case records, worker-failure
-    messages) — so an isolation boundary never swallows the root cause.
+    through string-only channels (fuzz-case records, campaign journals) —
+    so an isolation boundary never swallows the root cause.
     """
     chain = error_chain(error)
     if len(chain) <= 1:

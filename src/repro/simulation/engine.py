@@ -239,12 +239,7 @@ class MonteCarloSimulator:
         self, service: str | Service, trials: int, jobs: int, actuals: dict
     ) -> SimulationResult:
         from repro.engine.fingerprint import canonical_json
-        from repro.engine.parallel import (
-            WorkerFailure,
-            fan_out,
-            rebuild_error,
-            simulate_block,
-        )
+        from repro.engine.parallel import fan_out, simulate_block
 
         name = service.name if isinstance(service, Service) else str(service)
         blocks = min(jobs, trials)
@@ -267,14 +262,10 @@ class MonteCarloSimulator:
             [[block] for block in range(blocks)],
             jobs=jobs, budget=self.budget,
         )
-        total_trials = total_failures = 0
-        for outcome in outcomes:
-            if isinstance(outcome, WorkerFailure):
-                raise rebuild_error(outcome)
-            block_trials, block_failures = outcome
-            total_trials += block_trials
-            total_failures += block_failures
-        return SimulationResult(total_trials, total_failures)
+        return SimulationResult(
+            sum(trials for trials, _ in outcomes),
+            sum(failures for _, failures in outcomes),
+        )
 
     def compile(self, service: str | Service, **actuals: float):
         """Compile the invocation of ``service`` with ``actuals`` into a

@@ -126,7 +126,6 @@ class CompiledKernel:
     def __init__(
         self,
         ops: list[_Op],
-        n_slots: int,
         consts: list[tuple[int, float]],
         params: list[tuple[str, int]],
         result_slot: int,
@@ -138,9 +137,6 @@ class CompiledKernel:
         self._consts = consts
         self._params = params
         self._result_slot = result_slot
-        self._template: list = [None] * n_slots
-        for slot, value in consts:
-            self._template[slot] = value
         self._result_is_op = result_slot in {op.out for op in ops}
         self._variants: dict[tuple, tuple] = {}  # array signature -> (fn, n_buffers)
         self._variants_lock = threading.Lock()
@@ -161,11 +157,11 @@ class CompiledKernel:
         write into preallocated per-thread buffers.  Arrays of differing
         but broadcast-compatible shapes (a ``(models, 1)`` column against a
         ``(1, points)`` row of a stacked grid) are broadcast up front —
-        zero-copy views — and run through the same straight-line code;
-        only non-broadcastable shapes fall back to the generic per-op
-        pass.  Missing parameters raise
-        :class:`~repro.errors.UnboundParameterError`, as the tree walk
-        does.
+        zero-copy views — and run through the same straight-line code.
+        Non-broadcastable shapes raise :class:`ValueError` before any op
+        runs, and missing parameters raise
+        :class:`~repro.errors.UnboundParameterError` — the types the tree
+        walk raises.
         """
         values = []
         sig = []
@@ -193,26 +189,16 @@ class CompiledKernel:
             sig.append(is_array)
 
         if mixed:
-            try:
-                shape = np.broadcast_shapes(
-                    *[v.shape for v, a in zip(values, sig) if a]
-                )
-            except ValueError:
-                shape = None
-            if shape is None:
-                # non-broadcastable shapes: let the per-op interpreter
-                # raise exactly where the tree walk would
-                result = self._run_mixed(values)
-            else:
-                # broadcast up front (views, no copies) so the stacked
-                # call runs the same straight-line code as a uniform one
-                values = [
-                    np.broadcast_to(v, shape) if a else v
-                    for v, a in zip(values, sig)
-                ]
-                result = self._run_uniform(tuple(sig), values, shape)
-        else:
-            result = self._run_uniform(tuple(sig), values, shape)
+            # broadcast up front (views, no copies) so the stacked call
+            # runs the same straight-line code as a uniform one
+            shape = np.broadcast_shapes(
+                *[v.shape for v, a in zip(values, sig) if a]
+            )
+            values = [
+                np.broadcast_to(v, shape) if a else v
+                for v, a in zip(values, sig)
+            ]
+        result = self._run_uniform(tuple(sig), values, shape)
 
         if isinstance(result, np.ndarray) and result.shape == ():
             return float(result)
@@ -388,43 +374,6 @@ class CompiledKernel:
         store[sig] = (flats, shape, views)
         return views
 
-    # -- generic fallback (arrays of differing shapes) ---------------------
-
-    def _run_mixed(self, values: list) -> Value:
-        """Per-op broadcasting interpreter for calls that mix array shapes
-        (the specialized variants assume one common grid shape)."""
-        slots = self._template.copy()
-        for (_name, slot), value in zip(self._params, values):
-            slots[slot] = value
-        buffers = getattr(self._local, "mixed_buffers", None)
-        if buffers is None:
-            buffers = self._local.mixed_buffers = {}
-        for op in self._ops:
-            ins = [slots[i] for i in op.ins]
-            if op.kind == "ufunc":
-                shapes = [v.shape for v in ins if isinstance(v, np.ndarray)]
-                if shapes:
-                    shape = np.broadcast_shapes(*shapes)
-                    if shape:
-                        buffer = buffers.get(op.out)
-                        if buffer is None or buffer.shape != shape:
-                            buffer = np.empty(shape, dtype=float)
-                            buffers[op.out] = buffer
-                        op.func(*ins, out=buffer)
-                        slots[op.out] = buffer
-                        continue
-            slots[op.out] = op.func(*ins)
-        result = slots[self._result_slot]
-        if (
-            isinstance(result, np.ndarray)
-            and result.shape != ()
-            and self._result_is_op
-        ):
-            # the result lives in a reused buffer; hand out a copy so the
-            # next evaluation cannot mutate the caller's array
-            return result.copy()
-        return result
-
     def describe(self) -> str:
         """A human-readable listing of the tape (debugging aid)."""
         lines = [
@@ -541,7 +490,6 @@ def _compile(expr: Expression) -> CompiledKernel:
 
     return CompiledKernel(
         ops=ops,
-        n_slots=next_slot,
         consts=consts,
         params=params,
         result_slot=slot_of_node[id(expr)],

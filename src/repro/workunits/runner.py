@@ -8,7 +8,8 @@ render:
 - sweep campaigns  → :class:`~repro.analysis.sweep.SweepResult`
   (quarantined slices appear as ``NaN`` — a hole, not a lie);
 - batch campaigns  → ordered :class:`~repro.engine.batch.BatchEntry`
-  rows with typed errors rebuilt by class name;
+  rows with typed errors rebuilt as the plain batch raised them
+  (:func:`error_from_record`);
 - fuzz campaigns   → :class:`~repro.robustness.harness.FuzzReport`.
 
 Because unit payloads are bit-identical across runs (PR 5 determinism)
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from repro.errors import EvaluationError, ReproError
+from repro.errors import EvaluationError, ReproError, restore_error
 
 from repro.workunits.supervisor import CampaignReport, Supervisor
 from repro.workunits.units import Campaign
@@ -80,22 +81,32 @@ def assemble_sweep(campaign: Campaign, report: CampaignReport):
     )
 
 
-def _rebuild_error(name: str, message: str) -> ReproError:
-    """A raisable typed error from a journaled ``(class name, message)``.
+def error_from_record(record: dict) -> ReproError:
+    """The typed error a journaled batch entry recorded.
 
-    Classes with non-trivial constructors fall back to
-    :class:`EvaluationError` — the message still carries the original
-    class name, and isinstance-based exit codes stay in the right family.
+    ``message`` holds :func:`~repro.errors.format_error_chain` of the
+    error; stripping the ``"Type: "`` head and the ``(caused by …)`` tail
+    rendered from ``causes`` gives back its ``str()``.  The error is then
+    rebuilt by :func:`~repro.errors.restore_error`, as a pickled one is —
+    so a campaign prints the class and message the plain batch prints.
+    Records without ``causes`` (older journals) keep any tail in the
+    message; a class this library no longer defines comes back as an
+    :class:`EvaluationError` naming it.
     """
     from repro import errors as errors_module
 
+    name = str(record.get("error", ""))
+    message = str(record.get("message", ""))
+    causes = tuple(record.get("causes", ()))
+    message = message.removeprefix(f"{name}: ")
+    if causes:
+        message = message.removesuffix(
+            " (caused by " + "; caused by ".join(causes) + ")"
+        )
     cls = getattr(errors_module, name, None)
-    if isinstance(cls, type) and issubclass(cls, ReproError):
-        try:
-            return cls(message)
-        except TypeError:
-            pass
-    return EvaluationError(f"{name}: {message}" if name else message)
+    if not (isinstance(cls, type) and issubclass(cls, ReproError)):
+        cls, message = EvaluationError, f"{name}: {message}"
+    return restore_error(cls, (message,), {}, causes)
 
 
 def assemble_batch(campaign: Campaign, report: CampaignReport) -> list:
@@ -142,10 +153,7 @@ def assemble_batch(campaign: Campaign, report: CampaignReport) -> list:
             else:
                 entries.append(BatchEntry(
                     index, label, service, actuals,
-                    error=_rebuild_error(
-                        str(record.get("error", "")),
-                        str(record.get("message", "")),
-                    ),
+                    error=error_from_record(record),
                 ))
     entries.sort(key=lambda entry: entry.index)
     return entries

@@ -29,7 +29,7 @@ from repro.engine.parallel import (
     _ship_worker_observation,
     worker_budget,
 )
-from repro.errors import ReproError, format_error_chain
+from repro.errors import ReproError, error_chain, format_error_chain
 
 __all__ = ["execute_unit", "validate_payload"]
 
@@ -69,77 +69,51 @@ def execute_unit(payload: dict) -> dict:
 
 
 def _execute_sweep(unit: dict, budget) -> list[float]:
+    from repro.analysis.sweep import sweep_parameter
     from repro.dsl import load_assembly
 
     config = unit["config"]
-    values = [float(v) for v in unit["payload"]["values"]]
-    assembly = load_assembly(unit["payload"]["assembly_json"])
-    if config["method"] == "numeric":
-        from repro.core.evaluator import ReliabilityEvaluator
-
-        evaluator = ReliabilityEvaluator(
-            assembly, validate=False, check_domains=False, budget=budget
-        )
-        fixed = config["fixed"]
-        parameter = config["parameter"]
-        return [
-            float(evaluator.pfail(
-                config["service"], **{**fixed, parameter: v}
-            ))
-            for v in values
-        ]
-    from repro.engine.plan import compile_plan
-
-    plan = compile_plan(
-        assembly, config["service"], backend="symbolic", budget=budget
-    )
-    grid = plan.pfail_grid(
-        config["parameter"], values, config["fixed"], budget=budget
-    )
-    return [float(v) for v in grid]
+    return sweep_parameter(
+        load_assembly(unit["payload"]["assembly_json"]),
+        config["service"],
+        config["parameter"],
+        [float(v) for v in unit["payload"]["values"]],
+        config["fixed"],
+        method=config["method"],
+        budget=budget,
+    ).pfail.tolist()
 
 
 def _execute_batch(unit: dict, budget) -> list[dict]:
     from repro.dsl import load_assembly
-    from repro.engine.plan import compile_plan
+    from repro.engine.batch import BatchEngine
 
-    config = unit["config"]
-    assembly = load_assembly(unit["payload"]["assembly_json"])
-    plan = compile_plan(assembly, config["service"], budget=budget)
     unit_entries = unit["payload"]["entries"]
-    if plan.backend == "symbolic" and len(unit_entries) > 1:
-        # one stacked kernel call for the whole unit (bitwise-identical
-        # to the loop); any error falls back so isolation stays per-point
-        try:
-            stacked = plan.pfail_stack(
-                [entry["actuals"] for entry in unit_entries], budget=budget
-            )
-        except ReproError:
-            pass
-        else:
-            return [
-                {
-                    "request_index": int(entry["request_index"]),
-                    "pfail": float(stacked[i]),
-                    "backend": plan.backend,
-                }
-                for i, entry in enumerate(unit_entries)
-            ]
-    entries: list[dict] = []
-    for entry in unit_entries:
-        record = {"request_index": int(entry["request_index"])}
-        try:
-            record["pfail"] = float(
-                plan.pfail(entry["actuals"], budget=budget)
-            )
-            record["backend"] = plan.backend
-        except ReproError as exc:
-            # per-point isolation, as in BatchEngine: a bad point is a
-            # typed error entry, not a failed unit
-            record["error"] = type(exc).__name__
-            record["message"] = format_error_chain(exc)
-        entries.append(record)
-    return entries
+    result = BatchEngine(cache=False, budget=budget).evaluate(
+        load_assembly(unit["payload"]["assembly_json"]),
+        unit["config"]["service"],
+        [entry["actuals"] for entry in unit_entries],
+    )
+    return [
+        {"request_index": int(entry["request_index"]), **_entry_record(outcome)}
+        for entry, outcome in zip(unit_entries, result)
+    ]
+
+
+def _entry_record(entry) -> dict:
+    """The journal form of one batch entry: its answer, or its typed error
+    as class name, rendered chain and, if it has any, causes (see
+    :func:`repro.workunits.runner.error_from_record`)."""
+    if entry.ok:
+        return {"pfail": entry.pfail, "backend": entry.backend}
+    record = {
+        "error": type(entry.error).__name__,
+        "message": format_error_chain(entry.error),
+    }
+    causes = error_chain(entry.error)[1:]
+    if causes:
+        record["causes"] = list(causes)
+    return record
 
 
 def _execute_fuzz(unit: dict, budget) -> list[dict]:

@@ -120,6 +120,26 @@ def test_sweep_round_trip(server):
     assert reply["method"] == "symbolic"
 
 
+def test_symbolic_sweep_answer_does_not_depend_on_earlier_evaluate(server):
+    """A symbolic sweep of a cyclic model is refused (422) on a cold plan
+    cache, and still refused after ``/v1/evaluate`` cached the model's
+    robust plan — never served that plan's fixed-point answer."""
+    from repro.scenarios import recursive_assembly
+
+    model = json.loads(dump_assembly(recursive_assembly()))
+    sweep = {"model": model, "service": "A", "parameter": "size",
+             "start": 1, "stop": 3, "points": 3}
+    cold = post_error(server.url + "/v1/sweep", json.dumps(sweep).encode())
+    assert cold.code == 422
+    assert "CyclicAssemblyError" in cold.read().decode()
+    evaluated = post(server.url + "/v1/evaluate", {
+        "model": model, "service": "A", "actuals": {"size": 1}})
+    assert evaluated["backend"] == "robust"
+    warm = post_error(server.url + "/v1/sweep", json.dumps(sweep).encode())
+    assert warm.code == 422
+    assert "CyclicAssemblyError" in warm.read().decode()
+
+
 def test_coalescing_n_identical_inflight_requests_solve_once():
     """The tentpole concurrency proof: hold the leader's computation at a
     gate, pile N-1 identical requests behind it, release, and check that

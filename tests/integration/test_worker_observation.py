@@ -5,7 +5,9 @@ flag cannot tell it whether it is in a process of its own; the pid in the
 payload's ``observe`` field can.  At ``jobs=2`` the numeric sweep and a
 robust batch do their solves in workers, so the parent's snapshot only
 shows ``solver.*`` counters, and the worker spans only hang under
-``sweep.run``/``batch.run``, when the workers shipped them.
+``sweep.run``/``batch.run``, when the workers shipped them.  A numeric
+sweep worker runs its chunk as a serial ``sweep_parameter``, so its own
+``sweep.run`` span sits between the two.
 """
 
 import os
@@ -32,10 +34,12 @@ def collect(monkeypatch):
 
 def _worker_children(root: str) -> list:
     """Finished spans recorded in another process whose parent is the
-    parent's ``root`` span."""
+    parent's own ``root`` span."""
     spans = obs.tracer().finished
-    (run,) = [s for s in spans if s.name == root]
     own = f"{os.getpid()}-"
+    (run,) = [
+        s for s in spans if s.name == root and s.span_id.startswith(own)
+    ]
     return [
         s for s in spans
         if s.parent_id == run.span_id and not s.span_id.startswith(own)
@@ -50,9 +54,13 @@ def test_numeric_sweep_workers_report_solver_work(collect):
     counters = obs.registry().snapshot()["counters"]
     assert counters.get("solver.factorizations", 0) > 0
     assert any(name.startswith("cache.solver.") for name in counters)
-    children = _worker_children("sweep.run")
-    assert {s.name for s in children} == {"evaluator.pfail"}
-    assert len(children) == 6
+    # each worker runs its chunk as a serial sweep of its own
+    chunks = _worker_children("sweep.run")
+    assert [s.name for s in chunks] == ["sweep.run", "sweep.run"]
+    ids = {s.span_id for s in chunks}
+    points = [s for s in obs.tracer().finished if s.parent_id in ids]
+    assert {s.name for s in points} == {"evaluator.pfail"}
+    assert len(points) == 6
 
 
 def test_robust_batch_workers_report_solver_work(collect):

@@ -165,6 +165,39 @@ class TestMultiModel:
         assert again.stats.cache_hits == 2
         assert again.pfails() == result.pfails()
 
+    def test_stats_count_only_this_runs_work(self, monkeypatch):
+        """A compile on another thread while this run's own compile is
+        in flight is not charged to this run."""
+        import threading
+
+        from repro.engine import cache as cache_module
+        from repro.engine import compile_plan
+
+        real = cache_module.compile_plan
+        entered, release = threading.Event(), threading.Event()
+
+        def blocking(*args, **kwargs):
+            entered.set()
+            assert release.wait(10)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "compile_plan", blocking)
+        results = []
+        run = threading.Thread(target=lambda: results.append(
+            BatchEngine().evaluate(local_assembly(), "search", POINTS[:1])
+        ))
+        run.start()
+        try:
+            assert entered.wait(10)
+            compile_plan(remote_assembly(), "search")  # someone else's work
+        finally:
+            release.set()
+            run.join(10)
+        (result,) = results
+        assert result.ok
+        assert result.stats.compilations == 1
+        assert (result.stats.cache_hits, result.stats.cache_misses) == (0, 1)
+
     def test_cyclic_model_served_by_robust_backend(self):
         result = BatchEngine().evaluate(
             recursive_assembly(), "A", [{"size": 1.0}, {"size": 2.0}]

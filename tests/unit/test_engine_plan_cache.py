@@ -172,6 +172,62 @@ class TestBackends:
             )
 
 
+class TestRequestedBackendDecides:
+    """``get_or_compile(..., backend=b)`` answers what a cold compile with
+    ``b`` answers, whatever an earlier lookup left in the cache."""
+
+    def test_symbolic_sweep_of_cyclic_model_raises_cold_and_warm(self):
+        from repro.analysis import sweep_parameter
+        from repro.errors import CyclicAssemblyError
+
+        def sweep(cache):
+            return sweep_parameter(recursive_assembly(), "A", "size",
+                                   [1.0, 2.0], cache=cache)
+
+        cold = PlanCache()
+        with pytest.raises(CyclicAssemblyError):
+            sweep(cold)
+        warm = PlanCache()
+        assert warm.get_or_compile(recursive_assembly(), "A").backend == "robust"
+        with pytest.raises(CyclicAssemblyError):
+            sweep(warm)
+
+    def test_auto_then_symbolic_on_acyclic_compiles_once(self):
+        cache = PlanCache()
+        auto = cache.get_or_compile(local_assembly(), "search")
+        before = compilation_count()
+        symbolic = cache.get_or_compile(local_assembly(), "search",
+                                        backend="symbolic")
+        assert symbolic is auto
+        assert compilation_count() == before
+
+    def test_symbolic_then_auto_shares_the_plan(self):
+        cache = PlanCache()
+        symbolic = cache.get_or_compile(local_assembly(), "search",
+                                        backend="symbolic")
+        assert cache.get_or_compile(local_assembly(), "search") is symbolic
+
+    def test_robust_request_is_not_served_a_symbolic_plan(self):
+        cache = PlanCache()
+        cache.get_or_compile(local_assembly(), "search")
+        robust = cache.get_or_compile(local_assembly(), "search",
+                                      backend="robust")
+        assert robust.backend == "robust"
+        # ... and an auto lookup afterwards still gets the closed form
+        assert cache.get_or_compile(local_assembly(), "search").backend == (
+            "symbolic"
+        )
+
+    def test_lookup_reports_whether_it_compiled(self):
+        cache = PlanCache()
+        options = dict(symbolic_attributes=False, backend="auto", budget=None)
+        plan, compiled = cache.lookup(local_assembly(), "search", **options)
+        assert compiled
+        assert cache.lookup(local_assembly(), "search", **options) == (
+            plan, False
+        )
+
+
 class TestRobustPlanBudgets:
     """A robust plan reuses its evaluator across calls, never a budget."""
 

@@ -90,3 +90,80 @@ class TestPayloads:
 
         with pytest.raises(ReproError):
             Parameter("x").evaluate({})
+
+
+def _sample(cls):
+    """One instance of ``cls`` built through its own constructor."""
+    from repro import errors
+
+    structured = {
+        errors.UnboundParameterError: ("x",),
+        errors.UnknownFunctionError: ("f",),
+        errors.UnknownStateError: ("s",),
+        errors.DuplicateNameError: ("service", "x"),
+        errors.UnknownServiceError: ("x",),
+        errors.UnboundRequirementError: ("a", "b"),
+        errors.CyclicAssemblyError: (("cycle", "loop", "cycle"),),
+        errors.ProbabilityRangeError: ("p", 2.0),
+        errors.BudgetExceededError: ("deadline", 0.5, 0.75, "plan evaluation"),
+        errors.WorkerCrashedError: ("batch evaluation", (3, 1)),
+        errors.RequestValidationError: ("/v1/batch", ("bad a", "bad b")),
+        errors.ServerOverloadedError: (4, 4),
+        errors.AllTiersFailedError: ("A", ()),
+    }
+    if cls is errors.NumericalInstabilityError:
+        return cls("singular system", condition=1e18, rank=3)
+    return cls(*structured.get(cls, (f"{cls.__name__} message",)))
+
+
+def _subclasses():
+    import inspect
+
+    from repro import errors
+
+    return [
+        cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, ReproError)
+    ]
+
+
+class TestPickleRoundTrip:
+    """Every error class crosses a process boundary as itself: same type,
+    same message, same attributes — ``__init__`` is not re-run on the
+    rendered message."""
+
+    @pytest.mark.parametrize("cls", _subclasses(), ids=lambda c: c.__name__)
+    def test_round_trip(self, cls):
+        import pickle
+
+        error = _sample(cls)
+        rebuilt = pickle.loads(pickle.dumps(error))
+        assert type(rebuilt) is cls
+        assert str(rebuilt) == str(error)
+        assert rebuilt.__dict__ == error.__dict__
+
+    def test_budget_error_keeps_its_fields(self):
+        import pickle
+
+        from repro.errors import BudgetExceededError
+
+        rebuilt = pickle.loads(pickle.dumps(
+            BudgetExceededError("states", 10, 11, "chain build")
+        ))
+        assert (rebuilt.resource, rebuilt.limit, rebuilt.used) == (
+            "states", 10, 11
+        )
+
+    def test_all_tiers_failed_keeps_tier_errors(self):
+        import pickle
+
+        from repro.errors import AllTiersFailedError
+        from repro.runtime.robust import TierDiagnostic
+
+        cyclic = CyclicAssemblyError(("A", "B", "A"))
+        error = AllTiersFailedError("A", [TierDiagnostic("symbolic", cyclic, 0.0)])
+        rebuilt = pickle.loads(pickle.dumps(error))
+        assert str(rebuilt) == str(error)
+        (diagnostic,) = rebuilt.diagnostics
+        assert type(diagnostic.error) is CyclicAssemblyError
+        assert diagnostic.error.cycle == ("A", "B", "A")

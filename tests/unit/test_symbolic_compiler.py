@@ -99,6 +99,23 @@ class TestLowering:
         with pytest.raises(UnboundParameterError):
             kernel.evaluate(None)
 
+    def test_broadcastable_shapes_match_tree_walk_bitwise(self):
+        expr = sort_closed_form()
+        kernel = compile_expression(expr, cache=False)
+        env = {"list": np.linspace(1.0, 300.0, 5).reshape(1, 5),
+               "cpu": np.array([[1e-4], [3e-4]])}
+        assert np.array_equal(kernel.evaluate(env), expr.evaluate(env))
+
+    def test_non_broadcastable_shapes_raise_like_the_tree(self):
+        expr = sort_closed_form()
+        kernel = compile_expression(expr, cache=False)
+        env = {"list": np.linspace(1.0, 300.0, 3),
+               "cpu": np.array([1e-4, 2e-4, 3e-4, 4e-4])}
+        with pytest.raises(ValueError):
+            expr.evaluate(env)
+        with pytest.raises(ValueError):
+            kernel.evaluate(env)
+
     def test_extra_bindings_are_ignored(self):
         kernel = compile_expression(X + 1.0, cache=False)
         assert kernel.evaluate({"x": 1.0, "unused": 99.0}) == 2.0

@@ -334,6 +334,40 @@ class TestAssembly:
         assert all(e.ok for e in entries)
         assert entries[0].pfail == entries[2].pfail  # same model, same point
 
+    def test_journaled_entry_error_restores_class_message_and_causes(self):
+        from repro.engine.batch import BatchEntry
+        from repro.errors import CyclicAssemblyError, MarkovError
+        from repro.workunits.runner import error_from_record
+        from repro.workunits.worker import _entry_record
+
+        error = CyclicAssemblyError(("A", "B", "A"))
+        error.__cause__ = MarkovError("chain rebuild failed")
+        record = json.loads(json.dumps(
+            _entry_record(BatchEntry(0, "", "A", {}, error=error))
+        ))
+        assert record["causes"] == ["MarkovError: chain rebuild failed"]
+        restored = error_from_record(record)
+        assert type(restored) is CyclicAssemblyError
+        assert str(restored) == str(error)
+        assert restored.__notes__ == ["caused by MarkovError: chain rebuild failed"]
+
+    def test_older_records_without_causes_still_restore(self):
+        from repro.errors import UnboundParameterError
+        from repro.workunits.runner import error_from_record
+
+        # the form journals written before "causes" existed carry
+        restored = error_from_record({
+            "request_index": 0,
+            "error": "UnboundParameterError",
+            "message": "UnboundParameterError: parameter 'list' is not "
+                       "bound in the environment",
+        })
+        assert type(restored) is UnboundParameterError
+        assert str(restored) == "parameter 'list' is not bound in the environment"
+        unknown = error_from_record({"error": "GoneError", "message": "GoneError: x"})
+        assert type(unknown) is EvaluationError
+        assert str(unknown) == "GoneError: x"
+
     def test_fuzz_matches_direct_harness(self):
         from repro.robustness import FuzzHarness
 
