@@ -8,8 +8,8 @@ from most exact/cheapest-to-reuse to most tolerant:
 
 1. ``symbolic``     — closed-form derivation, evaluated at the actuals;
 2. ``numeric``      — the recursive procedure with direct linear solves;
-3. ``fixed-point``  — Kleene iteration (handles recursive assemblies and
-   retries with relaxed tolerance on non-convergence);
+3. ``fixed-point``  — Newton with Kleene fallback (handles recursive
+   assemblies and retries with relaxed tolerance on non-convergence);
 4. ``monte-carlo``  — simulation estimate with a Wilson confidence
    interval, retried under fresh seeds on failure.
 

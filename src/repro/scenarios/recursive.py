@@ -20,7 +20,7 @@ Substituting gives a linear fixed point with solution::
 
 Operationally the recursion terminates with probability one (each level
 recurses with probability ``r < 1``), so the least fixed point is the true
-unreliability; the Kleene iteration of
+unreliability; the Newton with Kleene fallback of
 :class:`~repro.core.fixed_point.FixedPointEvaluator` must converge to it.
 """
 

@@ -61,7 +61,7 @@ class StoreState:
         header: the campaign header record (``None`` for a fresh store).
         results: ``unit_id -> result payload`` for units already done.
         attempts: ``unit_id -> attempts recorded so far``.
-        quarantined: unit ids with a quarantine record.
+        quarantined: ``unit_id -> error`` of the unit's quarantine record.
         validated: unit ids with a validation record (any verdict).
         mismatches: unit ids whose validation record flagged a mismatch.
         records: total well-formed records replayed.
@@ -71,7 +71,7 @@ class StoreState:
     header: dict | None = None
     results: dict[str, object] = field(default_factory=dict)
     attempts: dict[str, int] = field(default_factory=dict)
-    quarantined: set[str] = field(default_factory=set)
+    quarantined: dict[str, str] = field(default_factory=dict)
     validated: set[str] = field(default_factory=set)
     mismatches: set[str] = field(default_factory=set)
     records: int = 0
@@ -133,7 +133,7 @@ def load_state(path: str | Path) -> StoreState:
         elif kind == "quarantine":
             unit = record.get("unit")
             if isinstance(unit, str):
-                state.quarantined.add(unit)
+                state.quarantined.setdefault(unit, str(record.get("error", "")))
             state.records += 1
         elif kind == "validation":
             unit = record.get("unit")

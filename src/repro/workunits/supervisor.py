@@ -205,8 +205,9 @@ class Supervisor:
 
         An existing journal for the *same* campaign is resumed: done units
         are skipped (their recorded payloads reused bit-for-bit),
-        quarantined units stay quarantined, and interrupted units keep
-        their attempt counts.  Returns a :class:`CampaignReport`.
+        quarantined units stay quarantined with their journaled error, and
+        interrupted units keep their attempt counts.  Returns a
+        :class:`CampaignReport`.
         """
         started = time.monotonic()
         report = CampaignReport(self.campaign)
@@ -249,7 +250,7 @@ class Supervisor:
                 report.resumed += 1
                 obs.count("workunits.resume.skipped")
             elif unit.unit_id in state.quarantined:
-                report.quarantined[unit.unit_id] = "quarantined in prior run"
+                report.quarantined[unit.unit_id] = state.quarantined[unit.unit_id]
             else:
                 pending.append(unit)
         return pending

@@ -20,8 +20,10 @@ journaled entry errors by class name alone, with
 
 (the recursive scenario, the local scenario with ``search`` renamed to
 ``A``, and the plain local scenario, which has no ``A``; its unit was
-quarantined).  It must replay as a no-op whose entries carry the class
-and message a plain batch reports.
+quarantined).  It must replay as a no-op: ok entries carry the journaled
+values (written by the Kleene solver that preceded the Newton solve),
+error entries the class and message a plain batch reports, and the
+quarantined unit the error its quarantine record holds.
 """
 
 import json
@@ -35,7 +37,7 @@ from repro.analysis import sweep_parameter
 from repro.dsl import assembly_from_dict, assembly_to_dict
 from repro.engine import BatchEngine, BatchRequest
 from repro.errors import CampaignStoreError
-from repro.scenarios import local_assembly, recursive_assembly
+from repro.scenarios import closed_form_pfail, local_assembly, recursive_assembly
 from repro.workunits import (
     assemble_batch,
     assemble_sweep,
@@ -116,29 +118,53 @@ def batch_models() -> list:
 def test_batch_error_journal_replays_the_plain_batch_errors(tmp_path):
     path = journal_copy(tmp_path, "batch_errors.jsonl")
     written = path.read_bytes()
+    records = [json.loads(line) for line in written.splitlines()]
     points = [{"size": 1.0}, {"size": -1.0},
               {"elem": 1.0, "list": 500.0, "res": 1.0}]
     models = batch_models()
     batch = batch_campaign(models, "A", points)
-    assert batch.campaign_id == json.loads(written.splitlines()[0])["campaign"]
+    assert batch.campaign_id == records[0]["campaign"]
 
     report = run_campaign(batch, path)
     assert report.executed == set()
-    assert len(report.quarantined) == 1  # the unit of the model without "A"
     assert path.read_bytes() == written
+    # the unit of the model without "A" stays quarantined, with its error
+    quarantine = next(r for r in records if r["kind"] == "quarantine")
+    assert report.quarantined == {quarantine["unit"]: quarantine["error"]}
     plain = BatchEngine().run([
         BatchRequest(assembly, "A", point, label=label)
         for label, assembly in models
         for point in points
     ])
+    journaled = {
+        entry["request_index"]: entry["pfail"]
+        for record in records if record.get("status") == "done"
+        for entry in record["result"] if "pfail" in entry
+    }
 
     def outcome(entry):
         if entry.ok:
             return entry.pfail
         return type(entry.error).__name__, str(entry.error)
 
-    # the first two models' units replay; the third stays quarantined
-    replayed = [outcome(e) for e in assemble_batch(batch, report)[:6]]
-    assert replayed == [outcome(e) for e in plain.entries[:6]]
-    assert replayed[1][0] == "AllTiersFailedError"
-    assert replayed[3][0] == "UnboundParameterError"
+    # the first two models' units replay; the third stays quarantined.
+    # Ok entries are the journaled values (a resume never re-solves);
+    # error entries read as a fresh plain batch reports them.
+    replayed = assemble_batch(batch, report)
+    assert [e.ok for e in replayed[:6]] == [e.ok for e in plain.entries[:6]]
+    assert sorted(journaled) == [e.index for e in replayed[:6] if e.ok]
+    for entry, fresh in zip(replayed[:6], plain.entries):
+        want = journaled[entry.index] if entry.ok else outcome(fresh)
+        assert outcome(entry) == want
+    assert outcome(replayed[1])[0] == "AllTiersFailedError"
+    assert outcome(replayed[3])[0] == "UnboundParameterError"
+    # the fresh recursive answer is the least fixed point itself
+    exact, _ = closed_form_pfail()
+    assert abs(plain.entries[0].pfail - exact) <= 1e-14
+
+    # the quarantined entries print the error the writing run printed
+    unit = quarantine["unit"][:12]
+    assert {outcome(e) for e in replayed[6:]} == {(
+        "EvaluationError",
+        f"work unit {unit} quarantined: UnknownServiceError: unknown service 'A'",
+    )}

@@ -44,19 +44,24 @@ class TestCyclicAssemblies:
         assert evaluator.pfail("A", size=1) == pytest.approx(exact_a, abs=1e-9)
 
     def test_kleene_iteration_is_monotone_from_below(self):
-        """Each sweep's estimate must not exceed the limit (least fixed
-        point reached from 0)."""
+        """The answer must not exceed the limit (least fixed point reached
+        from 0)."""
         params = RecursiveParameters(recursion_probability=0.8)
         exact_a, _ = closed_form_pfail(params)
         evaluator = FixedPointEvaluator(recursive_assembly(params), tolerance=1e-15)
         value = evaluator.pfail("A", size=1)
         assert value <= exact_a + 1e-12
 
-    def test_deep_recursion_uses_multiple_sweeps(self):
+    def test_deep_recursion_meets_closed_form_in_few_sweeps(self):
+        """Kleene needs about 200 sweeps at r = 0.9; the Newton solve
+        needs a handful, probes included, and lands on the closed form."""
         params = RecursiveParameters(recursion_probability=0.9)
         evaluator = FixedPointEvaluator(recursive_assembly(params))
-        evaluator.pfail("A", size=1)
-        assert evaluator.iterations_used > 3
+        exact_a, _ = closed_form_pfail(params)
+        assert abs(evaluator.pfail("A", size=1) - exact_a) <= 1e-14
+        assert 1 < evaluator.iterations_used <= 10
+        assert evaluator.newton_steps >= 1 and not evaluator.fell_back
+        assert evaluator.error_bound < evaluator.tolerance
 
     def test_iteration_cap_raises(self):
         params = RecursiveParameters(recursion_probability=0.99)

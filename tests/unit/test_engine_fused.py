@@ -79,12 +79,17 @@ def robust_plan():
     return compile_plan(recursive_assembly(), "A")
 
 
+#: Far more points than a 0.2 s deadline lets the fixed-point tier finish
+#: (a few ms each), so the deadline trips part-way through the stack.
+DEADLINE_POINTS = 1024
+
+
 class TestRobustDeadlines:
     def test_grid_deadline_reports_partial_progress(self, robust_plan):
         budget = EvaluationBudget(deadline=0.2)
         with pytest.raises(BudgetExceededError) as info:
             robust_plan.pfail_grid(
-                "size", np.arange(1.0, 64.0), {}, budget=budget
+                "size", np.arange(1.0, DEADLINE_POINTS), {}, budget=budget
             )
         notes = "\n".join(getattr(info.value, "__notes__", []))
         assert "stopped at point" in notes
@@ -92,7 +97,7 @@ class TestRobustDeadlines:
 
     def test_stack_deadline_reports_partial_progress(self, robust_plan):
         budget = EvaluationBudget(deadline=0.2)
-        points = [{"size": float(v)} for v in range(1, 64)]
+        points = [{"size": float(v)} for v in range(1, DEADLINE_POINTS)]
         with pytest.raises(BudgetExceededError) as info:
             robust_plan.pfail_stack(points, budget=budget)
         notes = "\n".join(getattr(info.value, "__notes__", []))

@@ -90,8 +90,9 @@ class TestLoaderRejectsBrokenDocuments:
 
 class TestFixedPointDivergence:
     def test_sweep_starved_iteration_raises_divergence(self):
-        """The recursive scenario needs dozens of Kleene sweeps; a cap of
-        2 must surface as FixedPointDivergenceError, not a wrong number."""
+        """The recursive scenario needs more than 2 sweeps (Newton steps
+        plus a Jacobian probe); a cap of 2 must surface as
+        FixedPointDivergenceError, not a wrong number."""
         evaluator = FixedPointEvaluator(recursive_assembly(), max_iterations=2)
         with pytest.raises(FixedPointDivergenceError) as excinfo:
             evaluator.pfail("A", size=1)
