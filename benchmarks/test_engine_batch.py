@@ -34,8 +34,9 @@ import time
 
 import numpy as np
 
+from repro import observability as obs
 from repro.analysis import format_table, sweep_parameter
-from repro.engine import BatchEngine, PlanCache, compilation_count
+from repro.engine import BatchEngine, PlanCache
 from repro.engine.plan import compile_plan
 from repro.scenarios import (
     RecursiveParameters,
@@ -54,6 +55,11 @@ FIXED = {"elem": 1.0, "res": 1.0}
 #: The kernel benchmark sweeps a denser Figure 6 grid (the acceptance
 #: workload: >= 200 points) so per-point costs dominate fixed overhead.
 KERNEL_GRID = np.linspace(1.0, 1000.0, 240)
+
+
+def compilation_count() -> int:
+    """Plan compilations so far (the registry's ``plan.compilations``)."""
+    return obs.registry().counter_value("plan.compilations")
 
 
 def _points(grid):

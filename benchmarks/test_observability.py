@@ -1,27 +1,36 @@
 """OBS — cost of the observability layer on the Figure 6 workload.
 
-The instrumentation contract is "free until you turn it on": every
-``obs.count``/``obs.span`` call site short-circuits on one module-global
-flag while observability is disabled (the default).  This benchmark prices
-that promise on the paper's headline workload — a Figure 6 sweep of the
-local and remote assemblies over the ``list`` grid via the numeric
-evaluator, the path with the densest instrumentation (solver, cache and
-evaluator call sites all fire on every point).
+The instrumentation contract is "nearly free until you turn it on": every
+``obs.span``/``obs.gauge``/``obs.observe`` call site short-circuits on one
+module-global flag while observability is disabled (the default), and
+``obs.count`` bumps a registry counter, which always counts.  This
+benchmark prices that promise on the paper's headline workload — a
+Figure 6 sweep of the local and remote assemblies over the ``list`` grid
+via the numeric evaluator, the path with the densest instrumentation
+(solver, cache and evaluator call sites all fire on every point).
 
-Three variants of the identical sweep are timed, interleaved round-robin
-so drift hits all of them equally, best-of-N so scheduler noise drops out:
+Three variants of the identical sweep are timed:
 
 - ``stubbed`` — the facade helpers are replaced with bare no-ops: the
   cheapest conceivable call site, standing in for uninstrumented code;
 - ``disabled`` — the real facade with observability off (the shipped
-  default; one branch per call site);
+  default: counters count, everything else is one branch per call site);
 - ``enabled`` — full collection: registry, tracer and an in-memory sink.
 
-``BENCH_observability.json`` records all three and the derived overheads;
-the test asserts the acceptance bound: disabled-mode overhead <= 2 %.
+A shared host's speed can halve from one 0.2 s sweep to the next, so the
+variants are interleaved point by point: each round runs one sweep per
+variant (each with its own evaluators), and at every point the three
+evaluations run back to back, the leader rotating from point to point and
+round to round.  A round's ratio to ``stubbed`` compares times taken
+within milliseconds of each other; each overhead is the median of those
+ratios over the rounds.  ``BENCH_observability.json`` records all three
+and the derived overheads; the test asserts the acceptance bound:
+disabled-mode overhead <= 2 %.
 """
 
 import time
+from contextlib import contextmanager, nullcontext
+from statistics import median
 
 import numpy as np
 
@@ -38,10 +47,10 @@ from repro.scenarios import (
 from _report import emit_json
 
 #: Figure 6 x-axis (trimmed: long enough to dominate fixed costs, short
-#: enough that best-of-N repeats stay cheap) and fixed actuals.
+#: enough that many rounds stay cheap) and fixed actuals.
 GRID = np.unique(np.rint(np.linspace(1.0, 1000.0, 40)))  # integer domain
 FIXED = {"elem": 1.0, "res": 1.0}
-REPEATS = 7
+ROUNDS = 21
 OVERHEAD_BOUND_PCT = 2.0
 
 
@@ -74,44 +83,65 @@ class _FacadeStub:
         return False
 
 
-def _best_of(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+@contextmanager
+def _collecting():
+    """Full collection for one timed evaluation (the tracer keeps the
+    in-memory sink :func:`_measure` attached)."""
+    obs.enable()
+    try:
+        yield
+    finally:
+        obs.disable()
+
+
+VARIANTS = {"stubbed": _FacadeStub, "disabled": nullcontext,
+            "enabled": _collecting}
+
+
+def _round(r: int) -> dict:
+    """Seconds per variant for one Figure 6 sweep each, interleaved point
+    by point with the leader rotating."""
+    params = SearchSortParameters().with_figure6_point(1e-6, 5e-3)
+    assemblies = (local_assembly(params), remote_assembly(params))
+    evaluators = {v: [ReliabilityEvaluator(a) for a in assemblies]
+                  for v in VARIANTS}
+    names = tuple(VARIANTS)
+    seconds = dict.fromkeys(names, 0.0)
+    points = [(i, float(v)) for i in range(len(assemblies)) for v in GRID]
+    for k, (i, value) in enumerate(points):
+        lead = (r + k) % len(names)
+        for variant in names[lead:] + names[:lead]:
+            with VARIANTS[variant]():
+                start = time.perf_counter()
+                evaluators[variant][i].pfail("search", list=value, **FIXED)
+                seconds[variant] += time.perf_counter() - start
+    return seconds
 
 
 def _measure():
+    """Per-variant median seconds and median per-round ratios to
+    ``stubbed``."""
     obs.reset()
     _sweep()  # warm caches/allocators once outside the timed region
-
-    timings = {"stubbed": float("inf"), "disabled": float("inf"),
-               "enabled": float("inf")}
-    for _ in range(REPEATS):  # interleaved: one round of each per pass
-        with _FacadeStub():
-            timings["stubbed"] = min(timings["stubbed"], _best_of(_sweep, 1))
+    obs.enable(hooks=[InMemorySink()])
+    obs.disable()
+    try:
+        rounds = [_round(r) for r in range(ROUNDS)]
+    finally:
         obs.reset()
-        timings["disabled"] = min(timings["disabled"], _best_of(_sweep, 1))
-        obs.reset()
-        obs.enable(hooks=[InMemorySink()])
-        try:
-            timings["enabled"] = min(timings["enabled"], _best_of(_sweep, 1))
-        finally:
-            obs.reset()
-    return timings
+    seconds = {v: median(t[v] for t in rounds) for v in VARIANTS}
+    ratios = {
+        v: median(t[v] / t["stubbed"] for t in rounds)
+        for v in ("disabled", "enabled")
+    }
+    return seconds, ratios
 
 
 def test_observability_overhead():
-    timings = _measure()
+    timings, ratios = _measure()
 
-    overhead_disabled_pct = 100.0 * (
-        timings["disabled"] / timings["stubbed"] - 1.0
-    )
-    overhead_enabled_pct = 100.0 * (
-        timings["enabled"] / timings["stubbed"] - 1.0
-    )
+    overhead_disabled_pct = 100.0 * (ratios["disabled"] - 1.0)
+    overhead_enabled_pct = 100.0 * (ratios["enabled"] - 1.0)
 
     # prove the enabled run actually collected on this exact workload
     obs.reset()
@@ -129,8 +159,8 @@ def test_observability_overhead():
             "assemblies": ["local", "remote"],
             "points_per_assembly": int(GRID.size),
             "evaluator": "numeric",
-            "repeats": REPEATS,
-            "timing": "best-of-N, interleaved",
+            "rounds": ROUNDS,
+            "timing": "median of per-round ratios, interleaved per point",
         },
         "seconds": {k: round(v, 6) for k, v in timings.items()},
         "overhead_pct": {

@@ -24,6 +24,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import observability as obs
 from repro.caching import LRUCache
 from repro.markov import AbsorbingChainAnalysis, DiscreteTimeMarkovChain
 from repro.markov import solvers
@@ -144,7 +145,7 @@ def _plan_reuse_record(n: int = 1500, points: int = 20) -> dict:
     chains = [
         sparse_flow(n, rates_seed=1000 + k) for k in range(points)
     ]
-    solvers.reset_counters()
+    obs.reset()
     fingerprints = set()
     for chain in chains:
         analysis = AbsorbingChainAnalysis(
@@ -156,8 +157,10 @@ def _plan_reuse_record(n: int = 1500, points: int = 20) -> dict:
     return {
         "points": points,
         "states": n,
-        "plans_built": solvers.plan_count(),
-        "factorizations": solvers.factorization_count(),
+        "plans_built": obs.registry().counter_value("solver.plans"),
+        "factorizations": obs.registry().counter_value(
+            "solver.factorizations"
+        ),
         "cache_hits": cache.stats.hits,
         "cache_misses": cache.stats.misses,
     }

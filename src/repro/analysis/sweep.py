@@ -95,10 +95,9 @@ def _fused_symbolic(plan, parameter, grid, fixed, budget) -> np.ndarray:
     fan-out: one straight-line tape execution over the full grid has no
     per-chunk dispatch, no futures, no chunk re-concatenation.
     """
-    from repro.engine.parallel import charge_fused
-
     pfail = plan.pfail_grid(parameter, grid, fixed, budget=budget)
-    charge_fused(groups=1, entries=int(grid.size))
+    obs.count("engine.fused.groups")
+    obs.count("engine.fused.entries", int(grid.size))
     return pfail
 
 

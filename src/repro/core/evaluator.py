@@ -240,7 +240,8 @@ class ReliabilityEvaluator:
         self._tables: dict[str, RequestTable] = {}
         #: frames of the current top-level call, kept across fixed-point sweeps
         self._frames: dict[tuple, EvaluationFrame] = {}
-        self._stack: list[str] = []
+        #: ``(service, actuals)`` keys under evaluation, outermost first
+        self._stack: list[tuple] = []
 
     # -- public API ----------------------------------------------------------
 
@@ -348,7 +349,7 @@ class ReliabilityEvaluator:
         if self.check_domains:
             svc.interface.check_actuals(dict(normalized))
         self._frames.clear()
-        self._stack.append(svc.name)
+        self._stack.append((svc.name, normalized))
         try:
             frame = self._frame(svc, normalized)
             return svc, normalized, frame, self._state_failures(frame)
@@ -377,12 +378,13 @@ class ReliabilityEvaluator:
         key = (service.name, actuals)
         if key in self._cache:
             return self._cache[key]
-        if service.name in self._stack:
-            start = self._stack.index(service.name)
+        names = [name for name, _ in self._stack]
+        if service.name in names:
+            start = names.index(service.name)
             return self._handle_cycle(
-                key, tuple(self._stack[start:]) + (service.name,)
+                key, tuple(names[start:]) + (service.name,)
             )
-        self._stack.append(service.name)
+        self._stack.append(key)
         try:
             value = self._compute(service, actuals)
         finally:

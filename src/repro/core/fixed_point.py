@@ -122,8 +122,17 @@ class FixedPointEvaluator(ReliabilityEvaluator):
     # -- hook override ---------------------------------------------------
 
     def _handle_cycle(self, key: tuple, cycle: tuple[str, ...]) -> float:
-        """Return the current fixed-point estimate for a re-entered service
-        (0.0 until the solve has one — the least-fixed-point start)."""
+        """Return the current fixed-point estimate for a re-entered
+        ``(service, actuals)`` key (0.0 until the solve has one — the
+        least-fixed-point start).
+
+        A service re-entered under other actuals than the ones on the stack
+        is no unknown of the equation: a sweep never finishes it, so it is
+        refused with the base evaluator's
+        :class:`~repro.errors.CyclicAssemblyError`.
+        """
+        if key not in self._stack:
+            return super()._handle_cycle(key, cycle)
         self._assumed[key] = None
         return self._estimates.get(key, 0.0)
 
@@ -175,8 +184,6 @@ class FixedPointEvaluator(ReliabilityEvaluator):
             self._cache.clear()
             self._assumed.clear()
             last_top = self._pfail_service(svc, normalized)
-            # a key re-entered under other actuals than the ones on the
-            # stack is never finished by the sweep: its estimate stays 0
             return last_top, np.array(
                 [self._cache.get(key, 0.0) for key in keys]
             )

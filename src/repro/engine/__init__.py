@@ -48,15 +48,12 @@ from repro.engine.fingerprint import (
 )
 from repro.engine.parallel import (
     fused_counts,
-    reset_fused_counts,
     resolve_jobs,
     split_evenly,
 )
 from repro.engine.plan import (
     EvaluationPlan,
-    compilation_count,
     compile_plan,
-    reset_counters,
 )
 
 
@@ -78,13 +75,10 @@ __all__ = [
     "PlanCache",
     "assembly_fingerprint",
     "canonical_json",
-    "compilation_count",
     "compile_plan",
     "default_cache",
     "fused_counts",
     "plan_key",
-    "reset_counters",
-    "reset_fused_counts",
     "resolve_jobs",
     "service_fingerprint",
     "shm_counts",

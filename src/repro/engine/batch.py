@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from repro import observability as obs
 from repro.engine.cache import PlanCache
 from repro.engine.parallel import (
-    charge_fused,
     evaluate_plan_points,
     fan_out,
     resolve_jobs,
@@ -366,7 +365,7 @@ class BatchEngine:
                     [entries[i].actuals for i in indices], budget=self.budget
                 )
             except ReproError:
-                charge_fused(fallbacks=1)
+                obs.count("engine.fused.fallbacks")
                 remaining[fingerprint] = (plan, indices)
                 continue
             elapsed = time.perf_counter() - t0
@@ -376,7 +375,8 @@ class BatchEngine:
                 entry.backend = plan.backend
                 entry.pfail = float(stacked[offset])
                 obs.observe("batch.entry.seconds", per_entry)
-            charge_fused(groups=1, entries=len(indices))
+            obs.count("engine.fused.groups")
+            obs.count("engine.fused.entries", len(indices))
             fused_entries += len(indices)
         return remaining, fused_entries
 

@@ -55,7 +55,6 @@ __all__ = [
     "observe_token",
     "remaining_deadline",
     "reset_clamp_warning",
-    "reset_fused_counts",
     "resolve_jobs",
     "simulate_block",
     "split_evenly",
@@ -67,41 +66,18 @@ __all__ = [
 # fused-execution counters (shared by the batch engine and the sweep layer)
 # ---------------------------------------------------------------------------
 
-_fused_lock = threading.Lock()
-_fused = {"groups": 0, "entries": 0, "fallbacks": 0}
-
 
 def fused_counts() -> dict:
-    """Process-wide fused-execution counters.
+    """Process-wide fused-execution counters (``engine.fused.*``).
 
     ``groups``: same-fingerprint groups served by one stacked kernel call;
     ``entries``: individual (model, point) evaluations those calls fused;
     ``fallbacks``: groups the fused path handed back to the per-point path
     (a poisoned point, so errors stay per-entry).
     """
-    with _fused_lock:
-        return dict(_fused)
-
-
-def reset_fused_counts() -> None:
-    """Zero the fused counters (test isolation helper)."""
-    with _fused_lock:
-        for key in _fused:
-            _fused[key] = 0
-
-
-def charge_fused(groups: int = 0, entries: int = 0, fallbacks: int = 0) -> None:
-    """Charge fused-execution work to the module counters and metrics."""
-    with _fused_lock:
-        _fused["groups"] += groups
-        _fused["entries"] += entries
-        _fused["fallbacks"] += fallbacks
-    if groups:
-        obs.count("engine.fused.groups", groups)
-    if entries:
-        obs.count("engine.fused.entries", entries)
-    if fallbacks:
-        obs.count("engine.fused.fallbacks", fallbacks)
+    read = obs.registry().counter_value
+    return {key: read(f"engine.fused.{key}")
+            for key in ("groups", "entries", "fallbacks")}
 
 
 def split_evenly(items: list, parts: int) -> list[list]:

@@ -22,15 +22,14 @@ to every worker of a :class:`~repro.engine.batch.BatchEngine` pool.  Each
 plan records the :func:`~repro.engine.fingerprint.assembly_fingerprint` it
 was compiled from, which is what the plan cache keys on.
 
-Module-level counters (:func:`compilation_count`, :func:`reset_counters`)
-record how many plan compilations — i.e. real symbolic derivations or
-skeleton builds — have happened in this process.  The cache-correctness
-tests assert "warm cache ⇒ zero re-derivations" directly against them.
+The ``plan.compilations`` counter of the metrics registry records how many
+plan compilations — i.e. real symbolic derivations or skeleton builds —
+have happened in this process.  The cache-correctness tests assert "warm
+cache ⇒ zero re-derivations" directly against it.
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -54,33 +53,7 @@ from repro.symbolic.compiler import CompiledKernel, compile_expression
 __all__ = [
     "EvaluationPlan",
     "compile_plan",
-    "compilation_count",
-    "reset_counters",
 ]
-
-_counter_lock = threading.Lock()
-_compilations = 0
-
-
-def compilation_count() -> int:
-    """Number of real plan compilations performed by this process."""
-    return _compilations
-
-
-def reset_counters() -> None:
-    """Zero the compilation counter (test isolation helper)."""
-    global _compilations
-    with _counter_lock:
-        _compilations = 0
-
-
-def _charge_compilation() -> None:
-    global _compilations
-    with _counter_lock:
-        _compilations += 1
-    # mirrored onto the metrics registry (no-op unless collection is on);
-    # the module counter stays the in-process compatibility surface
-    obs.count("plan.compilations")
 
 
 class EvaluationPlan:
@@ -328,9 +301,10 @@ def compile_plan(
             symbolic error).
         budget: optional budget charged during the derivation.
 
-    Every call performs real work and bumps :func:`compilation_count`;
-    reuse compiled plans through :class:`repro.engine.cache.PlanCache`
-    rather than calling this in a loop.
+    Every call performs real work and bumps the ``plan.compilations``
+    counter; reuse compiled plans through
+    :class:`repro.engine.cache.PlanCache` rather than calling this in a
+    loop.
     """
     from repro.core.symbolic_evaluator import SymbolicEvaluator
 
@@ -340,7 +314,7 @@ def compile_plan(
     if backend not in ("auto", "symbolic", "robust"):
         raise EvaluationError(f"unknown plan backend {backend!r}")
 
-    _charge_compilation()
+    obs.count("plan.compilations")
 
     with obs.span("plan.compile", service=name, requested=backend) as sp:
         if backend in ("auto", "symbolic"):

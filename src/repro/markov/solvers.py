@@ -49,8 +49,9 @@ topological permutation, the backend choice — is captured in a
 nonzero pattern + absorbing mask).  A sweep that varies only rates hits the
 cache on every point: the DAG fast path then re-solves in ``O(nnz)`` with
 zero re-factorization, and the LU paths skip all pattern/permutation work.
-Hit/miss counters (:func:`solver_cache_stats`) and the
-:func:`plan_count` / :func:`factorization_count` monotone counters make
+Hit/miss counters (:func:`solver_cache_stats`) and the ``solver.plans`` /
+``solver.factorizations`` registry counters (read by :func:`plan_count` /
+:func:`factorization_count`; zeroed by ``observability.reset()``) make
 that reuse assertable in tests and benchmarks.
 """
 
@@ -85,7 +86,6 @@ __all__ = [
     "factorize",
     "factorize_chain",
     "plan_count",
-    "reset_counters",
     "scipy_available",
     "solver_cache_stats",
     "validate_solver",
@@ -156,17 +156,13 @@ def validate_solver(solver: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# counters (test/benchmark observability, same pattern as engine.plan)
+# counters (registry reads; ``obs.count`` bumps them at the call sites)
 # ---------------------------------------------------------------------------
-
-_counter_lock = threading.Lock()
-_plans = 0
-_factorizations = 0
 
 
 def plan_count() -> int:
     """Structural solve plans actually built (cache hits never build)."""
-    return _plans
+    return obs.registry().counter_value("solver.plans")
 
 
 def factorization_count() -> int:
@@ -176,27 +172,7 @@ def factorization_count() -> int:
     system is solved by substitution alone — which is exactly what the
     "sweeps skip re-factorization" benchmark asserts.
     """
-    return _factorizations
-
-
-def reset_counters() -> None:
-    """Zero both counters (test isolation helper)."""
-    global _plans, _factorizations
-    with _counter_lock:
-        _plans = 0
-        _factorizations = 0
-
-
-def _charge(counter: str) -> None:
-    global _plans, _factorizations
-    with _counter_lock:
-        if counter == "plans":
-            _plans += 1
-        else:
-            _factorizations += 1
-    # mirrored onto the metrics registry (no-op unless collection is on);
-    # the module counters above stay the in-process compatibility surface
-    obs.count(f"solver.{counter}")
+    return obs.registry().counter_value("solver.factorizations")
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +326,7 @@ class _DenseFactorization(Factorization):
                 lu, piv = scipy.linalg.lu_factor(
                     self._system, check_finite=False
                 )
-            _charge("factorizations")
+            obs.count("solver.factorizations")
             if not np.all(np.isfinite(lu)) or np.any(np.diag(lu) == 0.0):
                 raise SingularSystemError("dense LU factored singular")
             self._lu_piv = (lu, piv)
@@ -365,7 +341,7 @@ class _DenseFactorization(Factorization):
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if not self._solved:
             self._solved = True
-            _charge("factorizations")
+            obs.count("solver.factorizations")
             result = self._gesv(self._system, rhs)
             # a non-finite answer goes through the kept LU below, which
             # rejects a non-finite or singular factor as a typed error
@@ -373,7 +349,7 @@ class _DenseFactorization(Factorization):
                 return result
         factors = self._factors()
         if factors is None:
-            _charge("factorizations")
+            obs.count("solver.factorizations")
             return self._gesv(self._system, rhs)
         return _scipy().linalg.lu_solve(factors, rhs, check_finite=False)
 
@@ -421,7 +397,7 @@ class _SparseLUFactorization(Factorization):
                 self._lu = _scipy().sparse.linalg.splu(system_csr.tocsc())
         except RuntimeError as exc:  # splu signals exact singularity this way
             raise SingularSystemError(str(exc)) from exc
-        _charge("factorizations")
+        obs.count("solver.factorizations")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._lu.solve(np.asarray(rhs, dtype=float))
@@ -639,7 +615,7 @@ def chain_plan(
 def _build_plan(
     matrix: np.ndarray, mask: np.ndarray, solver: str, fingerprint: str
 ) -> ChainSolvePlan:
-    _charge("plans")
+    obs.count("solver.plans")
     transient = np.flatnonzero(~mask)
     absorbing = np.flatnonzero(mask)
     m = transient.size

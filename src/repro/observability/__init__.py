@@ -25,11 +25,17 @@ tracers directly; it calls the module-level helpers::
     with obs.span("robust.tier", tier="symbolic"):
         ...
 
-All of these short-circuit on one module-global flag while observability is
-disabled (the default): ``count``/``gauge``/``observe`` return immediately
-and ``span`` hands back a shared no-op singleton.  The disabled path is a
-single branch — the ``BENCH_observability.json`` benchmark holds it to
-within noise of uninstrumented code.
+Counters always count: the registry is the one place an event count lives
+(solver plans and factorizations, plan compilations, fused groups), so
+tests and ``/v1/cache-stats`` read it whether or not collection is on.
+``gauge``/``observe`` return immediately and ``span`` hands back a shared
+no-op singleton while observability is disabled (the default) — one branch
+each.  The ``BENCH_observability.json`` benchmark holds the disabled path
+within 2 % of a facade of bare no-ops.
+
+A forked pool worker that is not observing keeps its own counts; while
+collection is on, each worker ships its counter deltas back and the parent
+merges them (:func:`repro.engine.parallel.unpack_worker_payload`).
 
 Enable with :func:`enable` (optionally passing hooks), read with
 :func:`registry` / :func:`tracer`, snapshot with
@@ -113,7 +119,8 @@ def enable(
 
 
 def disable() -> None:
-    """Turn collection off (recorded data stays readable)."""
+    """Turn collection off (recorded data stays readable; counters keep
+    counting)."""
     global _enabled
     with _lock:
         _enabled = False
@@ -139,14 +146,14 @@ def tracer() -> Tracer:
 
 
 # ---------------------------------------------------------------------------
-# the hot-path helpers (one-branch no-ops while disabled)
+# the hot-path helpers (counters always count; the rest are one-branch
+# no-ops while disabled)
 # ---------------------------------------------------------------------------
 
 
 def count(name: str, amount: int = 1) -> None:
-    """Bump a counter (no-op while disabled)."""
-    if _enabled:
-        _registry.counter(name).inc(amount)
+    """Bump a counter (whether or not collection is on)."""
+    _registry.counter(name).inc(amount)
 
 
 def gauge(name: str, value: float) -> None:

@@ -222,6 +222,11 @@ class MetricsRegistry:
                 )
         return metric
 
+    def counter_value(self, name: str) -> int:
+        """A counter's value, 0 if it never counted (creates nothing)."""
+        metric = self._counters.get(name)
+        return 0 if metric is None else metric.value
+
     # -- export ------------------------------------------------------------
 
     def snapshot(self) -> dict:

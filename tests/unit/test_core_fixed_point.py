@@ -1,9 +1,17 @@
 """Unit tests for the fixed-point evaluator (recursive assemblies)."""
 
+import json
+
 import pytest
 
 from repro.core import FixedPointEvaluator, ReliabilityEvaluator
-from repro.errors import FixedPointDivergenceError
+from repro.dsl import dump_assembly, load_assembly
+from repro.errors import (
+    AllTiersFailedError,
+    CyclicAssemblyError,
+    FixedPointDivergenceError,
+)
+from repro.runtime import RobustEvaluator
 from repro.scenarios import (
     RecursiveParameters,
     closed_form_pfail,
@@ -85,3 +93,33 @@ class TestCyclicAssemblies:
         first = evaluator.pfail("A", size=1)
         second = evaluator.pfail("A", size=1)
         assert first == pytest.approx(second, abs=1e-12)
+
+
+def _descending_recursion():
+    """The recursive scenario with B calling ``A(size - 1)``: A is
+    re-entered under other actuals than the ones on the stack."""
+    data = json.loads(dump_assembly(recursive_assembly()))
+    b = next(s for s in data["services"] if s["name"] == "B")
+    b["flow"]["states"][0]["requests"][0]["actuals"]["size"] = "size - 1"
+    return load_assembly(json.dumps(data))
+
+
+class TestReentryUnderOtherActuals:
+    """Cycle detection is by service name, but a fixed-point unknown is a
+    ``(service, actuals)`` key: a re-entry under other actuals is no
+    unknown, and every analytic path refuses it with the same typed error
+    instead of counting the inner call as perfect."""
+
+    def test_fixed_point_refuses_like_the_plain_evaluator(self):
+        model = _descending_recursion()
+        with pytest.raises(CyclicAssemblyError):
+            ReliabilityEvaluator(model).pfail("A", size=3)
+        with pytest.raises(CyclicAssemblyError):
+            FixedPointEvaluator(model).pfail("A", size=3)
+
+    def test_robust_chain_serves_no_fixed_point_answer(self):
+        with pytest.raises(AllTiersFailedError) as info:
+            RobustEvaluator(_descending_recursion()).evaluate("A", size=3)
+        errors = {d.tier: d.error for d in info.value.diagnostics}
+        assert isinstance(errors["fixed-point"], CyclicAssemblyError)
+        assert "monte-carlo" in errors  # the chain fell through to it

@@ -24,12 +24,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.engine import (
-    BatchEngine,
-    PlanCache,
-    fused_counts,
-    reset_fused_counts,
-)
+from repro import observability as obs
+from repro.engine import BatchEngine, PlanCache
 from repro.engine.plan import compile_plan
 from repro.errors import BudgetExceededError
 from repro.runtime.budget import EvaluationBudget
@@ -126,15 +122,15 @@ class TestEngineFused:
         ]
 
     def test_fused_group_counts_entries(self, local):
-        reset_fused_counts()
+        obs.reset()
         engine = BatchEngine(jobs=1, cache=PlanCache())
         result = engine.evaluate(local, "search", self._points(6))
         assert result.ok
         assert result.stats.fused_entries == 6
-        counts = fused_counts()
-        assert counts["groups"] == 1
-        assert counts["entries"] == 6
-        assert counts["fallbacks"] == 0
+        counters = obs.registry().counter_value
+        assert counters("engine.fused.groups") == 1
+        assert counters("engine.fused.entries") == 6
+        assert counters("engine.fused.fallbacks") == 0
 
     def test_fused_and_loop_agree_bitwise(self, local):
         points = self._points(9)
@@ -144,7 +140,7 @@ class TestEngineFused:
         assert lhs == [plan.pfail(p) for p in points]
 
     def test_poisoned_point_falls_back_to_per_entry_isolation(self, local):
-        reset_fused_counts()
+        obs.reset()
         points = self._points(4)
         del points[2]["list"]  # unbound parameter poisons the stack
         engine = BatchEngine(jobs=1, cache=PlanCache())
@@ -153,7 +149,7 @@ class TestEngineFused:
         entries = list(result)
         assert [entry.ok for entry in entries] == [True, True, False, True]
         assert result.stats.fused_entries == 0
-        assert fused_counts()["fallbacks"] == 1
+        assert obs.registry().counter_value("engine.fused.fallbacks") == 1
         # the healthy entries still carry correct values
         plan = compile_plan(local, "search")
         assert entries[0].pfail == plan.pfail(points[0])

@@ -14,12 +14,12 @@ import time
 
 import pytest
 
+from repro import observability as obs
 from repro.core.evaluator import ReliabilityEvaluator
 from repro.core.symbolic_evaluator import SymbolicEvaluator
 from repro.engine import (
     BatchEngine,
     PlanCache,
-    compilation_count,
     compile_plan,
     plan_key,
 )
@@ -29,6 +29,11 @@ from repro.scenarios import local_assembly, recursive_assembly, remote_assembly
 from repro.scenarios.search_sort import SearchSortParameters
 
 POINT = {"elem": 1.0, "list": 500.0, "res": 1.0}
+
+
+def compilation_count() -> int:
+    """Plan compilations so far (the registry's ``plan.compilations``)."""
+    return obs.registry().counter_value("plan.compilations")
 
 
 class TestCacheHits:

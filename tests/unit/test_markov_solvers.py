@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import observability as obs
 from repro.caching import LRUCache
 from repro.errors import EvaluationError, NotAbsorbingError
 from repro.markov import AbsorbingChainAnalysis, DiscreteTimeMarkovChain
@@ -17,16 +18,20 @@ from repro.markov.solvers import (
     SingularSystemError,
     chain_fingerprint,
     chain_plan,
-    factorization_count,
     factorize,
     factorize_chain,
-    plan_count,
-    reset_counters,
     scipy_available,
     validate_solver,
 )
 
 SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def counter(name: str) -> int:
+    """A counter's value in the active metrics registry (obs.reset() zeroes
+    every counter)."""
+    return obs.registry().counter_value(name)
+
 
 needs_scipy = pytest.mark.skipif(
     not scipy_available(), reason="sparse backend requires scipy"
@@ -207,23 +212,23 @@ class TestPlanCache:
         cache = LRUCache(max_size=8)
         chain = cyclic_chain()
         mask = absorbing_mask(chain)
-        reset_counters()
+        obs.reset()
         first = chain_plan(chain.matrix, mask, solver="dense", cache=cache)
-        assert plan_count() == 1
+        assert counter("solver.plans") == 1
         rescaled = chain.matrix.copy()
         rescaled[0] = [0.0, 0.5, 0.25, 0.25]
         second = chain_plan(rescaled, mask, solver="dense", cache=cache)
         assert second is first           # same structure -> same plan object
-        assert plan_count() == 1         # nothing was rebuilt
+        assert counter("solver.plans") == 1  # nothing was rebuilt
         assert cache.stats.hits >= 1
 
     def test_cache_false_disables(self):
         chain = cyclic_chain()
         mask = absorbing_mask(chain)
-        reset_counters()
+        obs.reset()
         chain_plan(chain.matrix, mask, solver="dense", cache=False)
         chain_plan(chain.matrix, mask, solver="dense", cache=False)
-        assert plan_count() == 2
+        assert counter("solver.plans") == 2
 
     def test_solver_request_is_part_of_the_key(self):
         if not scipy_available():
@@ -244,22 +249,22 @@ class TestFactorizationCounters:
         mask = absorbing_mask(chain)
         plan = chain_plan(chain.matrix, mask, solver="sparse", cache=False)
         assert plan.backend == "sparse-tri"
-        reset_counters()
+        obs.reset()
         fact = factorize_chain(chain.matrix, plan)
         fact.solve(np.ones(plan.transient.size))
         fact.solve(np.zeros(plan.transient.size))
-        assert factorization_count() == 0
+        assert counter("solver.factorizations") == 0
 
     @needs_scipy
     def test_sparse_lu_factors_once(self):
         chain = cyclic_chain()
         mask = absorbing_mask(chain)
         plan = chain_plan(chain.matrix, mask, solver="sparse", cache=False)
-        reset_counters()
+        obs.reset()
         fact = factorize_chain(chain.matrix, plan)
         fact.solve(np.ones(2))
         fact.solve(np.ones(2))
-        assert factorization_count() == 1
+        assert counter("solver.factorizations") == 1
 
     @needs_scipy
     def test_dense_with_scipy_factors_once_and_reuses(self):
@@ -268,14 +273,14 @@ class TestFactorizationCounters:
         chain = cyclic_chain()
         mask = absorbing_mask(chain)
         plan = chain_plan(chain.matrix, mask, solver="dense", cache=False)
-        reset_counters()
+        obs.reset()
         fact = factorize_chain(chain.matrix, plan)
         assert fact.reusable
         fact.solve(np.ones(2))
-        assert factorization_count() == 1
+        assert counter("solver.factorizations") == 1
         fact.solve(np.ones(2))
         fact.solve(np.ones(2))
-        assert factorization_count() == 2
+        assert counter("solver.factorizations") == 2
 
     @needs_scipy
     def test_one_dense_solve_loads_no_scipy(self):

@@ -1,9 +1,12 @@
 """Unit tests for :mod:`repro.observability` — metrics, tracing, hooks,
 facade, and the cross-process merge paths the worker pool relies on."""
 
+import ast
 import json
 import os
 import threading
+from fnmatch import fnmatchcase
+from pathlib import Path
 
 import pytest
 
@@ -317,13 +320,16 @@ class TestHooks:
 
 class TestFacade:
     def test_disabled_helpers_record_nothing(self):
+        """Gauges, histograms and spans stay off while disabled; counters
+        are the one registry that always counts."""
         assert not obs.enabled()
-        obs.count("c")
         obs.gauge("g", 1.0)
         obs.observe("h", 1.0)
         assert obs.span("s") is NO_SPAN
         assert len(obs.registry()) == 0
         assert obs.tracer().finished == []
+        obs.count("c")
+        assert obs.registry().snapshot()["counters"] == {"c": 1}
 
     def test_no_span_is_inert_context_manager(self):
         with obs.span("anything") as span:
@@ -355,8 +361,16 @@ class TestFacade:
         obs.disable()
         assert not obs.enabled()
         assert obs.registry().snapshot()["counters"] == {"c": 1}
-        obs.count("c")  # no-op now
-        assert obs.registry().snapshot()["counters"] == {"c": 1}
+        obs.count("c")  # counters keep counting
+        obs.gauge("g", 1.0)  # no-op now
+        snap = obs.registry().snapshot()
+        assert snap["counters"] == {"c": 2} and snap["gauges"] == {}
+
+    def test_counter_value_reads_without_creating(self):
+        assert obs.registry().counter_value("never.counted") == 0
+        assert obs.registry().snapshot()["counters"] == {}
+        obs.count("c", 3)
+        assert obs.registry().counter_value("c") == 3
 
     def test_reset_forgets_everything(self):
         obs.enable()
@@ -364,6 +378,87 @@ class TestFacade:
         obs.reset()
         assert not obs.enabled()
         assert len(obs.registry()) == 0
+
+
+# -- counters count with collection off ------------------------------------
+
+
+class TestCountersAlwaysCount:
+    def test_numeric_pfail_counts_with_collection_off(self, local):
+        from repro.core import ReliabilityEvaluator
+
+        assert not obs.enabled()
+        ReliabilityEvaluator(local).pfail("search", elem=1, list=500, res=1)
+        snap = obs.registry().snapshot()
+        assert snap["counters"]["solver.factorizations"] >= 1
+        assert snap["gauges"] == {} and snap["histograms"] == {}
+        assert obs.tracer().finished == []
+
+    def test_kept_count_functions_read_the_registry(self, local):
+        from repro.core import ReliabilityEvaluator
+        from repro.engine import fused_counts
+        from repro.markov.solvers import factorization_count, plan_count
+
+        assert (plan_count(), factorization_count()) == (0, 0)
+        assert fused_counts() == {"groups": 0, "entries": 0, "fallbacks": 0}
+        assert obs.registry().snapshot()["counters"] == {}  # reads create nothing
+        ReliabilityEvaluator(local).pfail("search", elem=1, list=500, res=1)
+        counters = obs.registry().snapshot()["counters"]
+        assert plan_count() == counters.get("solver.plans", 0)  # cache may hit
+        assert factorization_count() == counters["solver.factorizations"] >= 1
+
+
+# -- every emitted metric name is documented --------------------------------
+
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+def _emitted_names():
+    """``(kind, name, file:line)`` of every literal name passed to
+    ``obs.count``, ``obs.gauge`` or ``obs.observe`` under ``src/``; an
+    f-string's replacement fields become ``*``."""
+    kinds = {"count": "counters", "gauge": "gauges", "observe": "histograms"}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "obs"
+                and node.func.attr in kinds
+                and node.args
+            ):
+                continue
+            arg = node.args[0]
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                name = arg.value
+            elif isinstance(arg, ast.JoinedStr):
+                name = "".join(
+                    part.value if isinstance(part, ast.Constant) else "*"
+                    for part in arg.values
+                )
+            else:
+                continue
+            yield kinds[node.func.attr], name, f"{path.name}:{node.lineno}"
+
+
+class TestMetricNames:
+    def test_every_emitted_name_is_in_the_schema(self):
+        schema = json.loads(
+            (ROOT / "tools" / "metrics_schema.json").read_text()
+        )["x-well-known-names"]
+        emitted = list(_emitted_names())
+        assert len(emitted) > 50  # the scan found the instrumentation
+        missing = [
+            (kind, name, where)
+            for kind, name, where in emitted
+            # a listed pattern covers the name, or (for an f-string family)
+            # the family covers a listed name
+            if not any(fnmatchcase(name, p) or fnmatchcase(p, name)
+                       for p in schema[kind])
+        ]
+        assert missing == []
 
 
 # -- worker payload shipping (the cross-process join) -----------------------
