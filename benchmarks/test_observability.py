@@ -11,8 +11,9 @@ via the numeric evaluator, the path with the densest instrumentation
 
 Three variants of the identical sweep are timed:
 
-- ``stubbed`` — the facade helpers are replaced with bare no-ops: the
-  cheapest conceivable call site, standing in for uninstrumented code;
+- ``stubbed`` — the facade helpers are replaced with bare no-ops of the
+  same signatures: the cheapest conceivable call site, standing in for
+  uninstrumented code;
 - ``disabled`` — the real facade with observability off (the shipped
   default: counters count, everything else is one branch per call site);
 - ``enabled`` — full collection: registry, tracer and an in-memory sink.
@@ -65,16 +66,34 @@ def _sweep() -> float:
     return total
 
 
-class _FacadeStub:
-    """Swap the facade helpers for bare no-ops and restore on exit."""
+def _count(name, amount=1):
+    pass
 
-    NAMES = ("count", "gauge", "observe", "span")
+
+def _gauge(name, value):
+    pass
+
+
+def _observe(name, value):
+    pass
+
+
+def _span(name, **tags):
+    return NO_SPAN
+
+
+class _FacadeStub:
+    """Swap the facade helpers for bare no-ops with the real signatures
+    (no ``*args`` packing, so no call costs more than the real disabled
+    helper) and restore on exit."""
+
+    STUBS = {"count": _count, "gauge": _gauge, "observe": _observe,
+             "span": _span}
 
     def __enter__(self):
-        self.saved = {name: getattr(obs, name) for name in self.NAMES}
-        for name in ("count", "gauge", "observe"):
-            setattr(obs, name, lambda *args, **kwargs: None)
-        obs.span = lambda *args, **kwargs: NO_SPAN
+        self.saved = {name: getattr(obs, name) for name in self.STUBS}
+        for name, stub in self.STUBS.items():
+            setattr(obs, name, stub)
         return self
 
     def __exit__(self, *exc_info):

@@ -32,14 +32,16 @@ for DAG-like flows — on large sparse chains; see the solvers module.
 The solves are *guarded*: a singular system still raises
 :class:`~repro.errors.NotAbsorbingError` (the classical "transient state
 cannot reach absorption" diagnosis), but a nearly-singular system — one
-whose condition estimate or residual says the computed probabilities are
+whose condition number or residual says the computed probabilities are
 numerically untrustworthy — raises
 :class:`~repro.errors.NumericalInstabilityError` instead of returning
-garbage.  The condition check now uses the backend's cheap 1-norm
-*estimate* (exact, and bit-identical to the historical guard, for small
-dense systems) instead of an unconditional ``O(n^3)``
-``np.linalg.cond``.  Absorption probabilities are clamped to ``[0, 1]``;
-drift beyond ``DRIFT_TOL`` is itself treated as instability.
+garbage.  The condition number is exact on every backend and costs one
+transposed solve (:meth:`~repro.markov.solvers.Factorization.m_matrix_condition`),
+not an ``O(n^3)`` ``np.linalg.cond``.  Each guarded solve is one
+``solver.solve`` span tagged ``backend``, ``n`` and ``condition``; every
+refusal (condition, residual or drift) makes it an error span.
+Absorption probabilities are clamped to ``[0, 1]``; drift beyond
+``DRIFT_TOL`` is itself treated as instability.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from collections.abc import Hashable
 
 import numpy as np
 
+from repro import observability as obs
 from repro.errors import (
     NotAbsorbingError,
     NumericalInstabilityError,
@@ -113,66 +116,69 @@ class AbsorbingChainAnalysis:
         )
 
         check_finite_array("(I - Q) system: transition matrix", matrix)
-        mask = np.zeros(len(matrix), dtype=bool)
-        mask[[chain.index(s) for s in self._absorbing]] = True
         # Structural plan (partition, sparsity pattern, topological order,
         # backend choice) — cached across structurally identical chains, so
         # a sweep varying only rates skips straight to value extraction.
         plan = solvers.chain_plan(
-            matrix, mask, solver=self._solver, cache=solver_cache
+            matrix, chain.absorbing_mask, solver=self._solver,
+            cache=solver_cache,
         )
         self._plan = plan
         r = matrix[np.ix_(plan.transient, plan.absorbing)]
-        # Singular (I - Q) means some transient state can never reach an
-        # absorbing state, i.e. the chain keeps probability mass cycling
-        # forever; the reliability question is then ill-posed.
-        try:
-            factorization = solvers.factorize_chain(matrix, plan)
-            self._absorption = np.asarray(factorization.solve(r))
-        except solvers.SingularSystemError as exc:
-            raise NotAbsorbingError(
-                "some transient state cannot reach any absorbing state"
-            ) from exc
-        self._factorization = factorization
-        # Near-singular systems factor without raising but produce numbers
-        # no one should trust; measure instead of hoping.
-        if not np.all(np.isfinite(self._absorption)):
-            raise NumericalInstabilityError(
-                "(I - Q) solve produced non-finite absorption "
-                "probabilities"
+        with obs.span(
+            "solver.solve", backend=plan.backend, n=n_transient
+        ) as span:
+            # Singular (I - Q) means some transient state can never reach
+            # an absorbing state, i.e. the chain keeps probability mass
+            # cycling forever; the reliability question is then ill-posed.
+            try:
+                factorization = solvers.factorize_chain(matrix, plan)
+                self._absorption = np.asarray(factorization.solve(r))
+            except solvers.SingularSystemError as exc:
+                raise NotAbsorbingError(
+                    "some transient state cannot reach any absorbing state"
+                ) from exc
+            self._factorization = factorization
+            # Near-singular systems factor without raising but produce
+            # numbers no one should trust; measure instead of hoping.
+            if not np.all(np.isfinite(self._absorption)):
+                raise NumericalInstabilityError(
+                    "(I - Q) solve produced non-finite absorption "
+                    "probabilities"
+                )
+            condition = factorization.m_matrix_condition()
+            span.set_tag(condition=condition)
+            if not np.isfinite(condition) or condition > MAX_CONDITION:
+                raise NumericalInstabilityError(
+                    "(I - Q) system is ill-conditioned; absorption "
+                    "probabilities are untrustworthy",
+                    condition=condition,
+                )
+            residual = float(
+                np.max(
+                    np.abs(factorization.matvec(self._absorption) - r),
+                    initial=0.0,
+                )
             )
-        condition = factorization.condition_estimate()
-        if not np.isfinite(condition) or condition > MAX_CONDITION:
-            raise NumericalInstabilityError(
-                "(I - Q) system is ill-conditioned; absorption "
-                "probabilities are untrustworthy",
-                condition=condition,
+            if residual > RESIDUAL_TOL:
+                raise NumericalInstabilityError(
+                    "(I - Q) solve failed the residual check",
+                    residual=residual, condition=condition,
+                )
+            # Clamp round-off drift outside [0, 1]; reject real violations.
+            drift = float(
+                max(
+                    np.max(-self._absorption, initial=0.0),
+                    np.max(self._absorption - 1.0, initial=0.0),
+                )
             )
-        residual = float(
-            np.max(
-                np.abs(factorization.matvec(self._absorption) - r),
-                initial=0.0,
-            )
-        )
-        if residual > RESIDUAL_TOL:
-            raise NumericalInstabilityError(
-                "(I - Q) solve failed the residual check",
-                residual=residual, condition=condition,
-            )
-        # Clamp round-off drift outside [0, 1]; reject real violations.
-        drift = float(
-            max(
-                np.max(-self._absorption, initial=0.0),
-                np.max(self._absorption - 1.0, initial=0.0),
-            )
-        )
-        self._clamp_drift = max(drift, 0.0)
-        if drift > DRIFT_TOL:
-            raise NumericalInstabilityError(
-                "absorption probabilities drifted outside [0, 1] "
-                "beyond tolerance",
-                drift=drift, condition=condition,
-            )
+            self._clamp_drift = max(drift, 0.0)
+            if drift > DRIFT_TOL:
+                raise NumericalInstabilityError(
+                    "absorption probabilities drifted outside [0, 1] "
+                    "beyond tolerance",
+                    drift=drift, condition=condition,
+                )
         self._absorption = np.clip(self._absorption, 0.0, 1.0)
 
     # -- accessors ------------------------------------------------------------

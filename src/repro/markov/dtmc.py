@@ -34,7 +34,7 @@ class DiscreteTimeMarkovChain:
     probability mass self-loops are *absorbing*.
     """
 
-    __slots__ = ("_states", "_index", "_matrix")
+    __slots__ = ("_states", "_index", "_matrix", "_absorbing")
 
     def __init__(self, states: Iterable[Hashable], matrix: np.ndarray):
         state_list = tuple(states)
@@ -64,6 +64,8 @@ class DiscreteTimeMarkovChain:
         self._index = {s: i for i, s in enumerate(state_list)}
         self._matrix = mat
         self._matrix.setflags(write=False)
+        self._absorbing = np.diagonal(mat) >= 1.0 - _ROW_SUM_TOL
+        self._absorbing.setflags(write=False)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -76,6 +78,11 @@ class DiscreteTimeMarkovChain:
     def matrix(self) -> np.ndarray:
         """The (read-only) row-stochastic transition matrix."""
         return self._matrix
+
+    @property
+    def absorbing_mask(self) -> np.ndarray:
+        """Read-only boolean mask of the absorbing states, in state order."""
+        return self._absorbing
 
     def __len__(self) -> int:
         return len(self._states)
@@ -105,16 +112,19 @@ class DiscreteTimeMarkovChain:
 
     def is_absorbing_state(self, state: Hashable) -> bool:
         """True when ``state`` self-loops with probability one."""
-        i = self.index(state)
-        return bool(self._matrix[i, i] >= 1.0 - _ROW_SUM_TOL)
+        return bool(self._absorbing[self.index(state)])
 
     def absorbing_states(self) -> tuple[Hashable, ...]:
         """All absorbing states, in state order."""
-        return tuple(s for s in self._states if self.is_absorbing_state(s))
+        return tuple(
+            s for s, a in zip(self._states, self._absorbing.tolist()) if a
+        )
 
     def transient_states(self) -> tuple[Hashable, ...]:
         """All non-absorbing states, in state order."""
-        return tuple(s for s in self._states if not self.is_absorbing_state(s))
+        return tuple(
+            s for s, a in zip(self._states, self._absorbing.tolist()) if not a
+        )
 
     def reachable_from(self, start: Hashable) -> frozenset[Hashable]:
         """States reachable from ``start`` (including itself) through

@@ -13,7 +13,7 @@ This module makes the solve *pluggable* and *structure-aware*:
 - **dense** — the compatibility backend.  The first right-hand side is one
   ``numpy.linalg.solve``; when a second one arrives and scipy is installed,
   the LU factors are computed once (``scipy.linalg.lu_factor``) and reused
-  across visits, steps and the condition estimate.
+  across visits and steps.
 - **sparse** — assemble ``I - Q`` in CSR and factor once with
   ``scipy.sparse.linalg.splu``; every subsequent right-hand side is a pair
   of triangular substitutions.  Requires scipy.
@@ -32,14 +32,15 @@ This module makes the solve *pluggable* and *structure-aware*:
 and the numeric evaluators, for the goldens and the dense/sparse parity
 suites.
 
-The exact condition number is replaced everywhere by a 1-norm *estimate*
-(``scipy.sparse.linalg.onenormest`` over the factorization, or a pure-numpy
-Hager estimator without scipy) — a handful of extra solves instead of an
-extra ``O(n^3)`` inversion.
+The absorbing solve is guarded by the *exact* 1-norm condition number of
+``A = I - Q``, at the price of one transposed solve on every backend
+(:meth:`Factorization.m_matrix_condition`): ``A`` is an M-matrix, so
+``A^{-1} >= 0`` and its largest column sum is the largest entry of
+``A^{-T} 1`` — no ``O(n^3)`` inversion and no estimator.
 
 scipy is imported on first need (a sparse backend, a dense system's second
-right-hand side, a large condition estimate), never at import: a one-shot
-dense evaluation costs ``import numpy`` and nothing more.
+right-hand side), never at import: a one-shot dense evaluation, condition
+guard included, costs ``import numpy`` and nothing more.
 
 **Structural plan cache.**  The value-independent part of a solve — the
 transient/absorbing partition, the sparsity pattern of ``Q``, the
@@ -101,11 +102,6 @@ SPARSE_THRESHOLD = 256
 #: Fill ratio (``nnz / n^2``) above which ``auto`` stays dense even for
 #: large systems; past it the CSR indirection stops paying for itself.
 SPARSE_DENSITY = 0.25
-
-#: Dense systems up to this order get the exact ``np.linalg.cond`` check
-#: (cheap at this size, and bit-compatible with the historical guard);
-#: larger systems use the 1-norm estimate.
-EXACT_COND_SIZE = 512
 
 
 class SingularSystemError(Exception):
@@ -176,71 +172,6 @@ def factorization_count() -> int:
 
 
 # ---------------------------------------------------------------------------
-# condition estimation
-# ---------------------------------------------------------------------------
-
-
-def _hager_inverse_norm(solve, solve_transpose, n: int, itmax: int = 5) -> float:
-    """Hager's 1-norm estimator for ``||A^{-1}||_1`` from solves only.
-
-    The classic LAPACK ``xLACON`` scheme: a forward solve scores a
-    candidate, a transpose solve picks the next coordinate direction.  A
-    lower bound in theory, near-exact in practice for the diagonally
-    dominant systems this library produces.
-    """
-    if n == 0:
-        return 0.0
-    x = np.full(n, 1.0 / n)
-    estimate = 0.0
-    visited: set[int] = set()
-    for _ in range(itmax):
-        y = np.asarray(solve(x), dtype=float)
-        if not np.all(np.isfinite(y)):
-            return float("inf")
-        estimate = max(estimate, float(np.abs(y).sum()))
-        sign = np.where(y >= 0.0, 1.0, -1.0)
-        z = np.asarray(solve_transpose(sign), dtype=float)
-        if not np.all(np.isfinite(z)):
-            return float("inf")
-        j = int(np.argmax(np.abs(z)))
-        if float(np.abs(z[j])) <= float(z @ x) or j in visited:
-            break
-        visited.add(j)
-        x = np.zeros(n)
-        x[j] = 1.0
-    return estimate
-
-
-def _inverse_norm_estimate(fact: "Factorization") -> float:
-    """Estimated ``||A^{-1}||_1`` through a factorization's solves."""
-    n = fact.n
-    if n == 0:
-        return 0.0
-    if n <= 4:
-        # exact at trivial size: solve the identity and read the norm
-        obs.count("solver.condition.exact")
-        inverse = fact.solve(np.eye(n))
-        if not np.all(np.isfinite(inverse)):
-            return float("inf")
-        return float(np.abs(inverse).sum(axis=0).max())
-    obs.count("solver.condition.estimated")
-    scipy = _scipy()
-    if scipy is not None:
-        operator = scipy.sparse.linalg.LinearOperator(
-            (n, n),
-            matvec=lambda v: fact.solve(np.asarray(v, dtype=float).ravel()),
-            rmatvec=lambda v: fact.solve_transpose(
-                np.asarray(v, dtype=float).ravel()
-            ),
-        )
-        try:
-            return float(scipy.sparse.linalg.onenormest(operator))
-        except (ValueError, RuntimeError):  # pragma: no cover - defensive
-            pass
-    return _hager_inverse_norm(fact.solve, fact.solve_transpose, n)
-
-
-# ---------------------------------------------------------------------------
 # factorizations
 # ---------------------------------------------------------------------------
 
@@ -248,9 +179,9 @@ def _inverse_norm_estimate(fact: "Factorization") -> float:
 class Factorization:
     """A reusable factorization of one square system ``A``.
 
-    Subclasses implement :meth:`solve`, :meth:`solve_transpose` and
-    :meth:`matvec`; the 1-norm condition estimate is computed lazily from
-    those and memoized.
+    Subclasses implement :meth:`solve`, :meth:`solve_transpose`,
+    :meth:`matvec` and :meth:`norm1`; :meth:`m_matrix_condition` is built
+    from the last two.
 
     Attributes:
         n: the system order.
@@ -265,8 +196,6 @@ class Factorization:
 
     def __init__(self, n: int):
         self.n = int(n)
-        self._condition: float | None = None
-        self._norm1: float | None = None
 
     # -- interface ---------------------------------------------------------
 
@@ -275,7 +204,7 @@ class Factorization:
         raise NotImplementedError
 
     def solve_transpose(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``A^T x = rhs`` (used by the condition estimator)."""
+        """Solve ``A^T x = rhs`` (used by the condition guard)."""
         raise NotImplementedError
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -288,21 +217,36 @@ class Factorization:
 
     # -- shared ------------------------------------------------------------
 
-    def condition_estimate(self) -> float:
-        """Estimated 1-norm condition number, memoized per factorization."""
-        if self._condition is None:
-            self._condition = float(self.norm1() * _inverse_norm_estimate(self))
-        return self._condition
+    def m_matrix_condition(self) -> float:
+        """The exact 1-norm condition number of an absorbing system.
+
+        For ``A = I - Q`` with ``Q >= 0`` substochastic and ``A``
+        nonsingular, ``A`` is an M-matrix and ``A^{-1} >= 0``, so the
+        largest column sum of ``A^{-1}`` is the largest entry of ``y``
+        with ``A^T y = 1``: ``cond_1(A) = ||A||_1 * max|y|`` costs one
+        transposed solve.  Not valid for a general system; infinite when
+        that solve fails.
+        """
+        obs.count("solver.condition")
+        try:
+            y = np.asarray(self.solve_transpose(np.ones(self.n)), dtype=float)
+        except SingularSystemError:
+            return float("inf")
+        if not np.all(np.isfinite(y)):
+            return float("inf")
+        return self.norm1() * float(np.max(np.abs(y), initial=0.0))
 
 
 class _DenseFactorization(Factorization):
     """Dense backend: LAPACK via numpy, LU kept from the second solve on.
 
     The first right-hand side is one ``numpy.linalg.solve`` (``gesv``), so
-    a one-shot solve never loads scipy.  A second right-hand side (or any
-    transpose solve) forms the ``getrf`` factors with scipy once and reuses
-    them through ``getrs``.  Without scipy every solve re-factors — the
-    historical ``numpy.linalg.solve`` behavior, preserved on purpose.
+    a one-shot solve never loads scipy.  A second right-hand side forms
+    the ``getrf`` factors with scipy once and reuses them through
+    ``getrs``.  Without scipy every solve re-factors — the historical
+    ``numpy.linalg.solve`` behavior, preserved on purpose.  A transposed
+    solve (the condition guard's) is one ``gesv`` on ``A^T``, not counted
+    as a factorization.
     """
 
     method = "dense"
@@ -354,32 +298,13 @@ class _DenseFactorization(Factorization):
         return _scipy().linalg.lu_solve(factors, rhs, check_finite=False)
 
     def solve_transpose(self, rhs: np.ndarray) -> np.ndarray:
-        factors = self._factors()
-        if factors is None:
-            return self._gesv(self._system.T, rhs)
-        return _scipy().linalg.lu_solve(
-            factors, rhs, trans=1, check_finite=False
-        )
+        return self._gesv(self._system.T, rhs)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self._system @ x
 
     def norm1(self) -> float:
-        if self._norm1 is None:
-            self._norm1 = float(
-                np.abs(self._system).sum(axis=0).max(initial=0.0)
-            )
-        return self._norm1
-
-    def condition_estimate(self) -> float:
-        if self._condition is None and self.n <= EXACT_COND_SIZE:
-            # exact at small size — bit-compatible with the historical guard
-            obs.count("solver.condition.exact")
-            try:
-                self._condition = float(np.linalg.cond(self._system, 1))
-            except np.linalg.LinAlgError:  # pragma: no cover - defensive
-                self._condition = float("inf")
-        return super().condition_estimate()
+        return float(np.abs(self._system).sum(axis=0).max(initial=0.0))
 
 
 class _SparseLUFactorization(Factorization):
@@ -409,10 +334,8 @@ class _SparseLUFactorization(Factorization):
         return self._csr @ x
 
     def norm1(self) -> float:
-        if self._norm1 is None:
-            sums = np.asarray(np.abs(self._csr).sum(axis=0)).ravel()
-            self._norm1 = float(np.max(sums, initial=0.0))
-        return self._norm1
+        sums = np.asarray(np.abs(self._csr).sum(axis=0)).ravel()
+        return float(np.max(sums, initial=0.0))
 
 
 class _SparseTriangularFactorization(Factorization):
@@ -439,7 +362,7 @@ class _SparseTriangularFactorization(Factorization):
                 "triangular system has a zero diagonal entry"
             )
         self._permuted = permuted
-        self._permuted_t = None  # lazily built for the condition estimate
+        self._permuted_t = None  # lazily built for the condition guard
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
@@ -462,10 +385,8 @@ class _SparseTriangularFactorization(Factorization):
         return (self._permuted @ x[self._order])[self._inverse]
 
     def norm1(self) -> float:
-        if self._norm1 is None:
-            sums = np.asarray(np.abs(self._permuted).sum(axis=0)).ravel()
-            self._norm1 = float(np.max(sums, initial=0.0))
-        return self._norm1
+        sums = np.asarray(np.abs(self._permuted).sum(axis=0)).ravel()
+        return float(np.max(sums, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

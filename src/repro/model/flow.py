@@ -33,7 +33,7 @@ Use :class:`FlowBuilder` for readable construction::
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import InvalidFlowError, InvalidSharingError
 from repro.model.completion import AND, CompletionModel
@@ -82,6 +82,9 @@ class FlowState:
     completion: CompletionModel = AND
     shared: bool = False
     sharing_groups: tuple[tuple[int, ...], ...] | None = None
+    _groups: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
@@ -122,17 +125,21 @@ class FlowState:
         # evaluation time.
         if self.requests:
             self.completion.required_successes(len(self.requests))
+        n = len(self.requests)
+        if self.sharing_groups is not None:
+            groups = self.sharing_groups
+        elif self.shared:
+            groups = (tuple(range(n)),)
+        else:
+            groups = tuple((i,) for i in range(n))
+        object.__setattr__(self, "_groups", groups)
 
     def effective_groups(self) -> tuple[tuple[int, ...], ...]:
         """The dependency partition in normalized form: explicit
         ``sharing_groups`` if given, one all-request group for
-        ``shared=True``, else all singletons (independence)."""
-        n = len(self.requests)
-        if self.sharing_groups is not None:
-            return self.sharing_groups
-        if self.shared:
-            return (tuple(range(n)),)
-        return tuple((i,) for i in range(n))
+        ``shared=True``, else all singletons (independence).  Derived
+        once per state."""
+        return self._groups
 
     def check_sharing_restriction(self) -> None:
         """Enforce the paper's sharing restriction per dependency group:
@@ -187,6 +194,9 @@ class ServiceFlow:
                 raise InvalidFlowError(f"duplicate flow state {state.name!r}")
             self._states[state.name] = state
         self._transitions = tuple(transitions)
+        self._targets = frozenset(
+            r.target for s in self._states.values() for r in s.requests
+        )
         self._outgoing: dict[str, list[FlowTransition]] = {}
         for t in self._transitions:
             self._outgoing.setdefault(t.source, []).append(t)
@@ -222,9 +232,7 @@ class ServiceFlow:
 
     def request_targets(self) -> frozenset[str]:
         """All required-service slot names referenced by this flow."""
-        return frozenset(
-            r.target for s in self._states.values() for r in s.requests
-        )
+        return self._targets
 
     # -- validation --------------------------------------------------------
 

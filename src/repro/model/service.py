@@ -45,11 +45,16 @@ class AnalyticInterface:
             Reliability expressions may reference attribute names; the
             evaluator binds them automatically.
         description: free-text documentation of the offered service.
+        parameter_names: formal-parameter names, in declaration order
+            (derived once; outside ``==``, ``hash`` and ``repr``).
     """
 
     formal_parameters: tuple[FormalParameter, ...] = ()
     attributes: Mapping[str, float] = field(default_factory=dict)
     description: str = ""
+    parameter_names: tuple[str, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         params = tuple(self.formal_parameters)
@@ -64,18 +69,14 @@ class AnalyticInterface:
                 raise ModelError(f"invalid attribute name {key!r}")
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ModelError(f"attribute {key!r} must be numeric, got {value!r}")
-            if key in set(names):
+            if key in names:
                 raise ModelError(
                     f"attribute {key!r} collides with a formal parameter name"
                 )
             attrs[key] = float(value)
         object.__setattr__(self, "formal_parameters", params)
         object.__setattr__(self, "attributes", MappingProxyType(attrs))
-
-    @property
-    def parameter_names(self) -> tuple[str, ...]:
-        """Formal-parameter names, in declaration order."""
-        return tuple(p.name for p in self.formal_parameters)
+        object.__setattr__(self, "parameter_names", tuple(names))
 
     def check_actuals(self, env: Mapping[str, Value]) -> None:
         """Check that ``env`` binds every formal parameter within its

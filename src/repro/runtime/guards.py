@@ -36,7 +36,7 @@ __all__ = [
 #: Drift beyond [0, 1] attributed to round-off and silently clamped.
 CLAMP_TOL = 1e-9
 
-#: 1-norm condition estimate beyond which a solve is deemed untrustworthy.
+#: 1-norm condition number beyond which a solve is deemed untrustworthy.
 MAX_CONDITION = 1e12
 
 #: Relative residual (infinity norm) beyond which a solution is rejected.

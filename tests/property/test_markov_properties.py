@@ -124,3 +124,43 @@ class TestFailureMonotonicity:
             assert worse.absorption_probability(state, "End") <= (
                 analysis.absorption_probability(state, "End") + 1e-12
             )
+
+
+#: Self-loop weights around the absorbing cut ``P_ii >= 1 - 1e-9``.
+NEAR_ONE = (1.0, 1.0 - 1e-13, 1.0 - 1e-11, 1.0 - 1e-9, 1.0 - 1e-7, 0.5)
+
+
+@st.composite
+def classified_chains(draw, max_states=8):
+    """Chains whose rows keep a self-loop drawn from :data:`NEAR_ONE`
+    (so some sit just inside, some just outside the absorbing cut) and
+    spread the rest of their mass at random."""
+    n = draw(st.integers(min_value=1, max_value=max_states))
+    matrix = np.zeros((n, n))
+    for i in range(n):
+        loop = draw(st.sampled_from(NEAR_ONE))
+        rest = np.array(
+            [draw(st.floats(min_value=0.0, max_value=1.0)) for _ in range(n)]
+        )
+        rest[i] = 0.0
+        matrix[i] = (1.0 - loop) * rest / rest.sum() if rest.sum() else 0.0
+        matrix[i, i] = loop if rest.sum() else 1.0
+    return DiscreteTimeMarkovChain([f"s{i}" for i in range(n)], matrix)
+
+
+class TestStateClassification:
+    @given(classified_chains())
+    @settings(max_examples=200)
+    def test_mask_is_the_diagonal_cut(self, chain):
+        cut = [
+            chain.matrix[i, i] >= 1.0 - 1e-9 for i in range(len(chain))
+        ]
+        assert chain.absorbing_mask.tolist() == cut
+        assert not chain.absorbing_mask.flags.writeable
+        assert chain.absorbing_states() == tuple(
+            s for s, a in zip(chain.states, cut) if a
+        )
+        assert chain.transient_states() == tuple(
+            s for s, a in zip(chain.states, cut) if not a
+        )
+        assert [chain.is_absorbing_state(s) for s in chain.states] == cut

@@ -41,6 +41,16 @@ class TestAssemblyFingerprint:
         )
         assert base != tweaked
 
+    def test_evaluation_leaves_fingerprint_unchanged(self):
+        from repro.core import ReliabilityEvaluator
+
+        assembly = local_assembly()
+        before = canonical_json(assembly), assembly_fingerprint(assembly)
+        ReliabilityEvaluator(assembly).pfail("search", elem=1, list=50, res=1)
+        after = canonical_json(assembly), assembly_fingerprint(assembly)
+        assert after == before
+        assert after[1] == assembly_fingerprint(local_assembly())
+
     def test_sha256_hex_shape(self):
         digest = assembly_fingerprint(local_assembly())
         assert len(digest) == 64

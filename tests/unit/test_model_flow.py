@@ -1,5 +1,8 @@
 """Unit tests for service flows and the flow builder."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import InvalidFlowError, InvalidSharingError
@@ -40,6 +43,34 @@ class TestFlowState:
 
     def test_sharing_ok_single_target(self):
         FlowState("s", (request("a"), request("a")), shared=True).check_sharing_restriction()
+
+    def test_effective_groups(self):
+        pair = (request("a"), request("a"))
+        assert FlowState("s", pair).effective_groups() == ((0,), (1,))
+        assert FlowState("s", pair, shared=True).effective_groups() == ((0, 1),)
+        assert FlowState(
+            "s", pair, sharing_groups=[[1, 0]]
+        ).effective_groups() == ((1, 0),)
+        assert FlowState("s").effective_groups() == ()
+
+    def test_cached_groups_stay_out_of_eq_hash_repr_and_pickle(self):
+        state = FlowState("s")
+        # the only "groups=" in the repr is the declared sharing_groups
+        assert repr(state).count("groups=") == 1
+        assert repr(FlowState("s", (request(), request()))).count("groups=") == 1
+        assert state == FlowState("s")
+        assert hash(state) == hash(FlowState("s"))
+        restored = pickle.loads(pickle.dumps(state))
+        assert restored == state
+        assert restored.effective_groups() == ()
+        independent = FlowState("s", (request("a"), request("a")))
+        assert independent == FlowState("s", (request("a"), request("a")))
+
+    def test_replace_derives_groups_again(self):
+        state = FlowState("s", (request("a"), request("a")))
+        shared = dataclasses.replace(state, shared=True)
+        assert shared.effective_groups() == ((0, 1),)
+        assert state.effective_groups() == ((0,), (1,))
 
     def test_kofn_validated_against_request_count(self):
         from repro.model import KOfNCompletion

@@ -1,5 +1,7 @@
 """Unit tests for services and analytic interfaces."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ModelError
@@ -31,6 +33,24 @@ def eq1_expression():
 class TestAnalyticInterface:
     def test_parameter_names(self):
         assert cpu_interface().parameter_names == ("N",)
+
+    def test_parameter_names_stay_out_of_eq_and_repr(self):
+        used, fresh = cpu_interface(), cpu_interface()
+        SimpleService("cpu", used, eq1_expression()).pfail(N=10)
+        assert used == fresh
+        assert repr(used) == repr(fresh)
+        assert "parameter_names" not in repr(used)
+        assert used != AnalyticInterface(
+            formal_parameters=(FormalParameter("M"),),
+            attributes=dict(used.attributes),
+        )
+
+    def test_replace_derives_parameter_names_again(self):
+        renamed = dataclasses.replace(
+            cpu_interface(), formal_parameters=(FormalParameter("M"),),
+            attributes={},
+        )
+        assert renamed.parameter_names == ("M",)
 
     def test_duplicate_parameters_rejected(self):
         with pytest.raises(ModelError):

@@ -408,6 +408,66 @@ class TestCountersAlwaysCount:
         assert factorization_count() == counters["solver.factorizations"] >= 1
 
 
+class TestSolverSpan:
+    def test_one_span_per_absorbing_solve(self, local):
+        from repro.core import ReliabilityEvaluator
+
+        obs.enable()
+        evaluator = ReliabilityEvaluator(local)
+        evaluator.pfail("search", elem=1, list=500, res=1)
+        spans = [s for s in obs.tracer().finished if s.name == "solver.solve"]
+        assert len(spans) == evaluator.solve_count
+        assert obs.registry().counter_value("solver.condition") == len(spans)
+        for span in spans:
+            assert span.status == "ok"
+            assert set(span.tags) == {"backend", "n", "condition"}
+            assert span.tags["backend"] == "dense"
+            assert span.tags["n"] >= 1 and 1.0 <= span.tags["condition"] < 1e12
+
+    def test_refused_solve_is_an_error_span_with_its_condition(self):
+        import numpy as np
+
+        from repro.errors import NumericalInstabilityError
+        from repro.markov import AbsorbingChainAnalysis, DiscreteTimeMarkovChain
+
+        escape = 1e-15
+        chain = DiscreteTimeMarkovChain(["t0", "t1", "End"], np.array([
+            [0.0, 1.0, 0.0], [1.0 - escape, 0.0, escape], [0.0, 0.0, 1.0],
+        ]))
+        obs.enable()
+        with pytest.raises(NumericalInstabilityError):
+            AbsorbingChainAnalysis(chain, solver="dense")
+        (span,) = obs.tracer().finished
+        assert (span.name, span.status) == ("solver.solve", "error")
+        assert span.tags["n"] == 2 and span.tags["condition"] > 1e12
+
+    @pytest.mark.parametrize("module, tolerance", [
+        ("repro.runtime.guards", "RESIDUAL_TOL"),
+        ("repro.markov.absorbing", "DRIFT_TOL"),
+    ])
+    def test_residual_and_drift_refusals_are_error_spans(
+        self, monkeypatch, module, tolerance
+    ):
+        import importlib
+
+        import numpy as np
+
+        from repro.errors import NumericalInstabilityError
+        from repro.markov import AbsorbingChainAnalysis, DiscreteTimeMarkovChain
+
+        # A negative tolerance refuses a healthy solve at that check alone.
+        monkeypatch.setattr(importlib.import_module(module), tolerance, -1.0)
+        chain = DiscreteTimeMarkovChain(["t", "End", "Fail"], np.array([
+            [0.5, 0.3, 0.2], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+        ]))
+        obs.enable()
+        with pytest.raises(NumericalInstabilityError):
+            AbsorbingChainAnalysis(chain, solver="dense")
+        (span,) = obs.tracer().finished
+        assert (span.name, span.status) == ("solver.solve", "error")
+        assert span.tags["n"] == 1 and span.tags["condition"] == 1.0
+
+
 # -- every emitted metric name is documented --------------------------------
 
 
