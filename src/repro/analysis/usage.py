@@ -117,9 +117,10 @@ def _accumulate(
         visits = analysis.expected_visits(START, state)
         if visits <= 0.0:
             continue
-        for provider, provider_actuals, connector, connector_actuals in (
-            frame.calls[start:stop]
-        ):
+        for entry in frame.table.inverse[start:stop]:
+            provider, provider_actuals, connector, connector_actuals = (
+                frame.calls[entry]
+            )
             _accumulate(
                 evaluator, provider, dict(provider_actuals),
                 weight * visits, counts,

@@ -46,6 +46,7 @@ from repro.core.state_failure import _check_probability, completion_class_failur
 from repro.markov import AbsorbingChainAnalysis
 from repro.model.assembly import Assembly
 from repro.model.flow import END, START
+from repro.model.requests import ServiceRequest
 from repro.model.service import CompositeService, Service, SimpleService
 from repro.model.validation import validate_assembly
 from repro.runtime.budget import EvaluationBudget
@@ -121,39 +122,61 @@ class EvaluationReport:
         return "\n".join(lines)
 
 
-class RequestTable:
-    """A composite service's requests, resolved once per evaluator.
+def _content(request: ServiceRequest) -> tuple:
+    """A request's content as a dict key: target, internal failure,
+    masking, actuals and connector actuals (not its label).  Expressions
+    compare structurally, constants by their bits, so equal keys evaluate
+    to the same bits."""
+    connector = request.connector_actuals
+    return (
+        request.target, request.internal_failure, request.masking,
+        tuple(request.actuals.items()),
+        connector if connector is None else tuple(connector.items()),
+    )
 
-    ``states`` names the flow states in order; ``requests`` holds their
-    resolved requests (:class:`~repro.model.assembly.ResolvedRequest`) in
-    the same order, state ``i`` owning the slice ``bounds[i]``.
+
+class RequestTable:
+    """A composite service's requests, resolved once per distinct request.
+
+    ``states`` names the flow states in order; the flow's requests, taken
+    state by state, are numbered so that state ``i`` owns the slice
+    ``bounds[i]``.  Requests with the same content (target, actuals,
+    internal failure, masking and connector actuals) share one entry of
+    ``requests`` (the resolved requests,
+    :class:`~repro.model.assembly.ResolvedRequest`, in first-seen order),
+    and the intp array ``inverse`` maps each request to its entry.
     ``classes`` groups the states with requests into completion classes
     (same required successes ``k`` and dependency partition ``groups``) as
     ``(k, groups, rows, columns)``: ``rows`` indexes ``states``, the
-    ``(len(rows), n)`` matrix ``columns`` indexes ``requests``.
+    ``(len(rows), n)`` matrix ``columns`` indexes the requests.
     """
 
     def __init__(self, assembly: Assembly, service: CompositeService):
         self.states = tuple(state.name for state in service.flow.states)
         self.requests = []
         self.bounds = []
-        members: dict[tuple, tuple[list[int], list[range]]] = {}
+        inverse: list[int] = []
+        distinct: dict[tuple, int] = {}
+        members: dict[tuple, tuple[list[int], list[int]]] = {}
         for row, state in enumerate(service.flow.states):
-            start = len(self.requests)
-            self.requests += [
-                assembly.resolve_request(service.name, request)
-                for request in state.requests
-            ]
-            self.bounds.append((start, len(self.requests)))
+            start = len(inverse)
+            for request in state.requests:
+                index = distinct.setdefault(_content(request), len(self.requests))
+                if index == len(self.requests):
+                    self.requests.append(assembly.resolve_request(service.name, request))
+                inverse.append(index)
+            self.bounds.append((start, len(inverse)))
             n = len(state.requests)
             if n:
                 key = (state.completion.required_successes(n), state.effective_groups())
-                rows, columns = members.setdefault(key, ([], []))
+                rows, starts = members.setdefault(key, ([], []))
                 rows.append(row)
-                columns.append(range(start, start + n))
+                starts.append(start)
+        self.inverse = np.array(inverse, dtype=np.intp)
         self.classes = [
-            (k, groups, np.array(rows), np.array(columns))
-            for (k, groups), (rows, columns) in members.items()
+            (k, groups, np.array(rows),
+             np.add.outer(starts, np.arange(sum(map(len, groups)))))
+            for (k, groups), (rows, starts) in members.items()
         ]
 
     def split(self, values: np.ndarray) -> list[tuple[float, ...]]:
@@ -163,10 +186,14 @@ class RequestTable:
 
 class EvaluationFrame:
     """What one ``(composite service, actuals)`` evaluation needs that does
-    not depend on the callees' ``Pfail``: per request of ``table``, the
-    ``calls`` ``(provider, actuals, connector, actuals)`` (memo-key
-    tuples; ``None`` for no connector) and the range-checked ``internal``
-    and ``masking`` vectors, plus the flow's ``augmentation`` frame."""
+    not depend on the callees' ``Pfail``: per distinct request of
+    ``table``, the ``calls`` ``(provider, actuals, connector, actuals)``
+    (memo-key tuples; ``None`` for no connector); per request, the
+    range-checked ``internal`` and ``masking`` vectors; and the flow's
+    ``augmentation`` frame.  Each distinct request is bound and evaluated
+    once, and its values are gathered to every request that holds it
+    before the range check, so a violation names the same first
+    offender as a request-by-request evaluation."""
 
     def __init__(self, table: RequestTable, service: CompositeService, actuals: tuple):
         self.table = table
@@ -189,8 +216,10 @@ class EvaluationFrame:
                 connector, connector and bind(connector, resolved.connector_actuals),
             ))
             masking[j] = request.masking.evaluate(env)
-        self.internal = _check_probability("internal failure probability", internal)
-        self.masking = _check_probability("masking probability", masking)
+        self.internal = _check_probability(
+            "internal failure probability", internal[table.inverse]
+        )
+        self.masking = _check_probability("masking probability", masking[table.inverse])
         self.augmentation = AugmentationFrame(service.flow, env)
 
 
@@ -434,8 +463,8 @@ class ReliabilityEvaluator:
     def _state_failures(self, frame: EvaluationFrame) -> tuple[np.ndarray, np.ndarray]:
         """A frame's per-request external failure probabilities and each
         flow state's ``p(i, Fail)`` (eqs. 4–13): provider and connector
-        ``Pfail`` come through the memoized recursion in request order, and
-        each completion class is one
+        ``Pfail`` come through the memoized recursion once per distinct
+        request, in request order, and each completion class is one
         :func:`~repro.core.state_failure.completion_class_failure` call."""
         table = frame.table
         count = len(table.requests)
@@ -446,9 +475,10 @@ class ReliabilityEvaluator:
             p_service[j] = self._pfail_service(provider, provider_actuals)
             if connector is not None:
                 p_connector[j] = self._pfail_service(connector, connector_actuals)
-        # eq. (13)
+        # eq. (13), per distinct call, gathered to every request
         external = _check_probability(
-            "external failure probability", 1.0 - (1.0 - p_service) * (1.0 - p_connector)
+            "external failure probability",
+            (1.0 - (1.0 - p_service) * (1.0 - p_connector))[table.inverse],
         )
         failures = np.zeros(len(table.states))
         for k, groups, rows, columns in table.classes:

@@ -32,19 +32,20 @@ from repro.model.service import (
     SimpleService,
 )
 from repro.symbolic import Expression, parse_expression
+from repro.symbolic.expr import _from_dict
 
 __all__ = ["service_from_dict", "assembly_from_dict", "load_assembly"]
 
 
-def _expression(data) -> Expression:
+def _expression(data, leaves: dict) -> Expression:
+    """``data`` as an expression; ``leaves`` is the load call's memo, so each
+    distinct ``const``/``param`` leaf of a document is built once."""
     if isinstance(data, str):
         return parse_expression(data)
     if isinstance(data, (int, float)) and not isinstance(data, bool):
-        from repro.symbolic import Constant
-
-        return Constant(float(data))
+        return _from_dict({"kind": "const", "value": data}, leaves)
     if isinstance(data, dict):
-        return Expression.from_dict(data)
+        return _from_dict(data, leaves)
     raise ModelError(f"cannot interpret {data!r} as an expression")
 
 
@@ -97,7 +98,10 @@ def _interface_from_dict(data: dict) -> AnalyticInterface:
     )
 
 
-def _flow_from_dict(data: dict) -> ServiceFlow:
+def _flow_from_dict(data: dict, leaves: dict) -> ServiceFlow:
+    def expression(value) -> Expression:
+        return _expression(value, leaves)
+
     states = []
     for s in data.get("states", ()):
         requests = []
@@ -106,13 +110,13 @@ def _flow_from_dict(data: dict) -> ServiceFlow:
             requests.append(
                 ServiceRequest(
                     r["target"],
-                    actuals={k: _expression(v) for k, v in r.get("actuals", {}).items()},
-                    internal_failure=_expression(r.get("internal_failure", 0)),
-                    masking=_expression(r.get("masking", 0)),
+                    actuals={k: expression(v) for k, v in r.get("actuals", {}).items()},
+                    internal_failure=expression(r.get("internal_failure", 0)),
+                    masking=expression(r.get("masking", 0)),
                     connector_actuals=(
                         None
                         if connector_actuals is None
-                        else {k: _expression(v) for k, v in connector_actuals.items()}
+                        else {k: expression(v) for k, v in connector_actuals.items()}
                     ),
                     label=r.get("label", ""),
                 )
@@ -132,7 +136,7 @@ def _flow_from_dict(data: dict) -> ServiceFlow:
             )
         )
     transitions = [
-        FlowTransition(t["source"], t["target"], _expression(t["probability"]))
+        FlowTransition(t["source"], t["target"], expression(t["probability"]))
         for t in data.get("transitions", ())
     ]
     return ServiceFlow(tuple(data.get("formals", ())), states, transitions)
@@ -140,6 +144,10 @@ def _flow_from_dict(data: dict) -> ServiceFlow:
 
 def service_from_dict(data: dict) -> Service:
     """Rebuild one service from its serialized form."""
+    return _service(data, {})
+
+
+def _service(data: dict, leaves: dict) -> Service:
     if not isinstance(data, dict):
         raise ModelError(f"service entry must be an object, got {type(data).__name__}")
     kind = data.get("kind")
@@ -150,14 +158,15 @@ def service_from_dict(data: dict) -> Service:
     is_connector = bool(data.get("connector", False))
     if kind == "simple":
         cls = SimpleConnector if is_connector else SimpleService
+        failure = _expression(data.get("failure_probability", 0), leaves)
         raw_duration = data.get("duration")
         return cls(
-            name, interface, _expression(data.get("failure_probability", 0)),
-            duration=None if raw_duration is None else _expression(raw_duration),
+            name, interface, failure,
+            duration=None if raw_duration is None else _expression(raw_duration, leaves),
         )
     if kind == "composite":
         cls = CompositeConnector if is_connector else CompositeService
-        return cls(name, interface, _flow_from_dict(data["flow"]))
+        return cls(name, interface, _flow_from_dict(data["flow"], leaves))
     raise ModelError(f"unknown service kind {kind!r}")
 
 
@@ -174,10 +183,11 @@ def assembly_from_dict(data: dict) -> Assembly:
             f"assembly document must be a JSON object, "
             f"got {type(data).__name__}"
         )
+    leaves: dict = {}
     try:
         assembly = Assembly(data.get("name", "assembly"))
         for service_data in data.get("services", ()):
-            assembly.add_service(service_from_dict(service_data))
+            assembly.add_service(_service(service_data, leaves))
         for binding in data.get("bindings", ()):
             if not isinstance(binding, dict):
                 raise ModelError(
@@ -194,7 +204,7 @@ def assembly_from_dict(data: dict) -> Assembly:
                 binding["provider"],
                 connector=binding.get("connector"),
                 connector_actuals={
-                    k: _expression(v)
+                    k: _expression(v, leaves)
                     for k, v in (binding.get("connector_actuals") or {}).items()
                 },
             )

@@ -35,6 +35,7 @@ importable from a fresh worker process:
 
 from __future__ import annotations
 
+import atexit
 import os
 import threading
 import time
@@ -212,7 +213,7 @@ _pools_lock = threading.Lock()
 
 def _pool(jobs: int):
     """This process's pool of ``jobs`` workers, created on first need and
-    joined by ``concurrent.futures``' own exit hook."""
+    shut down by :func:`_shutdown_pools` at exit."""
     from concurrent.futures import ProcessPoolExecutor
 
     key = (os.getpid(), jobs)
@@ -223,6 +224,20 @@ def _pool(jobs: int):
                 max_workers=jobs, initializer=_exit_with_parent
             )
         return executor
+
+
+@atexit.register
+def _shutdown_pools() -> None:
+    """Exit hook: shut this process's warm pools down and drop them while
+    the modules they use are still loaded.  An executor left for module
+    teardown is collected after ``concurrent.futures`` has lost its
+    globals, and its weakref callback prints "Exception ignored in …
+    weakref_cb" on the way out."""
+    with _pools_lock:
+        mine = [key for key in _pools if key[0] == os.getpid()]
+        executors = [_pools.pop(key) for key in mine]
+    for executor in executors:
+        executor.shutdown(wait=True)
 
 
 def _exit_with_parent() -> None:

@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ModelError, UnknownServiceError
-from repro.model.assembly import Assembly
+from repro.model.assembly import Assembly, ResolvedRequest
+from repro.model.requests import ServiceRequest
 from repro.model.service import CompositeService
 
 __all__ = ["ValidationIssue", "ValidationReport", "validate_assembly"]
@@ -126,49 +127,29 @@ def validate_assembly(assembly: Assembly) -> ValidationReport:
     for service in assembly.services:
         if not isinstance(service, CompositeService):
             continue
+        checked: dict[tuple, tuple] = {}
         for state in service.flow.states:
             resolved = []
             for request in state.requests:
-                where = (
-                    f"service {service.name!r}, state {state.name!r}, "
-                    f"request -> {request.target!r}"
+                connector_names = request.connector_actuals
+                shape = (
+                    request.target, tuple(request.actuals),
+                    None if connector_names is None else tuple(connector_names),
                 )
-                try:
-                    res = assembly.resolve_request(service.name, request)
-                except (UnknownServiceError, ModelError) as exc:
-                    error(where, str(exc))
-                    continue
-                resolved.append(res)
-                missing = [
-                    p for p in res.provider.formal_parameters
-                    if p not in request.actuals
-                ]
-                if missing:
-                    error(
-                        where,
-                        f"actuals missing for provider formals {missing}",
+                if shape not in checked:
+                    checked[shape] = _check_request(assembly, service.name, request)
+                res, issues = checked[shape]
+                if issues:
+                    where = (
+                        f"service {service.name!r}, state {state.name!r}, "
+                        f"request -> {request.target!r}"
                     )
-                extra = [
-                    p for p in request.actuals
-                    if p not in res.provider.formal_parameters
-                ]
-                if extra:
-                    warning(
-                        where,
-                        f"actuals {extra} do not match any provider formal",
-                    )
-                if res.connector is not None:
-                    unbound = [
-                        p for p in res.connector.formal_parameters
-                        if p not in res.connector_actuals
+                    report.issues += [
+                        ValidationIssue(severity, where, message)
+                        for severity, message in issues
                     ]
-                    if unbound:
-                        error(
-                            where,
-                            f"connector {res.connector.name!r} formals "
-                            f"{unbound} have no actuals (request override or "
-                            f"binding default)",
-                        )
+                if res is not None:
+                    resolved.append(res)
             # sharing restriction against *resolved* providers/connectors,
             # per dependency group (handles both the classic shared flag
             # and the grouped-sharing extension)
@@ -201,3 +182,36 @@ def validate_assembly(assembly: Assembly) -> ValidationReport:
         )
 
     return report
+
+
+def _check_request(
+    assembly: Assembly, consumer: str, request: ServiceRequest
+) -> tuple[ResolvedRequest | None, list[tuple[str, str]]]:
+    """``request`` of ``consumer`` resolved (``None`` when it cannot be)
+    and its ``(severity, message)`` issues.  Both depend only on the
+    request's target and the names of its actuals and connector actuals,
+    so :func:`validate_assembly` checks each such shape once per consumer."""
+    try:
+        res = assembly.resolve_request(consumer, request)
+    except (UnknownServiceError, ModelError) as exc:
+        return None, [(ERROR, str(exc))]
+    issues = []
+    formals = res.provider.formal_parameters
+    missing = [p for p in formals if p not in request.actuals]
+    if missing:
+        issues.append((ERROR, f"actuals missing for provider formals {missing}"))
+    extra = [p for p in request.actuals if p not in formals]
+    if extra:
+        issues.append((WARNING, f"actuals {extra} do not match any provider formal"))
+    if res.connector is not None:
+        unbound = [
+            p for p in res.connector.formal_parameters
+            if p not in res.connector_actuals
+        ]
+        if unbound:
+            issues.append((
+                ERROR,
+                f"connector {res.connector.name!r} formals {unbound} have no "
+                f"actuals (request override or binding default)",
+            ))
+    return res, issues

@@ -26,7 +26,9 @@ Expressions support:
   of the sort service (see the derivation of eq. 18);
 - **differentiation** for the sensitivity analysis in
   :mod:`repro.core.sensitivity`;
-- **structural equality/hashing**, used by evaluator memoization;
+- **structural equality/hashing** (constants compare by their bits, so
+  ``-0.0`` and ``0.0`` are different constants), used by evaluator
+  memoization and the kernel cache;
 - **serialization** to plain dicts for the :mod:`repro.dsl` layer.
 
 Python operators are overloaded so models read naturally::
@@ -38,6 +40,7 @@ Python operators are overloaded so models read naturally::
 from __future__ import annotations
 
 import math
+import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Union
@@ -193,25 +196,7 @@ class Expression:
     @staticmethod
     def from_dict(data: dict) -> "Expression":
         """Rebuild an expression from its :meth:`to_dict` form."""
-        kind = data.get("kind")
-        if kind == "const":
-            return Constant(float(data["value"]))
-        if kind == "param":
-            return Parameter(str(data["name"]))
-        if kind == "binary":
-            return Binary(
-                data["op"],
-                Expression.from_dict(data["left"]),
-                Expression.from_dict(data["right"]),
-            )
-        if kind == "unary":
-            return Unary(Expression.from_dict(data["operand"]))
-        if kind == "call":
-            return Call(
-                data["name"],
-                tuple(Expression.from_dict(a) for a in data["args"]),
-            )
-        raise SymbolicError(f"unknown expression kind {kind!r}")
+        return _from_dict(data, {})
 
     # -- operator overloads --------------------------------------------------
 
@@ -262,6 +247,14 @@ class Constant(Expression):
 
     def _structural_key(self) -> tuple:
         return ("const", self.value)
+
+    def __eq__(self, other: object) -> bool:
+        # by the bits: -0.0 == 0.0, but the two constants evaluate apart
+        # (1 / (x * -0.0) is -inf), so equal expressions evaluate alike
+        if other.__class__ is not Constant:
+            return NotImplemented
+        a, b = self.value, other.value
+        return a is b or (a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
 
     def __post_init__(self) -> None:
         if not isinstance(self.value, (int, float)) or isinstance(self.value, bool):
@@ -476,3 +469,32 @@ def _finite_constant(value: float) -> Constant:
     if math.isnan(value):
         raise SymbolicError("expression simplified to NaN")
     return Constant(value)
+
+
+def _from_dict(data: dict, leaves: dict) -> Expression:
+    """:meth:`Expression.from_dict` building each distinct ``const``/``param``
+    leaf once per ``leaves`` memo (the DSL loader passes one per document).
+    A constant is keyed on its bits, so ``-0.0`` and ``0.0`` stay apart."""
+    kind = data.get("kind")
+    if kind == "const":
+        value = float(data["value"])
+        key = (kind, struct.pack("<d", value))
+    elif kind == "param":
+        value = str(data["name"])
+        key = (kind, value)
+    elif kind == "binary":
+        return Binary(
+            data["op"],
+            _from_dict(data["left"], leaves),
+            _from_dict(data["right"], leaves),
+        )
+    elif kind == "unary":
+        return Unary(_from_dict(data["operand"], leaves))
+    elif kind == "call":
+        return Call(data["name"], tuple(_from_dict(a, leaves) for a in data["args"]))
+    else:
+        raise SymbolicError(f"unknown expression kind {kind!r}")
+    leaf = leaves.get(key)
+    if leaf is None:
+        leaf = leaves[key] = Constant(value) if kind == "const" else Parameter(value)
+    return leaf

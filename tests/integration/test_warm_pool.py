@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.dsl import dump_assembly
 from repro.engine import BatchEngine, PlanCache, compile_plan
 from repro.engine import parallel
 from repro.engine.parallel import evaluate_plan_points, fan_out
@@ -160,6 +161,33 @@ def test_an_exiting_interpreter_shuts_the_pool_down():
     pids = [int(pid) for pid in done.stdout.split()]
     assert pids
     assert all(_gone(pid) for pid in pids)
+
+
+def test_an_exiting_batch_prints_no_teardown_traceback(tmp_path):
+    """A ``--jobs 2`` batch leaves its warm pool to the exit hook, which
+    shuts it down before module teardown.  The pool module is held by
+    ``sys`` here, as a test runner's module registry holds it: left to
+    teardown, the executor would be collected after ``concurrent.futures``
+    lost its globals and print "Exception ignored in … weakref_cb"."""
+    model = tmp_path / "recursive.json"
+    model.write_text(dump_assembly(recursive_assembly()))
+    script = textwrap.dedent(f"""
+        import sys
+        from repro.cli import main
+        from repro.engine import parallel
+
+        if __name__ == "__main__":
+            sys.kept = parallel
+            sys.exit(main(["batch", "A", "--model", {str(model)!r},
+                           "--at", "size=1", "--at", "size=2", "--jobs", "2"]))
+    """)
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert "2 worker(s)" in done.stdout
+    assert "Exception ignored" not in done.stderr, done.stderr
 
 
 def test_a_worker_reuses_the_plans_it_was_sent():

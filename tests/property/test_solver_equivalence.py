@@ -16,6 +16,15 @@ from repro.errors import NotAbsorbingError, NumericalInstabilityError
 from repro.markov import AbsorbingChainAnalysis, DiscreteTimeMarkovChain
 from repro.markov.solvers import scipy_available
 
+# The sparse backends import scipy on first need, about 0.3 s.  Load it
+# here so that cost does not land on whichever example first needs it and
+# trip the hypothesis deadline when this file runs on its own.
+try:
+    import scipy.linalg  # noqa: F401
+    import scipy.sparse.linalg  # noqa: F401
+except ImportError:
+    pass
+
 pytestmark = pytest.mark.skipif(
     not scipy_available(), reason="sparse backend requires scipy"
 )

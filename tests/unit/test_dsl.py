@@ -146,3 +146,135 @@ class TestAssemblySerialization:
         assert binding.connector_actuals["ip"].evaluate(
             {"elem": 2.0, "list": 5.0}
         ) == 7.0
+
+
+class TestLeafMemo:
+    """The loader builds each distinct const/param leaf once per document."""
+
+    @staticmethod
+    def document(failure_probability, internal_failure=0.0) -> dict:
+        """A consumer ``app`` with two states calling ``p``, whose failure
+        closed form is ``failure_probability``."""
+        request = {"target": "p", "actuals": {"n": {"kind": "param", "name": "n"}},
+                   "internal_failure": internal_failure}
+        return {
+            "name": "memo",
+            "services": [
+                {"kind": "simple", "name": "p",
+                 "interface": {"parameters": [{"name": "n"}]},
+                 "failure_probability": failure_probability},
+                {"kind": "composite", "name": "app",
+                 "interface": {"parameters": [{"name": "n"}]},
+                 "flow": {
+                     "formals": ["n"],
+                     "states": [{"name": "a", "requests": [request]},
+                                {"name": "b", "requests": [request]}],
+                     "transitions": [
+                         {"source": "Start", "target": "a", "probability": 1},
+                         {"source": "a", "target": "b", "probability": 1},
+                         {"source": "b", "target": "End", "probability": 1},
+                     ]}},
+            ],
+            "bindings": [{"consumer": "app", "slot": "p", "provider": "p"}],
+        }
+
+    @staticmethod
+    def requests(assembly):
+        return [state.requests[0] for state in assembly.service("app").flow.states]
+
+    def test_equal_leaves_are_one_object(self):
+        first, second = self.requests(assembly_from_dict(self.document(0.1)))
+        assert first is not second
+        assert first.actuals["n"] is second.actuals["n"]
+        assert first.internal_failure is second.internal_failure
+        assert first.masking is second.masking  # the default 0, a number
+
+    def test_signed_zeros_keep_their_sign(self):
+        zero, negative = {"kind": "const", "value": 0.0}, {"kind": "const", "value": -0.0}
+        data = self.document(
+            {"kind": "binary", "op": "+", "left": negative, "right": zero},
+            internal_failure=-0.0,
+        )
+        assembly = load_assembly(json.dumps(data))
+        closed = assembly.service("p").failure_probability
+        assert closed.left is not closed.right
+        assert str(closed.left.value) == "-0.0" and str(closed.right.value) == "0.0"
+        assert str(self.requests(assembly)[0].internal_failure.value) == "-0.0"
+        again = json.loads(dump_assembly(load_assembly(dump_assembly(assembly))))
+        closed = again["services"][0]["failure_probability"]
+        assert (str(closed["left"]["value"]), str(closed["right"]["value"])) == (
+            "-0.0", "0.0"
+        )
+
+    def test_const_and_param_leaves_never_collide(self):
+        data = self.document({
+            "kind": "binary", "op": "+",
+            "left": {"kind": "param", "name": "const"},
+            "right": {"kind": "const", "value": 1.0},
+        })
+        data["services"][0]["interface"]["parameters"].append({"name": "const"})
+        closed = assembly_from_dict(data).service("p").failure_probability
+        assert type(closed.left).__name__ == "Parameter" and closed.left.name == "const"
+        assert type(closed.right).__name__ == "Constant" and closed.right.value == 1.0
+
+    def test_two_loads_share_no_leaves(self):
+        text = json.dumps(self.document(0.1))
+        first, second = (self.requests(load_assembly(text))[0] for _ in range(2))
+        assert first.actuals["n"] == second.actuals["n"]
+        assert first.actuals["n"] is not second.actuals["n"]
+        assert first.internal_failure is not second.internal_failure
+
+    # (class name, message) of each malformed leaf, as raised before the
+    # loader shared leaves
+    MALFORMED = {
+        "const without value": (
+            {"kind": "const"},
+            ("ModelError", "malformed assembly document: KeyError: 'value'")),
+        "const text value": (
+            {"kind": "const", "value": "abc"},
+            ("ModelError", "malformed assembly document: ValueError: could not "
+                           "convert string to float: 'abc'")),
+        "const null value": (
+            {"kind": "const", "value": None},
+            ("ModelError", "malformed assembly document: TypeError: float() "
+                           "argument must be a string or a real number, not "
+                           "'NoneType'")),
+        "param without name": (
+            {"kind": "param"},
+            ("ModelError", "malformed assembly document: KeyError: 'name'")),
+        "param empty name": (
+            {"kind": "param", "name": ""},
+            ("SymbolicError", "Parameter requires a non-empty name, got ''")),
+        "unknown kind": (
+            {"kind": "weird"},
+            ("SymbolicError", "unknown expression kind 'weird'")),
+        "bad leaf under binary": (
+            {"kind": "binary", "op": "+", "left": {"kind": "const", "value": 1.0},
+             "right": {"kind": "const", "value": "x"}},
+            ("ModelError", "malformed assembly document: ValueError: could not "
+                           "convert string to float: 'x'")),
+        "text child": (
+            {"kind": "binary", "op": "+", "left": "n",
+             "right": {"kind": "const", "value": 1.0}},
+            ("ModelError", "malformed assembly document: AttributeError: 'str' "
+                           "object has no attribute 'get'")),
+        "unknown operator": (
+            {"kind": "binary", "op": "%", "left": {"kind": "const", "value": 1.0},
+             "right": {"kind": "const", "value": 1.0}},
+            ("SymbolicError", "unknown binary operator '%'")),
+        "unknown function": (
+            {"kind": "call", "name": "nofunc",
+             "args": [{"kind": "const", "value": 1.0}]},
+            ("UnknownFunctionError", "unknown function 'nofunc'")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_a_malformed_leaf_raises_as_before(self, case):
+        leaf, (kind, message) = self.MALFORMED[case]
+        document = {"name": "a", "services": [
+            {"kind": "simple", "name": "s", "interface": {},
+             "failure_probability": leaf},
+        ]}
+        with pytest.raises(Exception) as caught:
+            assembly_from_dict(document)
+        assert (type(caught.value).__name__, str(caught.value)) == (kind, message)

@@ -195,6 +195,15 @@ class TestKernelCache:
         assert k1 is k2
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
+    def test_a_signed_zero_gets_its_own_kernel(self):
+        cache = KernelCache()
+        positive = cache.get_or_compile(1.0 / (X * 0.0))
+        negative = cache.get_or_compile(1.0 / (X * -0.0))
+        assert positive is not negative
+        with np.errstate(divide="ignore"):
+            assert negative.evaluate({"x": 2.0}) == -np.inf
+            assert positive.evaluate({"x": 2.0}) == np.inf
+
     def test_default_cache_and_stats_snapshot(self):
         compile_expression(X + 1.0)
         compile_expression(X + 1.0)

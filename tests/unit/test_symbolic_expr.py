@@ -208,6 +208,17 @@ class TestStructuralEquality:
     def test_different_trees_differ(self):
         assert Parameter("x") + 1 != Parameter("x") + 2
 
+    def test_constants_compare_by_their_bits(self):
+        # -0.0 == 0.0 as floats, but x * -0.0 and x * 0.0 evaluate apart
+        assert Constant(0.0) == Constant(0.0)
+        assert Constant(-0.0) != Constant(0.0)
+        assert Parameter("x") * -0.0 != Parameter("x") * 0.0
+        assert Constant(2) == Constant(2.0)
+        nan = float("nan")
+        assert Constant(nan) != Constant(float("nan"))
+        shared = Constant(nan)
+        assert shared == shared
+
 
 class TestSerialization:
     @pytest.mark.parametrize(
