@@ -42,7 +42,7 @@ from repro.errors import (
     ModelError,
 )
 from repro.core.failure_structure import AugmentationFrame
-from repro.core.state_failure import _check_probability, completion_class_failure
+from repro.core.state_failure import completion_class_failure
 from repro.markov import AbsorbingChainAnalysis
 from repro.model.assembly import Assembly
 from repro.model.flow import END, START
@@ -50,6 +50,7 @@ from repro.model.requests import ServiceRequest
 from repro.model.service import CompositeService, Service, SimpleService
 from repro.model.validation import validate_assembly
 from repro.runtime.budget import EvaluationBudget
+from repro.runtime.guards import check_probability
 
 __all__ = ["ReliabilityEvaluator", "StateBreakdown", "EvaluationReport"]
 
@@ -216,10 +217,10 @@ class EvaluationFrame:
                 connector, connector and bind(connector, resolved.connector_actuals),
             ))
             masking[j] = request.masking.evaluate(env)
-        self.internal = _check_probability(
+        self.internal = check_probability(
             "internal failure probability", internal[table.inverse]
         )
-        self.masking = _check_probability("masking probability", masking[table.inverse])
+        self.masking = check_probability("masking probability", masking[table.inverse])
         self.augmentation = AugmentationFrame(service.flow, env)
 
 
@@ -418,7 +419,7 @@ class ReliabilityEvaluator:
             value = self._compute(service, actuals)
         finally:
             self._stack.pop()
-        value = _check_probability(f"Pfail({service.name})", value)
+        value = check_probability(f"Pfail({service.name})", value)
         self._cache[key] = value
         return value
 
@@ -476,7 +477,7 @@ class ReliabilityEvaluator:
             if connector is not None:
                 p_connector[j] = self._pfail_service(connector, connector_actuals)
         # eq. (13), per distinct call, gathered to every request
-        external = _check_probability(
+        external = check_probability(
             "external failure probability",
             (1.0 - (1.0 - p_service) * (1.0 - p_connector))[table.inverse],
         )

@@ -32,10 +32,13 @@ Semantics ("appropriate modifications"):
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.core.failure_structure import AugmentationFrame
 from repro.errors import CyclicAssemblyError, EvaluationError, ModelError
-from repro.markov import AbsorbingChainAnalysis, ChainBuilder
+from repro.markov import AbsorbingChainAnalysis
 from repro.model.assembly import Assembly
-from repro.model.flow import END, START, FlowState, ServiceFlow
+from repro.model.flow import START, FlowState, ServiceFlow
 from repro.model.service import CompositeService, Service, SimpleService
 from repro.model.validation import validate_assembly
 from repro.symbolic import Environment
@@ -178,15 +181,5 @@ def _usage_chain_analysis(
 ) -> AbsorbingChainAnalysis:
     """Expected-visit analysis of the *pure* usage profile (no failure
     structure): the functional behavior whose cost is being predicted."""
-    flow.check_probabilities(env)
-    builder = ChainBuilder()
-    builder.add_state(START)
-    for state in flow.states:
-        builder.add_state(state.name)
-    builder.add_state(END)
-    for source in [START, *(s.name for s in flow.states)]:
-        for transition in flow.outgoing(source):
-            probability = float(transition.probability.evaluate(env))
-            if probability > 0.0:
-                builder.add_edge(source, transition.target, probability)
-    return AbsorbingChainAnalysis(builder.build())
+    frame = AugmentationFrame(flow, env)
+    return AbsorbingChainAnalysis(frame.chain(np.zeros(len(frame.names))))

@@ -15,22 +15,28 @@ extension) and on the **dependency model**:
   connector, so (under fail-stop/no-repair) one external failure kills every
   request in the state; eqs. (9)–(12).
 
-This module provides two independent routes to the same numbers:
+One formulation covers every case: a state's ``p(i, Fail)`` is a function
+of the required successes ``k`` (AND ``k = n``, OR ``k = 1``, any
+``k``-of-n) and the dependency partition (``FlowState.effective_groups()``:
+all singletons, one all-request group, or explicit groups).  Conditioning
+on each multi-request group's external status leaves independent
+Bernoulli trials, so each status combination is one Poisson-binomial
+tail.  :func:`completion_class_failure` computes it as array operations
+over a ``(rows, n)`` matrix of states of one completion class, and
+:func:`state_failure_probability` is its one-state form.  The symbolic
+derivation (:mod:`repro.core.symbolic_evaluator`) and the Monte Carlo
+simulator read the same ``(k, groups)``; the symbolic one takes the
+paper's closed forms as fast paths when no request masks its failures.
 
-1. :func:`completion_class_failure` — the **general engine**: a
-   Poisson-binomial computation parameterized by the number of required
-   successes, covering AND (``k = n``), OR (``k = 1``) and any ``k``-of-n,
-   under any partition of the requests into shared groups, run as array
-   operations over a ``(rows, n)`` matrix of states of one completion
-   class; :func:`state_failure_probability` is its one-state form;
-2. the paper's **closed forms** (:func:`and_no_sharing`,
-   :func:`or_no_sharing`, :func:`and_sharing`, :func:`or_sharing`) —
-   kept verbatim so tests can verify the engine reproduces each equation
-   exactly, including the paper's headline identity *AND+sharing ==
-   AND+no-sharing* and inequality *OR+sharing >= OR+no-sharing*.
+The paper's closed forms (:func:`and_no_sharing`, :func:`or_no_sharing`,
+:func:`and_sharing`, :func:`or_sharing`) are kept verbatim so tests can
+verify the engine reproduces each equation exactly, including the paper's
+headline identity *AND+sharing == AND+no-sharing* and inequality
+*OR+sharing >= OR+no-sharing*.
 
 All functions accept scalars or numpy arrays (broadcasting elementwise),
-which lets closed-form sweeps run vectorized.
+which lets closed-form sweeps run vectorized; probabilities are checked by
+:func:`repro.runtime.guards.check_probability`.
 """
 
 from __future__ import annotations
@@ -40,8 +46,9 @@ from itertools import product
 
 import numpy as np
 
-from repro.errors import ModelError, ProbabilityRangeError
+from repro.errors import ModelError
 from repro.model.completion import CompletionModel
+from repro.runtime.guards import check_probability
 
 __all__ = [
     "request_failure_probability",
@@ -56,20 +63,6 @@ __all__ = [
     "or_sharing",
 ]
 
-_TOL = 1e-9
-
-
-def _check_probability(what: str, value) -> np.ndarray | float:
-    """Validate a scalar-or-array probability, returning it clipped of
-    round-off but rejecting genuine range violations (NaN included; the
-    first offending element is reported)."""
-    arr = np.asarray(value, dtype=float)
-    bad = ~((arr >= -_TOL) & (arr <= 1.0 + _TOL))
-    if bad.any():
-        raise ProbabilityRangeError(what, float(arr[bad][0]))
-    clipped = np.clip(arr, 0.0, 1.0)
-    return float(clipped) if clipped.shape == () else clipped
-
 
 def _requests(what: str, values: Sequence) -> np.ndarray:
     """Per-request values (scalars or broadcastable arrays) as one checked
@@ -77,7 +70,7 @@ def _requests(what: str, values: Sequence) -> np.ndarray:
     if not len(values):
         return np.zeros(0)
     arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
-    return _check_probability(what, np.stack(arrays, axis=-1))
+    return check_probability(what, np.stack(arrays, axis=-1))
 
 
 def _columns(what: str, values: Sequence):
@@ -91,8 +84,8 @@ def external_failure_probability(p_service, p_connector):
     The request suffers an external failure unless *both* the requested
     service and the transporting connector succeed.
     """
-    ps = _check_probability("service failure probability", p_service)
-    pc = _check_probability("connector failure probability", p_connector)
+    ps = check_probability("service failure probability", p_service)
+    pc = check_probability("connector failure probability", p_connector)
     return 1.0 - (1.0 - ps) * (1.0 - pc)
 
 
@@ -102,8 +95,8 @@ def request_failure_probability(p_internal, p_external):
     A request succeeds only if neither an internal nor an external failure
     occurs.
     """
-    pi = _check_probability("internal failure probability", p_internal)
-    pe = _check_probability("external failure probability", p_external)
+    pi = check_probability("internal failure probability", p_internal)
+    pe = check_probability("external failure probability", p_external)
     return 1.0 - (1.0 - pi) * (1.0 - pe)
 
 
@@ -124,7 +117,7 @@ def _below(successes: np.ndarray, k: int):
         new = dist * (1.0 - p)
         new[..., 1:] += dist[..., :-1] * p
         dist = new
-    return _check_probability("Poisson-binomial tail", sum(np.moveaxis(dist, -1, 0)))
+    return check_probability("Poisson-binomial tail", sum(np.moveaxis(dist, -1, 0)))
 
 
 def poisson_binomial_below(success_probabilities: Sequence, k: int):
@@ -180,7 +173,7 @@ def completion_class_failure(
             source = masking if group_failed else internal_only
             successes[..., group] = source[..., group]
         total = total + weight * _below(successes, k)
-    return _check_probability("state failure probability", total)
+    return check_probability("state failure probability", total)
 
 
 def state_failure_probability(

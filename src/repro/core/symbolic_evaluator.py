@@ -16,10 +16,18 @@ The derivation mirrors the numeric evaluator exactly —
   formulas with ``lambda1``, ``gamma``, ... left free);
 - composite services substitute each callee's closed form with the actual
   parameter expressions (the ``N := list * log(list)`` substitution the
-  paper highlights below eq. 18), combine per-state failure expressions
-  under the completion/sharing models, and eliminate the flow's Markov
-  structure symbolically (back-substitution for acyclic flows, symbolic
-  Gaussian elimination for flows with loops).
+  paper highlights below eq. 18), derive each state's ``p(i, Fail)``
+  (eqs. 4–13) and eliminate the flow's Markov structure symbolically
+  (back-substitution for acyclic flows, symbolic Gaussian elimination for
+  flows with loops).
+
+A state is derived from its required successes ``k`` and dependency
+partition (``FlowState.effective_groups()``) by one function, the
+expression form of the numeric
+:func:`~repro.core.state_failure.completion_class_failure`.  When every
+masking term is the constant 0, the paper's own closed forms are the fast
+paths: eq. (6) == eq. (11) for AND under any partition, eq. (7) for OR
+without sharing and eq. (12) for OR with one shared group.
 
 The result can then be evaluated *vectorized* over numpy arrays — this is
 how the Figure 6 sweep computes 8 curves x hundreds of points in a single
@@ -32,6 +40,8 @@ over randomized assemblies.
 
 from __future__ import annotations
 
+from itertools import product
+
 from repro.errors import (
     CyclicAssemblyError,
     EvaluationError,
@@ -39,11 +49,6 @@ from repro.errors import (
     ModelError,
 )
 from repro.model.assembly import Assembly
-from repro.model.completion import (
-    AndCompletion,
-    CompletionModel,
-    OrCompletion,
-)
 from repro.model.flow import END, START, FlowState, ServiceFlow
 from repro.model.service import CompositeService, Service, SimpleService
 from repro.model.validation import validate_assembly
@@ -184,6 +189,8 @@ class SymbolicEvaluator:
         return simplify(_ONE - survival)
 
     def _state_failure(self, service: CompositeService, state: FlowState) -> Expression:
+        if not state.requests:
+            return _ZERO
         internal: list[Expression] = []
         external: list[Expression] = []
         masking: list[Expression] = []
@@ -219,94 +226,82 @@ class SymbolicEvaluator:
             )
         return simplify(
             _symbolic_state_failure(
-                state.completion, state.shared, internal, external, masking,
-                groups=state.sharing_groups,
+                state.completion.required_successes(len(internal)),
+                state.effective_groups(), internal, external, masking,
             )
         )
 
 
 def _symbolic_state_failure(
-    completion: CompletionModel,
-    shared: bool,
+    k: int,
+    groups: tuple[tuple[int, ...], ...],
     internal: list[Expression],
     external: list[Expression],
-    masking: list[Expression] | None = None,
-    groups: tuple[tuple[int, ...], ...] | None = None,
+    masking: list[Expression],
 ) -> Expression:
-    """Expression form of eqs. (4)-(13), the k-of-n extension, the
-    error-masking extension, and the grouped-sharing extension."""
+    """``p(i, Fail)`` of a state whose ``k`` of ``n`` requests must succeed
+    under the dependency partition ``groups`` — eqs. (4)-(13) as an
+    expression, mirroring the numeric
+    :func:`~repro.core.state_failure.completion_class_failure`: condition
+    on each multi-request group's external status, one Poisson-binomial
+    tail per status combination.
+
+    Without masking the paper's closed forms are taken directly: eq. (6)
+    == eq. (11) for AND under any partition, eq. (7) for OR without
+    sharing, eq. (12) for OR with one shared group."""
     n = len(internal)
-    if n == 0:
-        return _ZERO
-    k = completion.required_successes(n)
-    if masking is None:
-        masking = [_ZERO] * n
-
-    if groups is not None:
-        return _symbolic_grouped_state_failure(
-            k, groups, internal, external, masking
-        )
-
-    if any(not (isinstance(m, Constant) and m.value == 0.0) for m in masking):
-        return _symbolic_masked_state_failure(
-            k, shared, internal, external, masking
-        )
-
-    if isinstance(completion, AndCompletion):
-        # eq. (6) == eq. (11): sharing-insensitive
-        survive = _ONE
-        for pi, pe in zip(internal, external):
-            survive = survive * (_ONE - pi) * (_ONE - pe)
-        return _ONE - survive
-
-    if isinstance(completion, OrCompletion):
-        if not shared:
-            # eq. (7)+(8)
+    if all(isinstance(m, Constant) and m.value == 0.0 for m in masking):
+        if k == n:  # eq. (6) == eq. (11)
+            survive = _ONE
+            for pi, pe in zip(internal, external):
+                survive = survive * (_ONE - pi) * (_ONE - pe)
+            return _ONE - survive
+        if k == 1 and len(groups) == n:  # eq. (7)
             out = _ONE
             for pi, pe in zip(internal, external):
                 out = out * (_ONE - (_ONE - pi) * (_ONE - pe))
             return out
-        # eq. (12)
-        no_ext = _ONE
-        all_int = _ONE
-        for pi, pe in zip(internal, external):
-            no_ext = no_ext * (_ONE - pe)
-            all_int = all_int * pi
-        return _ONE - no_ext * (_ONE - all_int)
+        if k == 1 and len(groups) == 1:  # eq. (12)
+            no_ext = _ONE
+            all_int = _ONE
+            for pi, pe in zip(internal, external):
+                no_ext = no_ext * (_ONE - pe)
+                all_int = all_int * pi
+            return _ONE - no_ext * (_ONE - all_int)
 
-    # general k-of-n via a symbolic Poisson-binomial DP
-    def below(successes: list[Expression], required: int) -> Expression:
-        dist: list[Expression] = [_ONE] + [_ZERO] * (required - 1)
-        for p in successes:
-            new: list[Expression] = []
-            for j in range(len(dist)):
-                stay = dist[j] * (_ONE - p)
-                step = dist[j - 1] * p if j > 0 else _ZERO
-                new.append(simplify(stay + step))
-            dist = new
-        total: Expression = _ZERO
-        for term in dist:
-            total = total + term
-        return simplify(total)
-
-    if not shared:
-        successes = [
-            simplify((_ONE - pi) * (_ONE - pe))
-            for pi, pe in zip(internal, external)
-        ]
-        return below(successes, k)
-    no_ext = _ONE
-    for pe in external:
-        no_ext = no_ext * (_ONE - pe)
-    internal_only = below([simplify(_ONE - pi) for pi in internal], k)
-    return (_ONE - no_ext) + no_ext * internal_only
+    # a request outside any shared group: full eq. (8) failure, masked
+    independent = [
+        simplify(_ONE - (_ONE - m) * (_ONE - (_ONE - pi) * (_ONE - pe)))
+        for pi, pe, m in zip(internal, external, masking)
+    ]
+    # in a group whose shared service survived, only internal failures remain
+    internal_only = [
+        simplify(_ONE - (_ONE - m) * pi) for pi, m in zip(internal, masking)
+    ]
+    multi = [g for g in groups if len(g) >= 2]
+    total: Expression = _ZERO
+    for statuses in product((False, True), repeat=len(multi)):
+        weight: Expression = _ONE
+        successes = list(independent)
+        for group, group_failed in zip(multi, statuses):
+            no_ext: Expression = _ONE
+            for j in group:
+                no_ext = no_ext * (_ONE - external[j])
+            no_ext = simplify(no_ext)
+            weight = weight * ((_ONE - no_ext) if group_failed else no_ext)
+            # the shared service is gone: fulfilled only if masked
+            source = masking if group_failed else internal_only
+            for j in group:
+                successes[j] = source[j]
+        total = total + simplify(weight) * _poisson_binomial_below_expr(
+            successes, k
+        )
+    return simplify(total)
 
 
 def _poisson_binomial_below_expr(successes: list[Expression], required: int) -> Expression:
     """Symbolic ``P(#successes < required)`` via the same DP as the
     numeric engine."""
-    if required <= 0:
-        return _ZERO
     dist: list[Expression] = [_ONE] + [_ZERO] * (required - 1)
     for p in successes:
         new: list[Expression] = []
@@ -319,82 +314,6 @@ def _poisson_binomial_below_expr(successes: list[Expression], required: int) -> 
     for term in dist:
         total = total + term
     return simplify(total)
-
-
-def _symbolic_grouped_state_failure(
-    k: int,
-    groups: tuple[tuple[int, ...], ...],
-    internal: list[Expression],
-    external: list[Expression],
-    masking: list[Expression],
-) -> Expression:
-    """The grouped-sharing extension, symbolically (mirrors the numeric
-    :func:`repro.core.state_failure.grouped_state_failure_probability`)."""
-    from itertools import product as _cartesian
-
-    n = len(internal)
-    multi = [tuple(g) for g in groups if len(g) >= 2]
-    base_success: dict[int, Expression] = {}
-    for g in groups:
-        if len(g) == 1:
-            j = g[0]
-            base_success[j] = simplify(
-                _ONE
-                - (_ONE - masking[j])
-                * (_ONE - (_ONE - internal[j]) * (_ONE - external[j]))
-            )
-
-    total: Expression = _ZERO
-    for statuses in _cartesian((False, True), repeat=len(multi)):
-        weight: Expression = _ONE
-        successes: list[Expression] = [_ZERO] * n
-        for j, value in base_success.items():
-            successes[j] = value
-        for group, group_failed in zip(multi, statuses):
-            no_ext: Expression = _ONE
-            for j in group:
-                no_ext = no_ext * (_ONE - external[j])
-            no_ext = simplify(no_ext)
-            weight = weight * ((_ONE - no_ext) if group_failed else no_ext)
-            for j in group:
-                if group_failed:
-                    successes[j] = masking[j]
-                else:
-                    successes[j] = simplify(
-                        _ONE - (_ONE - masking[j]) * internal[j]
-                    )
-        total = total + simplify(weight) * _poisson_binomial_below_expr(
-            successes, k
-        )
-    return simplify(total)
-
-
-def _symbolic_masked_state_failure(
-    k: int,
-    shared: bool,
-    internal: list[Expression],
-    external: list[Expression],
-    masking: list[Expression],
-) -> Expression:
-    """The error-masking extension, symbolically (mirrors the numeric
-    :func:`repro.core.state_failure.state_failure_probability`)."""
-    if not shared:
-        successes = [
-            simplify(
-                _ONE - (_ONE - m) * (_ONE - (_ONE - pi) * (_ONE - pe))
-            )
-            for pi, pe, m in zip(internal, external, masking)
-        ]
-        return _poisson_binomial_below_expr(successes, k)
-    no_ext = _ONE
-    for pe in external:
-        no_ext = no_ext * (_ONE - pe)
-    no_ext = simplify(no_ext)
-    internal_only = _poisson_binomial_below_expr(
-        [simplify(_ONE - (_ONE - m) * pi) for pi, m in zip(internal, masking)], k
-    )
-    under_ext = _poisson_binomial_below_expr(list(masking), k)
-    return simplify((_ONE - no_ext) * under_ext + no_ext * internal_only)
 
 
 def _solve_success_probability(

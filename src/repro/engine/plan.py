@@ -46,7 +46,7 @@ from repro.errors import (
 from repro.model.assembly import Assembly
 from repro.model.service import Service
 from repro.runtime.budget import EvaluationBudget
-from repro.runtime.guards import check_probability, check_unit_interval_array
+from repro.runtime.guards import check_probability
 from repro.symbolic import Expression
 from repro.symbolic.compiler import CompiledKernel, compile_expression
 
@@ -241,9 +241,7 @@ class EvaluationPlan:
                 except KeyError:
                     raise UnboundParameterError(name) from None
             stacked = kernel.evaluate_stack(columns, n)
-            return check_unit_interval_array(
-                f"Pfail({self.service})", stacked
-            )
+            return check_probability(f"Pfail({self.service})", stacked)
         out = np.empty(n, dtype=float)
         for i, point in enumerate(points):
             try:

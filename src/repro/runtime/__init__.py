@@ -7,20 +7,15 @@ The serving-stack layer the ROADMAP's production north star requires:
   honors by raising :class:`~repro.errors.BudgetExceededError`;
 - :mod:`repro.runtime.guards` — numerical guards that turn silent
   floating-point garbage into typed
-  :class:`~repro.errors.NumericalInstabilityError`;
+  :class:`~repro.errors.NumericalInstabilityError` and
+  :class:`~repro.errors.ProbabilityRangeError`;
 - :mod:`repro.runtime.robust` — :class:`RobustEvaluator`, the graceful
   degradation chain (symbolic → numeric → fixed-point → Monte Carlo) with
   provenance-carrying :class:`EvaluationResult`.
 """
 
 from repro.runtime.budget import EvaluationBudget
-from repro.runtime.guards import (
-    check_finite,
-    check_finite_array,
-    check_probability,
-    check_unit_interval_array,
-    solve_guarded,
-)
+from repro.runtime.guards import check_finite_array, check_probability
 from repro.runtime.robust import (
     DEFAULT_TIERS,
     EvaluationResult,
@@ -34,9 +29,6 @@ __all__ = [
     "EvaluationResult",
     "RobustEvaluator",
     "TierDiagnostic",
-    "check_finite",
     "check_finite_array",
     "check_probability",
-    "check_unit_interval_array",
-    "solve_guarded",
 ]

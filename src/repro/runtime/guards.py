@@ -11,12 +11,14 @@ typed :class:`~repro.errors.NumericalInstabilityError` /
 
 Tolerances follow the rest of the library: drift up to ``CLAMP_TOL`` beyond
 ``[0, 1]`` is attributed to round-off and clamped; anything larger is
-evidence of a broken model or an untrustworthy solve and raises.
+evidence of a broken model or an untrustworthy solve and raises.  Every
+evaluation path checks probabilities with the one :func:`check_probability`,
+so a NaN ``Pfail`` is the same :class:`ProbabilityRangeError` wherever it
+surfaces; :class:`NumericalInstabilityError` is left to non-finite matrices
+and untrustworthy solves.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -26,11 +28,8 @@ __all__ = [
     "CLAMP_TOL",
     "MAX_CONDITION",
     "RESIDUAL_TOL",
-    "check_finite",
     "check_finite_array",
     "check_probability",
-    "check_unit_interval_array",
-    "solve_guarded",
 ]
 
 #: Drift beyond [0, 1] attributed to round-off and silently clamped.
@@ -43,14 +42,6 @@ MAX_CONDITION = 1e12
 RESIDUAL_TOL = 1e-8
 
 
-def check_finite(what: str, value: float) -> float:
-    """Return ``value`` if finite, else raise ``NumericalInstabilityError``."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise NumericalInstabilityError(f"{what} is not finite: {value!r}")
-    return value
-
-
 def check_finite_array(what: str, array: np.ndarray) -> np.ndarray:
     """Raise ``NumericalInstabilityError`` when ``array`` holds NaN/Inf."""
     if not np.all(np.isfinite(array)):
@@ -61,68 +52,21 @@ def check_finite_array(what: str, array: np.ndarray) -> np.ndarray:
     return array
 
 
-def check_probability(what: str, value: float, tol: float = CLAMP_TOL) -> float:
-    """Validate a scalar probability: finite, within ``[0, 1]`` up to
-    ``tol`` drift (clamped), typed errors otherwise."""
-    value = check_finite(what, value)
-    if value < -tol or value > 1.0 + tol:
-        raise ProbabilityRangeError(what, value)
-    return min(max(value, 0.0), 1.0)
-
-
-def check_unit_interval_array(
-    what: str, array: np.ndarray, tol: float = CLAMP_TOL
-) -> np.ndarray:
-    """Vector form of :func:`check_probability`; returns the clamped array."""
-    check_finite_array(what, array)
-    low = float(np.min(array, initial=0.0))
-    high = float(np.max(array, initial=1.0))
-    if low < -tol or high > 1.0 + tol:
-        worst = low if -low > high - 1.0 else high
-        raise ProbabilityRangeError(what, worst)
-    return np.clip(array, 0.0, 1.0)
-
-
-def solve_guarded(
-    system: np.ndarray,
-    rhs: np.ndarray,
-    what: str = "linear system",
-    max_condition: float = MAX_CONDITION,
-    residual_tol: float = RESIDUAL_TOL,
-) -> np.ndarray:
-    """``numpy.linalg.solve`` with instability detection.
-
-    Checks, in order: finite inputs; non-singular factorization; a 1-norm
-    condition estimate below ``max_condition``; a relative residual
-    ``||A x - b|| / max(||b||, 1)`` below ``residual_tol``.  Any violation
-    raises :class:`NumericalInstabilityError` instead of returning a
-    solution that merely *looks* like probabilities.
-    """
-    check_finite_array(f"{what}: matrix", system)
-    check_finite_array(f"{what}: right-hand side", rhs)
-    try:
-        solution = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalInstabilityError(f"{what} is singular: {exc}") from exc
-    if not np.all(np.isfinite(solution)):
-        raise NumericalInstabilityError(f"{what}: solution is not finite")
-    # Cheap conditioning estimate: ||A||_1 * ||A^-1||_1 via one extra solve
-    # of the identity would be O(n^3) again, so bound it with the residual
-    # plus an explicit 1-norm condition number only for small systems.
-    if system.shape[0] <= 512:
-        try:
-            condition = float(np.linalg.cond(system, 1))
-        except np.linalg.LinAlgError:  # pragma: no cover - defensive
-            condition = float("inf")
-        if not math.isfinite(condition) or condition > max_condition:
-            raise NumericalInstabilityError(
-                f"{what} is ill-conditioned", condition=condition
-            )
-    residual = float(np.max(np.abs(system @ solution - rhs), initial=0.0))
-    scale = max(float(np.max(np.abs(rhs), initial=0.0)), 1.0)
-    if residual / scale > residual_tol:
-        raise NumericalInstabilityError(
-            f"{what}: residual check failed",
-            residual=residual, scale=scale,
-        )
-    return solution
+def check_probability(what: str, value):
+    """Validate a scalar-or-array probability, returning it clamped of
+    round-off drift within ``CLAMP_TOL`` of ``[0, 1]``.  Anything else —
+    NaN and +-inf included — raises :class:`ProbabilityRangeError` naming
+    the first offending element.  A Python float takes a plain comparison
+    (``plan.pfail`` runs it on every answer); arrays and other scalars are
+    checked elementwise."""
+    if isinstance(value, float):
+        value = float(value)
+        if not -CLAMP_TOL <= value <= 1.0 + CLAMP_TOL:
+            raise ProbabilityRangeError(what, value)
+        return min(max(value, 0.0), 1.0)
+    arr = np.asarray(value, dtype=float)
+    bad = ~((arr >= -CLAMP_TOL) & (arr <= 1.0 + CLAMP_TOL))
+    if bad.any():
+        raise ProbabilityRangeError(what, float(arr[bad][0]))
+    clipped = np.clip(arr, 0.0, 1.0)
+    return float(clipped) if clipped.shape == () else clipped

@@ -116,10 +116,10 @@ class TestNaNIsOutOfRange:
         assert math.isnan(error.value)
 
     def test_the_check_itself(self):
-        from repro.core.state_failure import _check_probability
+        from repro.runtime.guards import check_probability
 
         with pytest.raises(ProbabilityRangeError) as info:
-            _check_probability("x", math.nan)
+            check_probability("x", math.nan)
         self.assert_nan(info.value, "x")
 
     def test_state_probabilities(self):

@@ -12,24 +12,21 @@ import pytest
 
 from repro.errors import NumericalInstabilityError, ProbabilityRangeError
 from repro.markov import AbsorbingChainAnalysis, ChainBuilder
-from repro.runtime.guards import (
-    CLAMP_TOL,
-    check_finite,
-    check_finite_array,
-    check_probability,
-    check_unit_interval_array,
-    solve_guarded,
-)
+from repro.runtime.guards import CLAMP_TOL, check_finite_array, check_probability
 
 
 class TestScalarGuards:
     def test_finite_passthrough(self):
-        assert check_finite("x", 0.25) == 0.25
+        assert check_probability("x", 0.25) == 0.25
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_raises(self, bad):
-        with pytest.raises(NumericalInstabilityError):
-            check_finite("x", bad)
+        """A non-finite probability is out of range, not an instability,
+        and the error carries the offending value."""
+        with pytest.raises(ProbabilityRangeError) as info:
+            check_probability("x", bad)
+        assert info.value.what == "x"
+        assert np.array_equal(info.value.value, bad, equal_nan=True)
 
     def test_probability_in_range(self):
         assert check_probability("p", 0.0) == 0.0
@@ -46,9 +43,13 @@ class TestScalarGuards:
         with pytest.raises(ProbabilityRangeError):
             check_probability("p", -0.2)
 
-    def test_probability_nan_raises_instability(self):
-        with pytest.raises(NumericalInstabilityError):
+    def test_probability_nan_raises_range_error(self):
+        with pytest.raises(ProbabilityRangeError):
             check_probability("p", float("nan"))
+
+    def test_numpy_scalar_comes_back_a_python_float(self):
+        out = check_probability("p", np.float64(0.25))
+        assert type(out) is float and out == 0.25
 
     def test_error_message_names_the_quantity(self):
         with pytest.raises(ProbabilityRangeError, match="Pfail"):
@@ -65,41 +66,19 @@ class TestArrayGuards:
             check_finite_array("a", np.array([0.1, np.nan, np.inf]))
 
     def test_unit_interval_clamps_roundoff(self):
-        out = check_unit_interval_array(
-            "b", np.array([-1e-12, 0.5, 1.0 + 1e-12])
-        )
+        out = check_probability("b", np.array([-1e-12, 0.5, 1.0 + 1e-12]))
         assert out[0] == 0.0 and out[2] == 1.0
 
     def test_unit_interval_rejects_gross_escape(self):
         with pytest.raises(ProbabilityRangeError):
-            check_unit_interval_array("b", np.array([0.5, 1.7]))
+            check_probability("b", np.array([0.5, 1.7]))
 
-
-class TestSolveGuarded:
-    def test_well_posed_matches_numpy(self):
-        system = np.array([[2.0, 1.0], [1.0, 3.0]])
-        rhs = np.array([1.0, 2.0])
-        assert solve_guarded(system, rhs) == pytest.approx(
-            np.linalg.solve(system, rhs)
-        )
-
-    def test_singular_system_raises(self):
-        system = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(NumericalInstabilityError):
-            solve_guarded(system, np.array([1.0, 1.0]))
-
-    def test_ill_conditioned_system_raises(self):
-        eps = 1e-15
-        system = np.array([[1.0, 1.0], [1.0, 1.0 + eps]])
-        with pytest.raises(NumericalInstabilityError) as excinfo:
-            solve_guarded(system, np.array([1.0, 1.0]), "probe")
-        assert "probe" in str(excinfo.value)
-
-    def test_non_finite_inputs_raise(self):
-        with pytest.raises(NumericalInstabilityError):
-            solve_guarded(np.array([[np.nan]]), np.array([1.0]))
-        with pytest.raises(NumericalInstabilityError):
-            solve_guarded(np.array([[1.0]]), np.array([np.inf]))
+    def test_first_offender_is_named(self):
+        """The array form reports the first element out of range, NaN
+        included, exactly as the scalar form would have for it."""
+        with pytest.raises(ProbabilityRangeError) as info:
+            check_probability("b", np.array([0.5, np.nan, 2.0]))
+        assert np.isnan(info.value.value)
 
 
 class TestHardenedAbsorbingChain:
