@@ -1,5 +1,5 @@
-"""FIX — fixed-point evaluation of recursive assemblies (section 3.3's
-stated future work, implemented).
+"""FIX — the least fixed point ``ReliabilityEvaluator`` solves on recursive
+assemblies (section 3.3's stated future work, implemented).
 
 Regenerates the Pfail of the mutually recursive A <-> B pair as a function
 of the recursion probability ``r``, next to the exact algebraic solution,
@@ -7,8 +7,10 @@ with the sweep counts of the Newton solve (Jacobian probes included);
 benchmarks one fixed-point solve at the deepest recursion setting.
 """
 
+import pytest
+
 from repro.analysis import format_table
-from repro.core import FixedPointEvaluator
+from repro.core import ReliabilityEvaluator, fixed_point
 from repro.scenarios import (
     RecursiveParameters,
     closed_form_pfail,
@@ -23,10 +25,15 @@ MAX_SWEEPS = 10
 
 def solve(r: float):
     params = RecursiveParameters(recursion_probability=r)
-    evaluator = FixedPointEvaluator(recursive_assembly(params), tolerance=1e-13)
+    evaluator = ReliabilityEvaluator(recursive_assembly(params))
     value = evaluator.pfail("A", size=1)
     exact, _ = closed_form_pfail(params)
-    return value, exact, evaluator.iterations_used
+    return value, exact, evaluator.fixed_point.sweeps
+
+
+@pytest.fixture(autouse=True)
+def tolerance(monkeypatch):
+    monkeypatch.setattr(fixed_point, "TOLERANCE", 1e-13)
 
 
 def test_fixed_point_sweep(benchmark):

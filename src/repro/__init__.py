@@ -6,8 +6,8 @@ Reliability Prediction for Service-Oriented Computing"* (Architecting
 Dependable Systems III, LNCS 3549, 2005): the unified service/connector
 model, parametric analytic interfaces, the per-state failure math under
 completion x sharing models, the recursive evaluation procedure
-``Pfail_Alg`` with numeric and symbolic back-ends, a fixed-point extension
-for recursive assemblies, Monte Carlo cross-validation, related-work
+``Pfail_Alg`` with numeric and symbolic back-ends (the numeric one solving
+recursive assemblies as a least fixed point), Monte Carlo cross-validation, related-work
 baselines, and analysis tooling (sweeps, crossovers, service selection,
 sensitivity).  The :mod:`repro.engine` layer scales all of it: compiled
 evaluation plans, a fingerprint-keyed plan cache, and parallel batch /
@@ -28,7 +28,6 @@ inventory and EXPERIMENTS.md for the paper-vs-measured record.
 import importlib
 
 from repro.core import (
-    FixedPointEvaluator,
     PerformanceEvaluator,
     ReliabilityEvaluator,
     SymbolicEvaluator,
@@ -106,7 +105,6 @@ __all__ = [
     "EvaluationPlan",
     "EvaluationResult",
     "Expression",
-    "FixedPointEvaluator",
     "FlowBuilder",
     "FormalParameter",
     "KOfNCompletion",

@@ -5,7 +5,9 @@ the ``list`` formal parameter, for a grid of attribute settings.  This
 module runs such sweeps through either evaluation back-end:
 
 - ``method="symbolic"`` derives the closed form once and evaluates it
-  vectorized over the whole value array (fast; the default);
+  vectorized over the whole value array (fast; the default).  A recursive
+  assembly has no closed form: its sweep runs the numeric method, which
+  solves each point's least fixed point;
 - ``method="numeric"`` runs the recursive evaluator per point (slower;
   useful as a cross-check and for assemblies whose flows the symbolic
   back-end would blow up on).
@@ -34,7 +36,7 @@ import numpy as np
 
 from repro import observability as obs
 from repro.core.evaluator import ReliabilityEvaluator
-from repro.errors import EvaluationError
+from repro.errors import CyclicAssemblyError, EvaluationError
 from repro.model.assembly import Assembly
 from repro.runtime.budget import EvaluationBudget
 
@@ -145,7 +147,8 @@ def sweep_parameter(
         parameter: the formal parameter to sweep.
         values: the grid of values.
         fixed: values for the remaining formal parameters.
-        method: ``"symbolic"`` (vectorized closed form) or ``"numeric"``
+        method: ``"symbolic"`` (vectorized closed form; a recursive
+            assembly falls back to the numeric method) or ``"numeric"``
             (per-point recursive evaluation).
         jobs: worker count for the numeric method — 1 (default)
             evaluates in process, 0 uses every core, ``N > 1`` fans the
@@ -169,6 +172,8 @@ def sweep_parameter(
             f"{parameter!r} is not a formal parameter of {service!r} "
             f"(has {svc.formal_parameters})"
         )
+    if method not in ("symbolic", "numeric"):
+        raise EvaluationError(f"unknown sweep method {method!r}")
     grid = _validated_grid(values)
     jobs = resolve_jobs(jobs)
 
@@ -179,14 +184,19 @@ def sweep_parameter(
         if method == "symbolic":
             from repro.engine.plan import compile_plan
 
-            if cache is not None:
-                plan = cache.get_or_compile(assembly, service,
-                                            backend="symbolic", budget=budget)
+            try:
+                if cache is not None:
+                    plan = cache.get_or_compile(
+                        assembly, service, backend="symbolic", budget=budget
+                    )
+                else:
+                    plan = compile_plan(assembly, service, backend="symbolic",
+                                        budget=budget)
+            except CyclicAssemblyError:
+                method = "numeric"  # no closed form; solve point by point
             else:
-                plan = compile_plan(assembly, service, backend="symbolic",
-                                    budget=budget)
-            pfail = _fused_symbolic(plan, parameter, grid, fixed, budget)
-        elif method == "numeric":
+                pfail = _fused_symbolic(plan, parameter, grid, fixed, budget)
+        if method == "numeric":
             if jobs > 1:
                 pfail = _parallel_numeric(
                     assembly, service, parameter, grid, fixed, jobs, budget
@@ -201,8 +211,6 @@ def sweep_parameter(
                         for v in grid
                     ]
                 )
-        else:
-            raise EvaluationError(f"unknown sweep method {method!r}")
 
     return SweepResult(assembly.name, service, parameter, grid, pfail, fixed)
 

@@ -288,14 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="include the per-state failure breakdown",
     )
     sub.add_argument(
-        "--fixed-point", action="store_true",
-        help="use the fixed-point evaluator (required for recursive "
-             "assemblies)",
-    )
-    sub.add_argument(
         "--robust", action="store_true",
         help="run the graceful-degradation chain (symbolic -> numeric -> "
-             "fixed-point -> Monte Carlo) and report the serving tier",
+             "Monte Carlo) and report the serving tier",
     )
     add_observability(sub)
 
@@ -508,7 +503,7 @@ def _cmd_describe(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    from repro.core import FixedPointEvaluator, ReliabilityEvaluator
+    from repro.core import ReliabilityEvaluator
 
     assembly = _load(args.file)
     bindings = _parse_bindings(args.set)
@@ -519,8 +514,7 @@ def _cmd_evaluate(args) -> int:
         evaluator = RobustEvaluator(assembly, budget=budget)
         print(evaluator.evaluate(args.service, **bindings))
         return 0
-    cls = FixedPointEvaluator if args.fixed_point else ReliabilityEvaluator
-    evaluator = cls(assembly, budget=budget)
+    evaluator = ReliabilityEvaluator(assembly, budget=budget)
     if args.report:
         print(evaluator.report(args.service, **bindings))
     else:

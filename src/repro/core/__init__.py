@@ -4,15 +4,14 @@
   the completion x dependency models (eqs. 4–13);
 - :mod:`repro.core.failure_structure` — Fail-state augmentation (Figure 5);
 - :mod:`repro.core.evaluator` — the recursive ``Pfail_Alg`` (section 3.3);
+- :mod:`repro.core.fixed_point` — the least fixed point ``Pfail_Alg``
+  solves on recursive assemblies (the paper's stated future work);
 - :mod:`repro.core.symbolic_evaluator` — closed-form derivation (section 4);
-- :mod:`repro.core.fixed_point` — fixed-point evaluation of recursive
-  assemblies (the paper's stated future work);
 - :mod:`repro.core.sensitivity` — derivative-based what-if analysis.
 """
 
 from repro.core.evaluator import EvaluationReport, ReliabilityEvaluator, StateBreakdown
 from repro.core.failure_structure import augment_with_failures
-from repro.core.fixed_point import FixedPointEvaluator
 from repro.core.performance import PerformanceEvaluator
 from repro.core.sensitivity import (
     SensitivityResult,
@@ -40,7 +39,6 @@ from repro.core.symbolic_evaluator import (
 
 __all__ = [
     "EvaluationReport",
-    "FixedPointEvaluator",
     "PerformanceEvaluator",
     "ReliabilityEvaluator",
     "SensitivityResult",

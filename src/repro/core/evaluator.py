@@ -21,11 +21,15 @@ assemblies.  What a composite evaluation needs that does not depend on
 its callees' ``Pfail`` sits in an :class:`EvaluationFrame`, which the
 fixed-point sweeps of a recursive assembly reuse.
 
-Cyclic assemblies are detected (re-entry on a service already on the
-evaluation stack) and rejected with :class:`CyclicAssemblyError`, making the
-infinite loop the paper warns about impossible; see
-:class:`repro.core.fixed_point.FixedPointEvaluator` for the fixed-point
-treatment the paper proposes instead.
+Recursive assemblies, where the paper's procedure would loop forever, get
+the least fixed point the paper proposes instead: a ``(service, actuals)``
+key re-entered while it is still being evaluated is answered with an
+estimate, and :mod:`repro.core.fixed_point` solves for the estimates.  A
+value that read an estimate is memoized for the current sweep only, so a
+recursive answer never depends on what the evaluator evaluated before.  A
+service re-entered under *other* actuals than the ones it is being
+evaluated with is no unknown of that equation and is refused with
+:class:`CyclicAssemblyError`.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import observability as obs
+from repro.core import fixed_point
 from repro.errors import (
     CyclicAssemblyError,
     EvaluationError,
@@ -243,6 +248,11 @@ class ReliabilityEvaluator:
             ``"sparse"``; see :mod:`repro.markov.solvers`.
         incremental: accepted and ignored; the flag of the retired
             low-rank update tier, still passed by ``perfbench``.
+
+    After a call that solved a fixed point, :attr:`fixed_point` holds the
+    solve's :class:`~repro.core.fixed_point.FixedPointSolve` (sweeps,
+    Newton steps, fallback, error bound); it is ``None`` after an acyclic
+    call.
     """
 
     def __init__(
@@ -266,7 +276,17 @@ class ReliabilityEvaluator:
         if validate:
             report = validate_assembly(assembly)
             report.raise_if_invalid()
+        #: values that read no fixed-point estimate, kept across calls
         self._cache: dict[tuple, float] = {}
+        #: values that read an estimate, kept for the current sweep only
+        self._sweep: dict[tuple, float] = {}
+        #: estimate reads so far; a value whose evaluation reads none is final
+        self._reads = 0
+        #: re-entered keys of the current call in first-seen order (the
+        #: fixed-point unknowns) and their estimates (0.0 until solved)
+        self._unknowns: dict[tuple, None] = {}
+        self._estimates: dict[tuple, float] = {}
+        self.fixed_point: fixed_point.FixedPointSolve | None = None
         self._tables: dict[str, RequestTable] = {}
         #: frames of the current top-level call, kept across fixed-point sweeps
         self._frames: dict[tuple, EvaluationFrame] = {}
@@ -276,11 +296,11 @@ class ReliabilityEvaluator:
     # -- public API ----------------------------------------------------------
 
     def pfail(self, service: str | Service, **actuals: float) -> float:
-        """``Pfail(S, fp)`` for concrete actual parameters."""
+        """``Pfail(S, fp)`` for concrete actual parameters (the least fixed
+        point on a recursive assembly)."""
         svc = self._coerce(service)
         with obs.span("evaluator.pfail", service=svc.name):
-            self._frames.clear()
-            return self._pfail_service(svc, self._normalize(svc, actuals))
+            return self._solve(svc, self._normalize(svc, actuals))
 
     def reliability(self, service: str | Service, **actuals: float) -> float:
         """``1 - Pfail(S, fp)``."""
@@ -327,6 +347,7 @@ class ReliabilityEvaluator:
         """Drop all memoized results, request tables and frames (e.g. after
         mutating the assembly)."""
         self._cache.clear()
+        self._sweep.clear()
         self._tables.clear()
         self._frames.clear()
 
@@ -341,19 +362,9 @@ class ReliabilityEvaluator:
         self, service: Service, actuals: Mapping[str, float]
     ) -> tuple[tuple[str, float], ...]:
         """Validate and canonicalize actuals into a hashable memo key part."""
-        formals = service.formal_parameters
-        missing = [f for f in formals if f not in actuals]
-        if missing:
-            raise EvaluationError(
-                f"service {service.name!r}: missing actual parameters {missing}"
-            )
-        extra = [a for a in actuals if a not in formals]
-        if extra:
-            raise EvaluationError(
-                f"service {service.name!r}: unknown actual parameters {extra}"
-            )
+        service.check_actual_names(actuals)
         values = []
-        for name in formals:
+        for name in service.formal_parameters:
             value = actuals[name]
             if isinstance(value, np.ndarray):
                 raise EvaluationError(
@@ -378,13 +389,70 @@ class ReliabilityEvaluator:
         self._budget_check()
         if self.check_domains:
             svc.interface.check_actuals(dict(normalized))
-        self._frames.clear()
+        self._restart()
+        states = self._states(svc, normalized)
+        if self._unknowns:
+            # recursive: break the states down where the solve's last
+            # sweep left its values, the top itself re-entering as its
+            # estimate, as in that sweep
+            self._solve(svc, normalized)
+            self._sweep.pop((svc.name, normalized), None)
+            states = self._states(svc, normalized)
+        return svc, normalized, *states
+
+    def _states(self, svc: CompositeService, normalized: tuple) -> tuple:
+        """``(frame, _state_failures)`` of a top-level composite."""
         self._stack.append((svc.name, normalized))
         try:
             frame = self._frame(svc, normalized)
-            return svc, normalized, frame, self._state_failures(frame)
+            return frame, self._state_failures(frame)
         finally:
             self._stack.pop()
+
+    def _restart(self) -> None:
+        """Forget the last call's frames, estimates, unknowns and the
+        values that read them."""
+        self._frames.clear()
+        self._sweep.clear()
+        self._unknowns.clear()
+        self._estimates = {}
+        self.fixed_point = None
+
+    def _solve(self, svc: Service, normalized: tuple) -> float:
+        """``Pfail`` of a top-level call: one pass of the recursive
+        procedure, then the least fixed point when a key re-entered."""
+        self._restart()
+        top = self._pfail_service(svc, normalized)
+        if not self._unknowns:
+            return top
+        keys = tuple(self._unknowns)
+        progress = self.fixed_point = fixed_point.FixedPointSolve(svc.name)
+        if self.budget is not None:
+            self.budget.check_sweeps(1, "fixed-point iteration")
+
+        def image() -> np.ndarray:
+            """``F(x)``: each unknown's value in the last sweep."""
+            return np.array([self._sweep.get(key, 0.0) for key in keys])
+
+        def sweep(x: np.ndarray) -> tuple[float, np.ndarray]:
+            if self.budget is not None:
+                self.budget.check_deadline("fixed-point iteration")
+                self.budget.check_sweeps(progress.sweeps, "fixed-point iteration")
+            self._estimates = dict(zip(keys, x.tolist()))
+            self._sweep.clear()
+            return self._pfail_service(svc, normalized), image()
+
+        with obs.span("fixed_point.solve", service=svc.name) as span:
+            try:
+                return fixed_point.solve(progress, sweep, top, image())
+            finally:
+                span.set_tag(
+                    sweeps=progress.sweeps, newton_steps=progress.newton_steps,
+                    fallback=progress.fell_back, error_bound=progress.error_bound,
+                )
+                obs.count("fixed_point.sweeps", progress.sweeps)
+                if progress.fell_back:
+                    obs.count("fixed_point.fallbacks")
 
     def _budget_check(self) -> None:
         """Deadline + recursion-depth load shedding (no-op without budget)."""
@@ -408,30 +476,30 @@ class ReliabilityEvaluator:
         key = (service.name, actuals)
         if key in self._cache:
             return self._cache[key]
+        if key in self._sweep:
+            self._reads += 1
+            return self._sweep[key]
         names = [name for name, _ in self._stack]
         if service.name in names:
-            start = names.index(service.name)
-            return self._handle_cycle(
-                key, tuple(names[start:]) + (service.name,)
-            )
+            if key not in self._stack:
+                # re-entry under other actuals: no unknown of the fixed-point
+                # equation, and a descent no sweep would finish
+                start = names.index(service.name)
+                raise CyclicAssemblyError(tuple(names[start:]) + (service.name,))
+            # a fixed-point unknown: its estimate (0.0, the least fixed
+            # point's start, until the solve has one)
+            self._unknowns[key] = None
+            self._reads += 1
+            return self._estimates.get(key, 0.0)
+        reads = self._reads
         self._stack.append(key)
         try:
             value = self._compute(service, actuals)
         finally:
             self._stack.pop()
         value = check_probability(f"Pfail({service.name})", value)
-        self._cache[key] = value
+        (self._cache if self._reads == reads else self._sweep)[key] = value
         return value
-
-    def _handle_cycle(self, key: tuple, cycle: tuple[str, ...]) -> float:
-        """Hook invoked on re-entrant evaluation of a service.
-
-        The base evaluator treats a cycle as fatal, exactly where the
-        paper's procedure would loop forever.
-        :class:`~repro.core.fixed_point.FixedPointEvaluator` overrides this
-        to return the current fixed-point estimate instead.
-        """
-        raise CyclicAssemblyError(cycle)
 
     def _compute(self, service: Service, actuals: tuple[tuple[str, float], ...]) -> float:
         # Abstract domains constrain what callers may request of the

@@ -21,9 +21,10 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import InvalidFlowError, ProbabilityRangeError
+from repro.errors import InvalidFlowError
 from repro.markov import DiscreteTimeMarkovChain
 from repro.model.flow import END, FAIL, START, ServiceFlow
+from repro.runtime.guards import check_probability
 from repro.symbolic import Environment
 
 __all__ = ["AugmentationFrame", "augment_with_failures", "FAIL"]
@@ -56,15 +57,10 @@ class AugmentationFrame:
         """The augmented DTMC for ``p(i, Fail)`` of each internal state, in
         flow order (:class:`ProbabilityRangeError` names the first state
         outside ``[0, 1]``)."""
-        failures = np.asarray(failures, dtype=float)
-        bad = ~((failures >= 0.0) & (failures <= 1.0 + 1e-12))
-        if bad.any():
-            first = int(np.argmax(bad))
-            raise ProbabilityRangeError(
-                f"failure probability of state {self.names[first]!r}",
-                float(failures[first]),
-            )
-        failures = np.minimum(failures, 1.0)
+        failures = check_probability(
+            "failure probability of state", np.asarray(failures, dtype=float),
+            self.names,
+        )
         survive = np.ones(len(self.states))
         survive[1:-2] = 1.0 - failures
         matrix = np.zeros((len(self.states), len(self.states)))

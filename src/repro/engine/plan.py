@@ -30,6 +30,7 @@ cache ⇒ zero re-derivations" directly against it.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -72,7 +73,9 @@ class EvaluationPlan:
 
     A robust plan builds its :class:`~repro.runtime.RobustEvaluator` once
     per process (pool workers keep the plans they are sent) and runs each
-    call under that call's budget, or under none.
+    call under that call's budget, or under none, one call at a time: the
+    evaluator keeps per-call state (the budget, a fixed-point solve's
+    sweeps), and the daemon's threads share cached plans.
     """
 
     def __init__(
@@ -100,6 +103,7 @@ class EvaluationPlan:
         self.symbolic_attributes = bool(symbolic_attributes)
         self._evaluator = None  # per-process, rebuilt after pickling
         self._kernel_obj = None  # lazy CompiledKernel, rebuilt after pickling
+        self._lock = threading.Lock()  # one robust evaluation at a time
 
     # -- pickling ----------------------------------------------------------
 
@@ -107,7 +111,12 @@ class EvaluationPlan:
         state = self.__dict__.copy()
         state["_evaluator"] = None  # evaluators hold live assemblies
         state["_kernel_obj"] = None  # kernels hold thread-local buffers
+        del state["_lock"]
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
 
     # -- evaluation --------------------------------------------------------
 
@@ -143,9 +152,10 @@ class EvaluationPlan:
             env = {name: float(value) for name, value in bound.items()}
             value = float(np.asarray(self.kernel().evaluate(env), dtype=float))
             return check_probability(f"Pfail({self.service})", value)
-        evaluator = self._robust_evaluator(budget)
         relevant = {k: v for k, v in bound.items() if k in self.formals}
-        return float(evaluator.evaluate(self.service, **relevant).pfail)
+        with self._lock:
+            evaluator = self._robust_evaluator(budget)
+            return float(evaluator.evaluate(self.service, **relevant).pfail)
 
     def reliability(
         self,

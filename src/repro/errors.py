@@ -207,26 +207,30 @@ class EvaluationError(ReproError):
 
 
 class CyclicAssemblyError(EvaluationError):
-    """The recursive evaluator hit a cycle of service requirements.
+    """An evaluation path cannot handle a cycle of service requirements.
 
     Section 3.3 of the paper notes that the recursive procedure "does not
     work in the case of a service assembly where some services recursively
     call each other" — the reliability is then the solution of a fixed-point
-    equation.  The default evaluator detects the cycle and raises this error;
-    :class:`repro.core.fixed_point.FixedPointEvaluator` solves such
-    assemblies instead.
+    equation.  :class:`repro.core.ReliabilityEvaluator` solves it when a
+    service re-enters under the actuals it is being evaluated with, and
+    raises this error when it re-enters under other actuals (a descent the
+    model language cannot bound).  The closed-form derivation, the
+    performance and invocation-count analyses raise it on any cycle.
     """
 
     def __init__(self, cycle: tuple[str, ...]):
         super().__init__(
             "cyclic service assembly: " + " -> ".join(cycle)
-            + " (use FixedPointEvaluator for recursive assemblies)"
+            + " (the numeric evaluator solves recursion that re-enters a "
+            "service under the same actuals)"
         )
         self.cycle = cycle
 
 
 class FixedPointDivergenceError(EvaluationError):
-    """Fixed-point iteration failed to converge within the iteration cap."""
+    """The least-fixed-point solve of a recursive assembly did not converge
+    within its sweep cap."""
 
 
 class ProbabilityRangeError(EvaluationError):

@@ -243,7 +243,7 @@ class Assembly:
         if self.find_cycle() is not None:
             raise ModelError(
                 f"assembly {self.name!r} is cyclic; recursion levels are "
-                f"undefined (see FixedPointEvaluator)"
+                f"undefined (its Pfail is a least fixed point)"
             )
         graph = self.dependency_graph()
         levels: dict[str, int] = {}

@@ -26,7 +26,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from repro.errors import ModelError
+from repro.errors import EvaluationError, ModelError
 from repro.model.flow import ServiceFlow
 from repro.model.parameters import FormalParameter
 from repro.symbolic import Environment, Expression, Value, as_expression
@@ -121,6 +121,21 @@ class Service:
     def is_simple(self) -> bool:
         """True for services with no cascading requests (recursion base)."""
         raise NotImplementedError
+
+    def check_actual_names(self, actuals: Mapping[str, Value]) -> None:
+        """Raise :class:`~repro.errors.EvaluationError` when ``actuals``
+        misses a formal parameter or names one the service does not have."""
+        formals = self.formal_parameters
+        missing = [f for f in formals if f not in actuals]
+        if missing:
+            raise EvaluationError(
+                f"service {self.name!r}: missing actual parameters {missing}"
+            )
+        extra = [a for a in actuals if a not in formals]
+        if extra:
+            raise EvaluationError(
+                f"service {self.name!r}: unknown actual parameters {extra}"
+            )
 
     def evaluation_environment(
         self, actuals: Mapping[str, Value], check: bool = True

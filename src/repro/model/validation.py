@@ -19,8 +19,9 @@ first), covering:
   enforced at flow construction; re-checked here against *resolved*
   bindings so the "same connector" half of the restriction is validated
   too);
-- cyclic dependency chains are reported (as a warning: they are evaluable
-  by the fixed-point engine, but not by the default recursive evaluator).
+- cyclic dependency chains are reported (as a warning: the numeric
+  evaluator solves them as a least fixed point, but the closed-form
+  derivation, the performance analysis and the simulator refuse them).
 """
 
 from __future__ import annotations
@@ -177,8 +178,9 @@ def validate_assembly(assembly: Assembly) -> ValidationReport:
     if cycle is not None:
         warning(
             "assembly",
-            f"dependency cycle {' -> '.join(cycle)}; the recursive evaluator "
-            f"will refuse it (use FixedPointEvaluator)",
+            f"dependency cycle {' -> '.join(cycle)}; the numeric evaluator "
+            f"solves it as a least fixed point, the closed-form derivation "
+            f"and the simulator refuse it",
         )
 
     return report

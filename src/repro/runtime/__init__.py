@@ -10,7 +10,7 @@ The serving-stack layer the ROADMAP's production north star requires:
   :class:`~repro.errors.NumericalInstabilityError` and
   :class:`~repro.errors.ProbabilityRangeError`;
 - :mod:`repro.runtime.robust` — :class:`RobustEvaluator`, the graceful
-  degradation chain (symbolic → numeric → fixed-point → Monte Carlo) with
+  degradation chain (symbolic → numeric → Monte Carlo) with
   provenance-carrying :class:`EvaluationResult`.
 """
 

@@ -8,8 +8,9 @@ expresses the resource envelope of one prediction request:
 - ``deadline``       — wall-clock seconds from the start of the request;
 - ``max_states``     — largest absorbing DTMC the engine may solve;
 - ``max_depth``      — deepest service-composition recursion allowed;
-- ``max_sweeps``     — sweep cap for fixed-point evaluation (Newton with
-  Kleene fallback; Jacobian probes count as sweeps);
+- ``max_sweeps``     — sweep cap of the least-fixed-point solve of a
+  recursive assembly (Newton with Kleene fallback; the first pass and the
+  Jacobian probes count as sweeps);
 - ``max_trials``     — Monte Carlo trial cap for simulation estimates.
 
 Every evaluator accepts an optional budget and *load-sheds* by raising

@@ -52,13 +52,14 @@ def check_finite_array(what: str, array: np.ndarray) -> np.ndarray:
     return array
 
 
-def check_probability(what: str, value):
+def check_probability(what: str, value, names=None):
     """Validate a scalar-or-array probability, returning it clamped of
     round-off drift within ``CLAMP_TOL`` of ``[0, 1]``.  Anything else —
     NaN and +-inf included — raises :class:`ProbabilityRangeError` naming
-    the first offending element.  A Python float takes a plain comparison
-    (``plan.pfail`` runs it on every answer); arrays and other scalars are
-    checked elementwise."""
+    the first offending element (as ``f"{what} {names[i]!r}"`` when a
+    sequence of element ``names`` is given).  A Python float takes a plain
+    comparison (``plan.pfail`` runs it on every answer); arrays and other
+    scalars are checked elementwise."""
     if isinstance(value, float):
         value = float(value)
         if not -CLAMP_TOL <= value <= 1.0 + CLAMP_TOL:
@@ -67,6 +68,9 @@ def check_probability(what: str, value):
     arr = np.asarray(value, dtype=float)
     bad = ~((arr >= -CLAMP_TOL) & (arr <= 1.0 + CLAMP_TOL))
     if bad.any():
-        raise ProbabilityRangeError(what, float(arr[bad][0]))
+        first = int(np.argmax(bad))
+        if names is not None:
+            what = f"{what} {names[first]!r}"
+        raise ProbabilityRangeError(what, float(arr.flat[first]))
     clipped = np.clip(arr, 0.0, 1.0)
     return float(clipped) if clipped.shape == () else clipped

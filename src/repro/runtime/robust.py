@@ -3,14 +3,13 @@
 A production prediction service must return *an* answer whenever one is
 honestly computable, and a typed refusal otherwise — never a hang, never a
 traceback, never a silently wrong number.  :class:`RobustEvaluator` wraps
-the four evaluation back-ends of the library into a fallback chain, ordered
+the three evaluation back-ends of the library into a fallback chain, ordered
 from most exact/cheapest-to-reuse to most tolerant:
 
 1. ``symbolic``     — closed-form derivation, evaluated at the actuals;
-2. ``numeric``      — the recursive procedure with direct linear solves;
-3. ``fixed-point``  — Newton with Kleene fallback (handles recursive
-   assemblies and retries with relaxed tolerance on non-convergence);
-4. ``monte-carlo``  — simulation estimate with a Wilson confidence
+2. ``numeric``      — the recursive procedure with direct linear solves,
+   and the least fixed point on recursive assemblies;
+3. ``monte-carlo``  — simulation estimate with a Wilson confidence
    interval, retried under fresh seeds on failure.
 
 Each tier runs under the shared :class:`~repro.runtime.EvaluationBudget`;
@@ -33,7 +32,6 @@ from repro.errors import (
     AllTiersFailedError,
     BudgetExceededError,
     EvaluationError,
-    FixedPointDivergenceError,
     ModelError,
     ReproError,
 )
@@ -47,7 +45,7 @@ from repro.symbolic import Environment
 __all__ = ["EvaluationResult", "RobustEvaluator", "TierDiagnostic"]
 
 #: The default degradation order.
-DEFAULT_TIERS = ("symbolic", "numeric", "fixed-point", "monte-carlo")
+DEFAULT_TIERS = ("symbolic", "numeric", "monte-carlo")
 
 
 class TierDiagnostic:
@@ -73,8 +71,8 @@ class EvaluationResult:
         service: evaluated service name.
         actuals: the actual parameters used.
         pfail: the predicted unreliability.
-        tier: which tier produced it (``"symbolic"``, ``"numeric"``,
-            ``"fixed-point"`` or ``"monte-carlo"``).
+        tier: which tier produced it (``"symbolic"``, ``"numeric"`` or
+            ``"monte-carlo"``).
         exact: True for analytic tiers, False for the Monte Carlo estimate.
         confidence_interval: 95% Wilson interval for Monte Carlo results,
             the degenerate ``(pfail, pfail)`` for exact tiers.
@@ -153,12 +151,11 @@ class RobustEvaluator:
         budget: shared resource envelope for the whole chain; ``None``
             means unlimited.
         tiers: degradation order — a subsequence of
-            ``("symbolic", "numeric", "fixed-point", "monte-carlo")``.
+            ``("symbolic", "numeric", "monte-carlo")``.
         trials: Monte Carlo trials for the estimation tier (shed down to
             the budget's remaining trial allowance).
         seed: base seed for the Monte Carlo tier; retries reseed from it.
-        retries: extra attempts for the retrying tiers (fixed-point
-            tolerance relaxation, Monte Carlo reseeding).
+        retries: extra Monte Carlo attempts, each under a fresh seed.
         validate: validate the assembly up front (recommended).
     """
 
@@ -206,7 +203,6 @@ class RobustEvaluator:
         runners = {
             "symbolic": self._tier_symbolic,
             "numeric": self._tier_numeric,
-            "fixed-point": self._tier_fixed_point,
             "monte-carlo": self._tier_monte_carlo,
         }
         obs.count("robust.evaluations")
@@ -305,28 +301,6 @@ class RobustEvaluator:
             self._numeric_evaluator.budget = self.budget
         value = self._numeric_evaluator.pfail(service, **actuals)
         return check_probability(f"Pfail({service})", value), None, 0.0, None
-
-    def _tier_fixed_point(self, service: str, actuals: dict[str, float]):
-        from repro.core.fixed_point import FixedPointEvaluator
-
-        tolerance = 1e-12
-        last: ReproError | None = None
-        for _ in range(self.retries + 1):
-            evaluator = FixedPointEvaluator(
-                self.assembly, tolerance=tolerance, validate=False,
-                budget=self.budget,
-            )
-            try:
-                value = evaluator.pfail(service, **actuals)
-            except FixedPointDivergenceError as exc:
-                # retry-and-relax backoff on non-convergence
-                last = exc
-                tolerance *= 1e3
-                continue
-            return check_probability(f"Pfail({service})", value), None, 0.0, None
-        raise last if last is not None else EvaluationError(
-            "fixed-point tier exhausted retries"
-        )
 
     def _tier_monte_carlo(self, service: str, actuals: dict[str, float]):
         from repro.simulation.engine import MonteCarloSimulator

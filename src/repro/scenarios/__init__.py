@@ -8,8 +8,8 @@
 - :mod:`repro.scenarios.shared_db` — the replicated-query sharing ablation;
 - :mod:`repro.scenarios.media_pipeline` — deep composition with AND and
   2-of-3 states;
-- :mod:`repro.scenarios.recursive` — the mutually recursive pair for the
-  fixed-point evaluator.
+- :mod:`repro.scenarios.recursive` — the mutually recursive pair whose
+  ``Pfail`` is a least fixed point.
 """
 
 from repro.scenarios.media_pipeline import PipelineParameters, pipeline_assembly

@@ -20,8 +20,9 @@ Substituting gives a linear fixed point with solution::
 
 Operationally the recursion terminates with probability one (each level
 recurses with probability ``r < 1``), so the least fixed point is the true
-unreliability; the Newton with Kleene fallback of
-:class:`~repro.core.fixed_point.FixedPointEvaluator` must converge to it.
+unreliability; the least-fixed-point solve of
+:class:`~repro.core.ReliabilityEvaluator` (Newton with Kleene fallback,
+:mod:`repro.core.fixed_point`) must converge to it.
 """
 
 from __future__ import annotations

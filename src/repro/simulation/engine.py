@@ -271,6 +271,7 @@ class MonteCarloSimulator:
         """Compile the invocation of ``service`` with ``actuals`` into a
         plan tree (all model expressions evaluated once)."""
         svc = service if isinstance(service, Service) else self.assembly.service(service)
+        svc.check_actual_names(actuals)
         memo: dict[tuple, _SimplePlan | _CompositePlan] = {}
         return self._compile(svc, tuple(sorted(
             (k, float(v)) for k, v in actuals.items()
@@ -282,8 +283,8 @@ class MonteCarloSimulator:
         if depth > _MAX_DEPTH:
             raise EvaluationError(
                 "simulation recursion too deep; the simulator supports "
-                "acyclic assemblies only (evaluate cyclic ones with "
-                "FixedPointEvaluator)"
+                "acyclic assemblies only (ReliabilityEvaluator solves "
+                "recursive ones as a least fixed point)"
             )
         if self.budget is not None:
             self.budget.check_depth(depth + 1, "simulation plan compilation")
@@ -310,7 +311,7 @@ class MonteCarloSimulator:
             for request in state.requests:
                 resolved = self.assembly.resolve_request(service.name, request)
                 p_int = check_probability(
-                    f"internal failure of {service.name}/{state.name}",
+                    "internal failure probability",
                     float(request.internal_failure.evaluate(env)),
                 )
                 callee_actuals = tuple(sorted(
@@ -333,7 +334,7 @@ class MonteCarloSimulator:
                     _RequestPlan(
                         p_int, provider_plan, connector_plan,
                         masking=check_probability(
-                            f"masking of {service.name}/{state.name}",
+                            "masking probability",
                             float(request.masking.evaluate(env)),
                         ),
                     )

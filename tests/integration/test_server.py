@@ -121,23 +121,27 @@ def test_sweep_round_trip(server):
 
 
 def test_symbolic_sweep_answer_does_not_depend_on_earlier_evaluate(server):
-    """A symbolic sweep of a cyclic model is refused (422) on a cold plan
-    cache, and still refused after ``/v1/evaluate`` cached the model's
-    robust plan — never served that plan's fixed-point answer."""
+    """A symbolic sweep of a recursive model answers each point's least
+    fixed point on a cold plan cache, and the same bits after
+    ``/v1/evaluate`` cached the model's robust plan; ``/v1/evaluate``
+    answers the same bits at its point."""
+    from repro.core import ReliabilityEvaluator
     from repro.scenarios import recursive_assembly
 
     model = json.loads(dump_assembly(recursive_assembly()))
     sweep = {"model": model, "service": "A", "parameter": "size",
              "start": 1, "stop": 3, "points": 3}
-    cold = post_error(server.url + "/v1/sweep", json.dumps(sweep).encode())
-    assert cold.code == 422
-    assert "CyclicAssemblyError" in cold.read().decode()
+    want = [ReliabilityEvaluator(recursive_assembly()).pfail("A", size=size)
+            for size in (1.0, 2.0, 3.0)]
+    cold = post(server.url + "/v1/sweep", sweep)
+    assert cold["pfail"] == want
     evaluated = post(server.url + "/v1/evaluate", {
         "model": model, "service": "A", "actuals": {"size": 1}})
     assert evaluated["backend"] == "robust"
-    warm = post_error(server.url + "/v1/sweep", json.dumps(sweep).encode())
-    assert warm.code == 422
-    assert "CyclicAssemblyError" in warm.read().decode()
+    assert evaluated["pfail"] == want[0]
+    # a new grid, so the coalescer cannot answer from the cold sweep
+    warm = post(server.url + "/v1/sweep", {**sweep, "stop": 2, "points": 2})
+    assert warm["pfail"] == want[:2]
 
 
 def test_coalescing_n_identical_inflight_requests_solve_once():

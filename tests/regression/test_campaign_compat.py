@@ -22,8 +22,10 @@ journaled entry errors by class name alone, with
 ``A``, and the plain local scenario, which has no ``A``; its unit was
 quarantined).  It must replay as a no-op: ok entries carry the journaled
 values (written by the Kleene solver that preceded the Newton solve),
-error entries the class and message a plain batch reports, and the
-quarantined unit the error its quarantine record holds.
+error entries the journaled class and message byte for byte (the class a
+plain batch reports today; the message lists the four tiers of the chain
+that wrote it), and the quarantined unit the error its quarantine record
+holds.
 """
 
 import json
@@ -147,17 +149,35 @@ def test_batch_error_journal_replays_the_plain_batch_errors(tmp_path):
             return entry.pfail
         return type(entry.error).__name__, str(entry.error)
 
+    errors = {
+        entry["request_index"]: (entry["error"], entry["message"])
+        for record in records if record.get("status") == "done"
+        for entry in record["result"] if "error" in entry
+    }
+
     # the first two models' units replay; the third stays quarantined.
     # Ok entries are the journaled values (a resume never re-solves);
-    # error entries read as a fresh plain batch reports them.
+    # error entries replay the journaled error, whose class a fresh plain
+    # batch still reports.
     replayed = assemble_batch(batch, report)
     assert [e.ok for e in replayed[:6]] == [e.ok for e in plain.entries[:6]]
     assert sorted(journaled) == [e.index for e in replayed[:6] if e.ok]
     for entry, fresh in zip(replayed[:6], plain.entries):
-        want = journaled[entry.index] if entry.ok else outcome(fresh)
-        assert outcome(entry) == want
+        if entry.ok:
+            assert outcome(entry) == journaled[entry.index]
+            continue
+        name, message = outcome(entry)
+        journaled_name, journaled_message = errors[entry.index]
+        assert (name, f"{name}: {message}") == (journaled_name, journaled_message)
+        assert name == outcome(fresh)[0]
     assert outcome(replayed[1])[0] == "AllTiersFailedError"
     assert outcome(replayed[3])[0] == "UnboundParameterError"
+    # a fresh batch's chain has three tiers; its Monte Carlo tier refuses
+    # the missing actual with a typed error instead of crashing
+    fresh_message = outcome(plain.entries[2])[1]
+    assert "fixed-point:" not in fresh_message
+    assert "monte-carlo: EvaluationError: service 'A': missing actual " \
+        "parameters ['size']" in fresh_message
     # the fresh recursive answer is the least fixed point itself
     exact, _ = closed_form_pfail()
     assert abs(plain.entries[0].pfail - exact) <= 1e-14

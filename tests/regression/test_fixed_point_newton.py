@@ -1,6 +1,6 @@
 """The Newton solve of recursive assemblies against the closed form.
 
-``FixedPointEvaluator`` solves the least fixed point of the mutual
+``ReliabilityEvaluator`` solves the least fixed point of the mutual
 recursion ``A -> B -> A`` by safeguarded Newton.  It must land on
 :func:`~repro.scenarios.recursive.closed_form_pfail` in a bounded number
 of sweeps (Jacobian probes included) however slowly the Kleene iteration
@@ -11,23 +11,13 @@ every point is a fixed point.
 import pytest
 
 from repro import observability as obs
-from repro.core import FixedPointEvaluator
-from repro.model import (
-    AnalyticInterface,
-    Assembly,
-    CompositeService,
-    FlowBuilder,
-    FormalParameter,
-    IntegerDomain,
-    ServiceRequest,
-    perfect_connector,
-)
+from repro.core import ReliabilityEvaluator, fixed_point
 from repro.scenarios import (
     RecursiveParameters,
     closed_form_pfail,
     recursive_assembly,
 )
-from repro.symbolic import Parameter
+from tests.recursive_models import never_terminating_assembly
 
 MAX_SWEEPS = 10
 
@@ -41,59 +31,33 @@ MAX_SWEEPS = 10
 )
 def test_newton_meets_the_closed_form_in_few_sweeps(r, bound, service):
     params = RecursiveParameters(recursion_probability=r)
-    evaluator = FixedPointEvaluator(recursive_assembly(params))
+    evaluator = ReliabilityEvaluator(recursive_assembly(params))
     exact = dict(zip("AB", closed_form_pfail(params)))[service]
     assert abs(evaluator.pfail(service, size=1) - exact) <= bound
-    assert evaluator.iterations_used <= MAX_SWEEPS
-    assert not evaluator.fell_back
-    assert evaluator.error_bound < evaluator.tolerance
-
-
-def never_terminating_assembly() -> Assembly:
-    """``A`` calls ``B``, ``B`` calls ``A`` with probability 1, and no call
-    ever fails: ``F(x) = x``, so every ``x`` in ``[0, 1]`` is a fixed
-    point and ``J = 1``.  (``RecursiveParameters`` refuses ``r = 1``.)"""
-    size = Parameter("size")
-    interface = AnalyticInterface(
-        formal_parameters=(FormalParameter("size", domain=IntegerDomain(low=0)),),
-    )
-
-    def service(name: str) -> CompositeService:
-        flow = (
-            FlowBuilder(formals=("size",))
-            .state("call", requests=[ServiceRequest("next", actuals={"size": size})])
-            .sequence("call")
-            .build()
-        )
-        return CompositeService(name, interface, flow)
-
-    assembly = Assembly("never-terminating")
-    assembly.add_services(
-        service("A"), service("B"),
-        perfect_connector("loc_ab"), perfect_connector("loc_ba"),
-    )
-    assembly.bind("A", "next", "B", connector="loc_ab")
-    assembly.bind("B", "next", "A", connector="loc_ba")
-    return assembly
+    solve = evaluator.fixed_point
+    assert solve.sweeps <= MAX_SWEEPS
+    assert not solve.fell_back
+    assert solve.error_bound < fixed_point.TOLERANCE
 
 
 @pytest.mark.parametrize("service", ["A", "B"])
 def test_never_terminating_recursion_returns_the_least_fixed_point(service):
-    evaluator = FixedPointEvaluator(never_terminating_assembly())
+    evaluator = ReliabilityEvaluator(never_terminating_assembly())
     assert evaluator.pfail(service, size=1) == 0.0
     # rho(J) = 1: the safeguard refuses the Newton step, Kleene answers
-    assert evaluator.fell_back
-    assert evaluator.newton_steps == 0
-    assert evaluator.iterations_used <= MAX_SWEEPS
+    solve = evaluator.fixed_point
+    assert solve.fell_back
+    assert solve.newton_steps == 0
+    assert solve.sweeps <= MAX_SWEEPS
 
 
 def test_each_solve_is_one_tagged_span_and_counts_its_sweeps():
     obs.reset()
     obs.enable()
     try:
-        never = FixedPointEvaluator(never_terminating_assembly())
+        never = ReliabilityEvaluator(never_terminating_assembly())
         never.pfail("A", size=1)
-        newton = FixedPointEvaluator(recursive_assembly())
+        newton = ReliabilityEvaluator(recursive_assembly())
         newton.pfail("A", size=1)
         spans = [
             span for span in obs.tracer().finished
@@ -102,13 +66,12 @@ def test_each_solve_is_one_tagged_span_and_counts_its_sweeps():
         counters = obs.registry().snapshot()["counters"]
     finally:
         obs.reset()
+    solves = [never.fixed_point, newton.fixed_point]
     assert [span.tags for span in spans] == [
-        {"service": "A", "sweeps": e.iterations_used,
-         "newton_steps": e.newton_steps, "fallback": e.fell_back,
-         "error_bound": e.error_bound}
-        for e in (never, newton)
+        {"service": "A", "sweeps": s.sweeps,
+         "newton_steps": s.newton_steps, "fallback": s.fell_back,
+         "error_bound": s.error_bound}
+        for s in solves
     ]
-    assert counters["fixed_point.sweeps"] == (
-        never.iterations_used + newton.iterations_used
-    )
+    assert counters["fixed_point.sweeps"] == sum(s.sweeps for s in solves)
     assert counters["fixed_point.fallbacks"] == 1

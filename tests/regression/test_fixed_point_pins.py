@@ -4,7 +4,10 @@ The ``flat`` (r = 0) values were recorded before the fixed-point sweeps
 began to reuse their evaluation frames and have not moved since; the
 ``default`` and ``deep`` values and the ``recursive`` digests were
 re-recorded when the Newton solve replaced Kleene iteration, each value
-moving closer to ``closed_form_pfail``.  Keys
+moving closer to ``closed_form_pfail``.  The ``recursive/B`` digest was
+re-recorded when a report began to break a recursive service down at its
+own least fixed point (it had read ``A``'s value from the solve of ``A``
+run before it); ``recursive/A`` did not move.  Keys
 read ``parameters/solver/incremental/service/size`` (fixed point; the
 ``incremental`` field records that the pins were taken with the low-rank
 update tier off, which is now the only path), ``parameters/size`` (robust
@@ -16,7 +19,7 @@ import hashlib
 
 import pytest
 
-from repro.core import FixedPointEvaluator, ReliabilityEvaluator, augment_with_failures
+from repro.core import ReliabilityEvaluator, augment_with_failures
 from repro.engine import compile_plan
 from repro.errors import ProbabilityRangeError
 from repro.scenarios import (
@@ -103,7 +106,7 @@ AUGMENTED = {
     "pipeline/rpc_transcode/(('ip', 32.0), ('op', 32.0))": "56021161778ae2b812736b1e",
     "pipeline/transcode/(('mb', 32.0),)": "949caf6c6daff8609cb71699",
     "recursive/A/(('size', 3.0),)": "4b0747cc4579186c20479092",
-    "recursive/B/(('size', 3.0),)": "ab40694dfa0b6013f7110acb",
+    "recursive/B/(('size', 3.0),)": "39ecbbfcd9237d1d2c0d7232",
     "remote/rpc/(('ip', 1001.0), ('op', 1.0))": "80c7b273499f19fc0d02ed67",
     "remote/search/(('elem', 1.0), ('list', 1000.0), ('res', 1.0))": "4c01f81b9244a4010ab88221",
     "remote/sort2/(('list', 1000.0),)": "e9b6c4dafa05e2da53cf7ed2",
@@ -127,7 +130,7 @@ SCENARIOS = {
 def test_fixed_point_pfail(key):
     label, solver, incremental, service, size = key.split("/")
     assert incremental == "False"
-    evaluator = FixedPointEvaluator(
+    evaluator = ReliabilityEvaluator(
         recursive_assembly(PARAMETERS[label]), solver=solver
     )
     assert evaluator.pfail(service, size=float(size)).hex() == FIXED_POINT[key]
@@ -145,11 +148,10 @@ def test_robust_plan_pfail(label):
 def test_augmented_chain_matrices(scenario):
     build, service, actuals = SCENARIOS[scenario]
     assembly = build()
-    cyclic = scenario == "recursive"
-    evaluator = (FixedPointEvaluator if cyclic else ReliabilityEvaluator)(assembly)
+    evaluator = ReliabilityEvaluator(assembly)
     evaluator.pfail(service, **actuals)
     composites = sorted(
-        key for key in evaluator._cache
+        key for key in (*evaluator._cache, *evaluator._sweep)
         if hasattr(assembly.service(key[0]), "flow")
     )
     seen = set()
@@ -174,5 +176,5 @@ def test_out_of_range_state_probability_inside_a_fixed_point(monkeypatch, bad):
         lambda k, groups, internal, external, masking: [bad] * len(internal),
     )
     with pytest.raises(ProbabilityRangeError) as info:
-        FixedPointEvaluator(recursive_assembly()).pfail("A", size=1.0)
+        ReliabilityEvaluator(recursive_assembly()).pfail("A", size=1.0)
     assert info.value.what == "failure probability of state 'call_a'"

@@ -81,7 +81,7 @@ def test_path_raises_the_range_error(path):
 def test_every_robust_tier_raises_the_range_error():
     with pytest.raises(AllTiersFailedError) as info:
         RobustEvaluator(nan_model(), validate=False).evaluate("app", x=1.0)
-    assert len(info.value.diagnostics) == 4
+    assert len(info.value.diagnostics) == 3
     for error in (diagnostic.error for diagnostic in info.value.diagnostics):
         assert type(error) is ProbabilityRangeError
         assert math.isnan(error.value)

@@ -118,18 +118,28 @@ class TestEvaluate:
         assert "missing" in capsys.readouterr().err
 
     def test_fixed_point_flag_on_recursive_assembly(self, tmp_path, capsys):
+        """Plain ``evaluate`` solves a recursive assembly's least fixed
+        point; the ``--fixed-point`` flag that used to be needed is gone."""
         from repro.dsl import dump_assembly
         from repro.scenarios import recursive_assembly
 
         path = tmp_path / "recursive.json"
         path.write_text(dump_assembly(recursive_assembly()))
-        # the default evaluator refuses (EvaluationError -> exit code 6)
-        assert main(["evaluate", str(path), "A", "--set", "size=1"]) == 6
-        assert "cyclic" in capsys.readouterr().err
-        # the fixed-point engine solves it
-        assert main(
-            ["evaluate", str(path), "A", "--fixed-point", "--set", "size=1"]
-        ) == 0
+        assert main(["evaluate", str(path), "A", "--set", "size=1"]) == 0
+        assert "Pfail(A) = 3.986049823e-03" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evaluate", str(path), "A", "--fixed-point", "--set", "size=1"])
+        assert excinfo.value.code == 2
+        assert "--fixed-point" in capsys.readouterr().err
+
+    def test_report_prints_the_pfail_evaluate_prints(self, tmp_path, capsys):
+        from repro.dsl import dump_assembly
+        from repro.scenarios import recursive_assembly
+
+        path = tmp_path / "recursive.json"
+        path.write_text(dump_assembly(recursive_assembly()))
+        assert main(["evaluate", str(path), "A", "--report", "--set", "size=1"]) == 0
+        assert "Pfail = 3.986050e-03" in capsys.readouterr().out
 
 
 class TestClosedForm:
@@ -196,6 +206,22 @@ class TestInvocationsAndSimulate:
         ) == 0
         out = capsys.readouterr().out
         assert "Wilson" in out
+
+    @pytest.mark.parametrize("bindings, message", [
+        ([], "missing actual parameters ['elem', 'list', 'res']"),
+        (["--set", "elem=1", "list=500", "res=1", "size=2"],
+         "unknown actual parameters ['size']"),
+    ])
+    def test_simulate_names_bad_actuals_like_evaluate(
+        self, local_file, capsys, bindings, message
+    ):
+        """``simulate`` refuses missing or unknown actuals with the
+        evaluator's EvaluationError (exit 6), not a KeyError."""
+        for command in (["simulate", "--trials", "50"], ["evaluate"]):
+            argv = [command[0], local_file, "search", *command[1:], *bindings]
+            assert main(argv) == 6
+            err = capsys.readouterr().err
+            assert f"error[EvaluationError]: service 'search': {message}" in err
 
 
 class TestUncertainty:

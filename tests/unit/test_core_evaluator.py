@@ -19,8 +19,9 @@ from repro.model import (
 )
 from repro.model.parameters import FormalParameter, IntegerDomain
 from repro.model.service import AnalyticInterface, CompositeService
-from repro.scenarios import local_assembly, recursive_assembly
+from repro.scenarios import closed_form_pfail, local_assembly, recursive_assembly
 from repro.symbolic import Parameter
+from tests.recursive_models import descending_recursion
 
 
 def one_call_assembly(cpu_rate=1e-6, cpu_speed=1e6) -> Assembly:
@@ -137,11 +138,19 @@ class TestMemoization:
 
 class TestCycles:
     def test_cyclic_assembly_raises_with_cycle_path(self):
-        evaluator = ReliabilityEvaluator(recursive_assembly())
+        """A recursion re-entering ``A`` under other actuals (``B`` calls
+        ``A(size - 1)``) is no fixed-point unknown; it is refused with the
+        cycle it closed."""
+        evaluator = ReliabilityEvaluator(descending_recursion())
         with pytest.raises(CyclicAssemblyError) as excinfo:
             evaluator.pfail("A", size=1)
         assert excinfo.value.cycle[0] == excinfo.value.cycle[-1]
         assert set(excinfo.value.cycle) == {"A", "B"}
+
+    def test_recursion_under_the_same_actuals_is_a_least_fixed_point(self):
+        evaluator = ReliabilityEvaluator(recursive_assembly())
+        exact, _ = closed_form_pfail()
+        assert evaluator.pfail("A", size=1) == pytest.approx(exact, abs=1e-14)
 
 
 class TestReport:

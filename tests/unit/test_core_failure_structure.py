@@ -93,6 +93,27 @@ class TestValidation:
                 {"sort": 1.5, "search": 0.0},
             )
 
+    @pytest.mark.parametrize("bad", [-0.25, 1.5, float("nan")])
+    def test_out_of_range_failure_names_its_state(self, bad):
+        with pytest.raises(ProbabilityRangeError) as info:
+            augment_with_failures(
+                search_like_flow(), Environment(q=0.5),
+                {"sort": 0.0, "search": bad},
+            )
+        assert info.value.what == "failure probability of state 'search'"
+
+    def test_round_off_beyond_one_is_clamped(self):
+        """Drift within the one probability guard's tolerance is clamped,
+        the state failing certainly."""
+        chain = augment_with_failures(
+            search_like_flow(), Environment(q=0.5),
+            {"sort": 0.0, "search": 1.0 + 1e-10},
+        )
+        exact = augment_with_failures(
+            search_like_flow(), Environment(q=0.5), {"sort": 0.0, "search": 1.0},
+        )
+        assert chain.matrix.tobytes() == exact.matrix.tobytes()
+
     def test_bad_transition_probabilities_rejected(self):
         with pytest.raises(InvalidFlowError):
             augment_with_failures(

@@ -75,7 +75,7 @@ def robust_plan():
     return compile_plan(recursive_assembly(), "A")
 
 
-#: Far more points than a 0.2 s deadline lets the fixed-point tier finish
+#: Far more points than a 0.2 s deadline lets the numeric tier solve
 #: (a few ms each), so the deadline trips part-way through the stack.
 DEADLINE_POINTS = 1024
 

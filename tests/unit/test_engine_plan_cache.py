@@ -182,20 +182,40 @@ class TestRequestedBackendDecides:
     ``b`` answers, whatever an earlier lookup left in the cache."""
 
     def test_symbolic_sweep_of_cyclic_model_raises_cold_and_warm(self):
+        """A recursion no path answers (``A`` re-entered under other
+        actuals) stays refused by a symbolic sweep, whatever the cache
+        holds."""
         from repro.analysis import sweep_parameter
         from repro.errors import CyclicAssemblyError
+        from tests.recursive_models import descending_recursion
 
         def sweep(cache):
-            return sweep_parameter(recursive_assembly(), "A", "size",
+            return sweep_parameter(descending_recursion(), "A", "size",
                                    [1.0, 2.0], cache=cache)
 
         cold = PlanCache()
         with pytest.raises(CyclicAssemblyError):
             sweep(cold)
         warm = PlanCache()
-        assert warm.get_or_compile(recursive_assembly(), "A").backend == "robust"
+        assert warm.get_or_compile(descending_recursion(), "A").backend == "robust"
         with pytest.raises(CyclicAssemblyError):
             sweep(warm)
+
+    def test_symbolic_sweep_of_recursive_model_solves_cold_and_warm(self):
+        """A recursive model has no closed form: a symbolic sweep solves
+        each point's least fixed point, bitwise the numeric sweep, cold and
+        after the cache holds its robust plan."""
+        from repro.analysis import sweep_parameter
+
+        def sweep(cache, method="symbolic"):
+            return sweep_parameter(recursive_assembly(), "A", "size",
+                                   [1.0, 2.0], cache=cache, method=method)
+
+        want = sweep(None, method="numeric").pfail.tobytes()
+        assert sweep(PlanCache()).pfail.tobytes() == want
+        warm = PlanCache()
+        assert warm.get_or_compile(recursive_assembly(), "A").backend == "robust"
+        assert sweep(warm).pfail.tobytes() == want
 
     def test_auto_then_symbolic_on_acyclic_compiles_once(self):
         cache = PlanCache()

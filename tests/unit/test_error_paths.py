@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.core import FixedPointEvaluator, ReliabilityEvaluator
+from repro.core import ReliabilityEvaluator, fixed_point
 from repro.dsl import assembly_to_dict, dump_assembly
 from repro.dsl.loader import assembly_from_dict, load_assembly
 from repro.errors import (
@@ -89,11 +89,12 @@ class TestLoaderRejectsBrokenDocuments:
 
 
 class TestFixedPointDivergence:
-    def test_sweep_starved_iteration_raises_divergence(self):
+    def test_sweep_starved_iteration_raises_divergence(self, monkeypatch):
         """The recursive scenario needs more than 2 sweeps (Newton steps
         plus a Jacobian probe); a cap of 2 must surface as
         FixedPointDivergenceError, not a wrong number."""
-        evaluator = FixedPointEvaluator(recursive_assembly(), max_iterations=2)
+        monkeypatch.setattr(fixed_point, "MAX_SWEEPS", 2)
+        evaluator = ReliabilityEvaluator(recursive_assembly())
         with pytest.raises(FixedPointDivergenceError) as excinfo:
             evaluator.pfail("A", size=1)
         assert "2" in str(excinfo.value)

@@ -68,7 +68,7 @@ class TestPayloads:
         error = CyclicAssemblyError(("a", "b", "a"))
         assert error.cycle == ("a", "b", "a")
         assert "a -> b -> a" in str(error)
-        assert "FixedPointEvaluator" in str(error)
+        assert "numeric evaluator solves recursion" in str(error)
 
     def test_duplicate_name_message(self):
         error = DuplicateNameError("binding", "app.cpu")

@@ -4,7 +4,8 @@ Each model below holds exactly one out-of-range quantity.  The evaluator
 must reject it with :class:`ProbabilityRangeError` naming that quantity
 (``.what``) and carrying its value (``.value``), whichever way eqs. 4–13
 are computed.  These pins were taken against the one-request-at-a-time
-evaluator and must hold for any faster route to the same numbers.
+evaluator and must hold for any faster route to the same numbers.  The
+Monte Carlo simulator names each quantity the same way.
 """
 
 import math
@@ -13,6 +14,7 @@ import pytest
 
 from repro.core import ReliabilityEvaluator, and_sharing, poisson_binomial_below
 from repro.errors import ProbabilityRangeError
+from repro.simulation import MonteCarloSimulator
 from repro.model import (
     AND,
     OR,
@@ -100,6 +102,17 @@ def test_single_offender_is_named_with_its_value(case):
     assert type(error) is ProbabilityRangeError
     assert error.what == what
     assert error.value == value
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_simulator_names_the_offender_alike(case):
+    overrides, what, value = CASES[case]
+    simulator = MonteCarloSimulator(one_state_assembly(**overrides), validate=False)
+    with pytest.raises(ProbabilityRangeError) as info:
+        simulator.compile("app")
+    assert type(info.value) is ProbabilityRangeError
+    assert info.value.what == what
+    assert info.value.value == value
 
 
 def test_in_range_model_evaluates():

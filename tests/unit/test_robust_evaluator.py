@@ -61,24 +61,26 @@ class TestHappyPath:
 
 class TestNaturalDegradation:
     def test_recursive_assembly_falls_through_to_fixed_point(self):
-        """Symbolic and numeric tiers both refuse a cyclic assembly with
-        CyclicAssemblyError; the fixed-point tier solves it and the result
-        carries both refusals as diagnostics."""
+        """The symbolic tier refuses a cyclic assembly with
+        CyclicAssemblyError; the numeric tier solves its least fixed point,
+        bitwise the plain evaluator's answer, and the result carries the
+        one refusal as a diagnostic."""
         result = RobustEvaluator(recursive_assembly()).evaluate("A", size=1)
-        assert result.tier == "fixed-point"
+        assert result.tier == "numeric"
+        assert result.exact
         assert result.degraded
         failed = [d.tier for d in result.diagnostics]
-        assert failed == ["symbolic", "numeric"]
-        assert all(
-            isinstance(d.error, CyclicAssemblyError) for d in result.diagnostics
-        )
+        assert failed == ["symbolic"]
+        assert isinstance(result.diagnostics[0].error, CyclicAssemblyError)
+        plain = ReliabilityEvaluator(recursive_assembly()).pfail("A", size=1)
+        assert result.pfail.hex() == plain.hex()
         expected, _ = closed_form_pfail()
         assert result.pfail == pytest.approx(expected, rel=1e-6)
 
     def test_str_reports_tier_and_degradations(self):
         result = RobustEvaluator(recursive_assembly()).evaluate("A", size=1)
         rendered = str(result)
-        assert "via fixed-point tier" in rendered
+        assert "via numeric tier" in rendered
         assert "degraded past symbolic" in rendered
         assert "CyclicAssemblyError" in rendered
 
@@ -98,9 +100,6 @@ class TestForcedDegradationToMonteCarlo:
 
         monkeypatch.setattr(evaluator, "_tier_symbolic", broken("symbolic"))
         monkeypatch.setattr(evaluator, "_tier_numeric", broken("numeric"))
-        monkeypatch.setattr(
-            evaluator, "_tier_fixed_point", broken("fixed-point")
-        )
         return evaluator
 
     def test_result_comes_from_lower_tier(self, crippled):
@@ -118,9 +117,7 @@ class TestForcedDegradationToMonteCarlo:
 
     def test_diagnostics_record_every_failed_tier(self, crippled):
         result = crippled.evaluate("search", **ACTUALS)
-        assert [d.tier for d in result.diagnostics] == [
-            "symbolic", "numeric", "fixed-point"
-        ]
+        assert [d.tier for d in result.diagnostics] == ["symbolic", "numeric"]
         for diag in result.diagnostics:
             assert isinstance(diag.error, NumericalInstabilityError)
             assert "forced to fail" in str(diag.error)
@@ -134,12 +131,12 @@ class TestChainContract:
         def _fail(service, actuals):
             raise NumericalInstabilityError("forced")
 
-        for tier in ("symbolic", "numeric", "fixed_point", "monte_carlo"):
+        for tier in ("symbolic", "numeric", "monte_carlo"):
             monkeypatch.setattr(evaluator, f"_tier_{tier}", _fail)
         with pytest.raises(AllTiersFailedError) as excinfo:
             evaluator.evaluate("search", **ACTUALS)
         assert isinstance(excinfo.value, ReproError)
-        assert len(excinfo.value.diagnostics) == 4
+        assert len(excinfo.value.diagnostics) == 3
 
     def test_untyped_tier_crash_is_wrapped_not_leaked(self, monkeypatch):
         """A tier raising a bare exception must surface as a typed
@@ -154,6 +151,17 @@ class TestChainContract:
         assert result.tier == "numeric"
         assert isinstance(result.diagnostics[0].error, EvaluationError)
         assert "ZeroDivisionError" in str(result.diagnostics[0].error)
+
+    def test_missing_actuals_are_one_typed_error_in_both_lower_tiers(self):
+        """The numeric and Monte Carlo tiers refuse missing actuals with
+        the same EvaluationError; the Monte Carlo tier does not crash."""
+        with pytest.raises(AllTiersFailedError) as excinfo:
+            RobustEvaluator(local_assembly()).evaluate("search", elem=1)
+        errors = {d.tier: d.error for d in excinfo.value.diagnostics}
+        want = "service 'search': missing actual parameters ['list', 'res']"
+        for tier in ("numeric", "monte-carlo"):
+            assert type(errors[tier]) is EvaluationError
+            assert str(errors[tier]) == want
 
     def test_non_deadline_budget_trip_degrades(self, monkeypatch):
         """A state-count budget trip in the numeric path is recoverable —

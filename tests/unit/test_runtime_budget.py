@@ -9,11 +9,7 @@ evaluator the library exposes.
 
 import pytest
 
-from repro.core import (
-    FixedPointEvaluator,
-    ReliabilityEvaluator,
-    SymbolicEvaluator,
-)
+from repro.core import ReliabilityEvaluator, SymbolicEvaluator
 from repro.errors import BudgetExceededError
 from repro.runtime import EvaluationBudget
 from repro.scenarios import local_assembly, recursive_assembly
@@ -127,7 +123,7 @@ class TestEveryEvaluatorHonorsDeadline:
             evaluator.pfail_expression("search")
 
     def test_fixed_point_evaluator(self):
-        evaluator = FixedPointEvaluator(
+        evaluator = ReliabilityEvaluator(
             recursive_assembly(), budget=EvaluationBudget(deadline=0.0)
         )
         with pytest.raises(BudgetExceededError):
@@ -154,17 +150,30 @@ class TestEveryEvaluatorHonorsDeadline:
 
 class TestResourceCaps:
     def test_sweep_cap_of_one_stops_fixed_point(self):
-        evaluator = FixedPointEvaluator(
+        evaluator = ReliabilityEvaluator(
             recursive_assembly(), budget=EvaluationBudget(max_sweeps=1)
         )
         with pytest.raises(BudgetExceededError) as excinfo:
             evaluator.pfail("A", size=1)
         assert excinfo.value.resource == "sweeps"
 
+    def test_sweep_cap_binds_only_fixed_point_solves(self):
+        """An acyclic call runs no fixed-point sweep, so even a cap of 0
+        leaves it alone; a recursive call's first pass is sweep 1."""
+        budget = EvaluationBudget(max_sweeps=0)
+        acyclic = ReliabilityEvaluator(local_assembly(), budget=budget)
+        assert acyclic.pfail("search", **ACTUALS) == (
+            ReliabilityEvaluator(local_assembly()).pfail("search", **ACTUALS)
+        )
+        recursive = ReliabilityEvaluator(recursive_assembly(), budget=budget)
+        with pytest.raises(BudgetExceededError) as excinfo:
+            recursive.pfail("A", size=1)
+        assert excinfo.value.resource == "sweeps"
+
     def test_generous_sweep_cap_still_converges(self):
         from repro.scenarios import closed_form_pfail
 
-        evaluator = FixedPointEvaluator(
+        evaluator = ReliabilityEvaluator(
             recursive_assembly(), budget=EvaluationBudget(max_sweeps=500)
         )
         expected, _ = closed_form_pfail()

@@ -80,6 +80,12 @@ class TestArrayGuards:
             check_probability("b", np.array([0.5, np.nan, 2.0]))
         assert np.isnan(info.value.value)
 
+    def test_element_names_name_the_offender(self):
+        with pytest.raises(ProbabilityRangeError) as info:
+            check_probability("p of", np.array([0.5, 1.5, -1.0]), ("x", "y", "z"))
+        assert info.value.what == "p of 'y'"
+        assert info.value.value == 1.5
+
 
 class TestHardenedAbsorbingChain:
     def fail_end_chain(self, f: float):
