@@ -39,35 +39,36 @@ pytestmark = pytest.mark.skipif(
 def sparse_flow(n: int, seed: int = 0, fan_out: int = 3,
                 rates_seed: int | None = None) -> DiscreteTimeMarkovChain:
     """A synthetic n-transient-state sparse flow (forward edges only, so
-    the transient graph is a DAG — the composed-usage-profile shape).
+    the transient graph is a DAG — the composed-usage-profile shape),
+    built from its edges as a CSR chain: no dense matrix at any size.
 
     ``rates_seed`` redraws the transition *values* on the same structural
     pattern, which is what a parameter sweep does to a flow.
     """
     rng = np.random.default_rng(seed)
-    size = n + 2  # + End, Fail
-    matrix = np.zeros((size, size))
-    rows = np.repeat(np.arange(n), fan_out)
-    cols = rows + rng.integers(1, 50, size=rows.size)
-    cols = np.where(cols >= n, n, cols)  # overflow feeds End
+    # row-major: fan_out forward edges, then End and Fail, per state
+    forward = np.arange(n)[:, None] + rng.integers(1, 50, size=(n, fan_out))
     value_rng = rng if rates_seed is None else np.random.default_rng(rates_seed)
-    np.add.at(matrix, (rows, cols), value_rng.uniform(0.1, 1.0, rows.size))
-    matrix[np.arange(n), n] += value_rng.uniform(0.05, 0.3, size=n)
-    matrix[np.arange(n), n + 1] += value_rng.uniform(0.0, 0.1, size=n)
-    matrix[:n] /= matrix[:n].sum(axis=1, keepdims=True)
-    matrix[n, n] = 1.0
-    matrix[n + 1, n + 1] = 1.0
-    states = [f"s{i}" for i in range(n)] + ["End", "Fail"]
-    return DiscreteTimeMarkovChain(states, matrix)
+    values = np.column_stack([
+        value_rng.uniform(0.1, 1.0, (n, fan_out)),
+        value_rng.uniform(0.05, 0.3, size=n), value_rng.uniform(0.0, 0.1, size=n),
+    ])
+    values /= values.sum(axis=1, keepdims=True)  # repeated columns add up
+    # forward edges past the last state feed End
+    columns = np.column_stack([np.minimum(forward, n), np.full(n, n), np.full(n, n + 1)])
+    width = fan_out + 2
+    states = tuple(f"s{i}" for i in range(n)) + ("End", "Fail")
+    return DiscreteTimeMarkovChain.from_csr(
+        states, np.append(np.arange(0, n * width + 1, width), n * width + np.arange(1, 3)),
+        np.append(columns.ravel(), [n, n + 1]), np.append(values.ravel(), [1.0, 1.0]),
+    )
 
 
 def _auto_backend(chain) -> str:
     """The backend ``solver="auto"`` resolves to for this chain — from the
     structural plan alone, no numeric solve spent on the label."""
-    mask = np.zeros(len(chain.states), dtype=bool)
-    mask[[chain.index(s) for s in chain.absorbing_states()]] = True
     return solvers.chain_plan(
-        chain.matrix, mask, solver="auto", cache=False
+        chain.csr, chain.absorbing_mask, solver="auto", cache=False
     ).backend
 
 

@@ -465,9 +465,7 @@ class ReliabilityEvaluator:
     def _solve_chain(self, service_name: str, chain) -> AbsorbingChainAnalysis:
         """The guarded absorbing-chain solve, gated on the state budget."""
         if self.budget is not None:
-            self.budget.check_states(
-                chain.matrix.shape[0], f"absorbing solve for {service_name!r}"
-            )
+            self.budget.check_states(len(chain), f"absorbing solve for {service_name!r}")
         self.solve_count += 1
         return AbsorbingChainAnalysis(chain, solver=self.solver)
 

@@ -12,7 +12,9 @@ usage-profile flow means:
 4. ``End`` and ``Fail`` are absorbing.
 
 The result is a concrete :class:`~repro.markov.DiscreteTimeMarkovChain` on
-which eq. (3) is one absorption query.
+which eq. (3) is one absorption query.  It is built from the flow's edges
+as a CSR chain (:class:`AugmentationFrame`); no dense ``(n+3)^2`` matrix is
+formed on the way to :func:`~repro.markov.solvers.factorize_chain`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from repro.errors import InvalidFlowError
 from repro.markov import DiscreteTimeMarkovChain
-from repro.model.flow import END, FAIL, START, ServiceFlow
+from repro.model.flow import END, FAIL, PROBABILITY_TOL, ROW_SUM_TOL, START, ServiceFlow
 from repro.runtime.guards import check_probability
 from repro.symbolic import Environment
 
@@ -33,25 +35,44 @@ __all__ = ["AugmentationFrame", "augment_with_failures", "FAIL"]
 class AugmentationFrame:
     """The failure-independent part of a flow's augmented chain under one
     environment: the state order (``Start``, internal states, ``End``,
-    ``Fail``) and the flow's positive transition probabilities, evaluated
-    and row-checked once.  :meth:`chain` adds the state failure
-    probabilities, so fixed-point sweeps redo only that part."""
+    ``Fail``), the flow's transition probabilities, evaluated once and
+    checked on the edge arrays (a violation re-runs
+    :meth:`~repro.model.flow.ServiceFlow.check_probabilities`, which names
+    the first offender), and the chain's CSR pattern.  :meth:`chain` adds
+    the state failure probabilities, so fixed-point sweeps redo only that
+    part."""
 
     def __init__(
         self, flow: ServiceFlow, environment: Environment | Mapping[str, float]
     ):
-        flow.check_probabilities(environment)
         self.names = tuple(state.name for state in flow.states)
         self.states = (START, *self.names, END, FAIL)
-        index = {state: i for i, state in enumerate(self.states)}
+        self.index = {state: i for i, state in enumerate(self.states)}
         edges = [
-            (index[source], index[transition.target], probability)
-            for source in (START, *self.names)
+            (row, self.index[transition.target],
+             float(transition.probability.evaluate(environment)))
+            for row, source in enumerate((START, *self.names))
             for transition in flow.outgoing(source)
-            if (probability := float(transition.probability.evaluate(environment)))
-            > 0.0
         ]
-        self._rows, self._columns, self._probabilities = map(np.array, zip(*edges))
+        rows, columns, probabilities = np.array(edges, dtype=float).reshape(-1, 3).T
+        rows, columns = rows.astype(np.intp), columns.astype(np.intp)
+        totals = np.bincount(rows, probabilities, minlength=len(self.names) + 1)
+        ranged = (probabilities >= -PROBABILITY_TOL) & (probabilities <= 1 + PROBABILITY_TOL)
+        if not (ranged.all() and np.all(np.abs(totals - 1.0) <= ROW_SUM_TOL)):
+            flow.check_probabilities(environment)
+        positive = probabilities > 0.0
+        self._rows, self._probabilities = rows[positive], probabilities[positive]
+        size = len(self.states)
+        # CSR rows: the positive edges in flow order (parallel ones add up
+        # where the chain is read), then a Fail entry; End loops on itself
+        counts = np.bincount(self._rows, minlength=size)
+        counts[1:] += 1
+        self._indptr = np.concatenate(([0], np.cumsum(counts)))
+        self._entry_rows = np.repeat(np.arange(size), counts)
+        self._edges = np.arange(self._rows.size) + np.maximum(self._rows - 1, 0)
+        self._indices = np.full(self._indptr[-1], size - 1)
+        self._indices[self._edges] = columns[positive]
+        self._indices[-2] = size - 2
 
     def chain(self, failures: Sequence[float] | np.ndarray) -> DiscreteTimeMarkovChain:
         """The augmented DTMC for ``p(i, Fail)`` of each internal state, in
@@ -61,17 +82,15 @@ class AugmentationFrame:
             "failure probability of state", np.asarray(failures, dtype=float),
             self.names,
         )
-        survive = np.ones(len(self.states))
-        survive[1:-2] = 1.0 - failures
-        matrix = np.zeros((len(self.states), len(self.states)))
-        # parallel transitions add up in flow order, one edge at a time
-        np.add.at(
-            matrix, (self._rows, self._columns),
-            survive[self._rows] * self._probabilities,
+        survive = np.concatenate(([1.0], 1.0 - failures))
+        data = np.ones(self._indptr[-1])
+        data[self._edges] = survive[self._rows] * self._probabilities
+        data[self._indptr[2:-2] - 1] = failures
+        # renormalize away round-off, each row summed in entry order
+        data /= np.bincount(self._entry_rows, data)[self._entry_rows]
+        return DiscreteTimeMarkovChain.from_csr(
+            self.states, self._indptr, self._indices, data, self.index
         )
-        matrix[1:-2, -1] = np.where(failures > 0.0, failures, 0.0)
-        matrix[-2, -2] = matrix[-1, -1] = 1.0  # End and Fail absorb
-        return DiscreteTimeMarkovChain(self.states, matrix)
 
 
 def augment_with_failures(

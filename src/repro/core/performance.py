@@ -70,16 +70,10 @@ class PerformanceEvaluator:
     def expected_duration(self, service: str | Service, **actuals: float) -> float:
         """Expected execution time of one invocation of ``service``."""
         svc = service if isinstance(service, Service) else self.assembly.service(service)
-        normalized = tuple(
-            (name, float(actuals[name])) for name in svc.formal_parameters
-            if name in actuals
+        svc.check_actual_names(actuals)
+        return self._duration(
+            svc, tuple((name, float(actuals[name])) for name in svc.formal_parameters)
         )
-        missing = [f for f in svc.formal_parameters if f not in actuals]
-        if missing:
-            raise EvaluationError(
-                f"service {svc.name!r}: missing actual parameters {missing}"
-            )
-        return self._duration(svc, normalized)
 
     def state_durations(
         self, service: str | Service, **actuals: float

@@ -102,25 +102,31 @@ def _flow_from_dict(data: dict, leaves: dict) -> ServiceFlow:
     def expression(value) -> Expression:
         return _expression(value, leaves)
 
+    def expressions(mapping) -> tuple:
+        return tuple((k, expression(v)) for k, v in mapping.items())
+
+    # equal request dicts of the document share one ServiceRequest
+    built: dict[tuple, ServiceRequest] = {}
     states = []
     for s in data.get("states", ()):
         requests = []
         for r in s.get("requests", ()):
-            connector_actuals = r.get("connector_actuals")
-            requests.append(
-                ServiceRequest(
-                    r["target"],
-                    actuals={k: expression(v) for k, v in r.get("actuals", {}).items()},
-                    internal_failure=expression(r.get("internal_failure", 0)),
-                    masking=expression(r.get("masking", 0)),
-                    connector_actuals=(
-                        None
-                        if connector_actuals is None
-                        else {k: expression(v) for k, v in connector_actuals.items()}
-                    ),
-                    label=r.get("label", ""),
-                )
+            connector = r.get("connector_actuals")
+            key = (
+                r["target"], expressions(r.get("actuals", {})),
+                expression(r.get("internal_failure", 0)),
+                expression(r.get("masking", 0)),
+                connector if connector is None else expressions(connector),
+                r.get("label", ""),
             )
+            if key not in built:
+                target, actuals, internal, masking, connector, label = key
+                built[key] = ServiceRequest(
+                    target, actuals=dict(actuals), internal_failure=internal,
+                    masking=masking, label=label,
+                    connector_actuals=None if connector is None else dict(connector),
+                )
+            requests.append(built[key])
         raw_groups = s.get("sharing_groups")
         states.append(
             FlowState(

@@ -1,47 +1,31 @@
 """Absorbing-chain analysis: the numerical engine behind equation (3).
 
 The failure-augmented flow of a composite service is an absorbing DTMC with
-two absorbing states, ``End`` (successful completion) and ``Fail``.  The
-service unreliability is ``Pfail(S, fp) = 1 - p*(Start, End)`` where
-``p*(Start, End)`` is the probability of eventual absorption in ``End``
-starting from ``Start`` (eq. 3) — "standard Markov methods" in the paper's
-words.  This module implements those standard methods:
+two absorbing states, ``End`` (successful completion) and ``Fail``, and
+``Pfail(S, fp) = 1 - p*(Start, End)`` (eq. 3).  With ``Q`` the
+transient-to-transient block and ``R`` the transient-to-absorbing block of
+the transition matrix, the fundamental matrix ``N = (I - Q)^{-1}`` yields
+absorption probabilities ``B = N R``, expected visits ``N`` and expected
+steps ``t = N 1``.
 
-given the canonical partition of the transition matrix into
+The chain arrives as a CSR triple with its absorbing mask (see
+:class:`~repro.core.failure_structure.AugmentationFrame`).  The analysis
+looks up the chain's structural plan, gathers ``R`` from the triple and
+factors ``I - Q`` once through
+:func:`~repro.markov.solvers.factorize_chain`, the one factorization entry
+point; no dense transition matrix is formed.  The constructor performs the
+absorption solve, which doubles as the well-posedness check; expected
+steps and visits (per requested column) are solved lazily against the
+same factorization.
 
-.. math::
-
-    P = \\begin{pmatrix} Q & R \\\\ 0 & I \\end{pmatrix}
-
-with ``Q`` the transient-to-transient block and ``R`` the
-transient-to-absorbing block, the fundamental matrix ``N = (I - Q)^{-1}``
-yields absorption probabilities ``B = N R``, expected visit counts ``N``
-itself, and expected steps-to-absorption ``t = N 1``.
-
-Rather than forming the inverse we solve the linear systems through a
-pluggable :mod:`repro.markov.solvers` backend.  The constructor performs
-exactly one factorization and the *absorption* solve (which doubles as the
-chain's well-posedness check); expected visits and expected steps are
-solved lazily against that same factorization, and visit counts are solved
-**per requested column** rather than eagerly against the full identity — a
-caller that only wants ``absorption_probability`` pays one ``O(nnz)``-ish
-solve, not three dense ones.  Backend selection (``solver="auto"``)
-switches to sparse ``splu`` — or a pure-substitution triangular fast path
-for DAG-like flows — on large sparse chains; see the solvers module.
-
-The solves are *guarded*: a singular system still raises
-:class:`~repro.errors.NotAbsorbingError` (the classical "transient state
-cannot reach absorption" diagnosis), but a nearly-singular system — one
-whose condition number or residual says the computed probabilities are
-numerically untrustworthy — raises
-:class:`~repro.errors.NumericalInstabilityError` instead of returning
-garbage.  The condition number is exact on every backend and costs one
-transposed solve (:meth:`~repro.markov.solvers.Factorization.m_matrix_condition`),
-not an ``O(n^3)`` ``np.linalg.cond``.  Each guarded solve is one
-``solver.solve`` span tagged ``backend``, ``n`` and ``condition``; every
-refusal (condition, residual or drift) makes it an error span.
-Absorption probabilities are clamped to ``[0, 1]``; drift beyond
-``DRIFT_TOL`` is itself treated as instability.
+The solve is *guarded*: a singular system raises
+:class:`~repro.errors.NotAbsorbingError` (a transient state cannot reach
+absorption), and a system whose exact condition number (one transposed
+solve, :meth:`~repro.markov.solvers.Factorization.m_matrix_condition`),
+residual or drift outside ``[0, 1]`` beyond ``DRIFT_TOL`` says the numbers
+are untrustworthy raises :class:`~repro.errors.NumericalInstabilityError`.
+Each guarded solve is one ``solver.solve`` span tagged ``backend``, ``n``
+and ``condition``; every refusal makes it an error span.
 """
 
 from __future__ import annotations
@@ -54,7 +38,6 @@ from repro import observability as obs
 from repro.errors import (
     NotAbsorbingError,
     NumericalInstabilityError,
-    UnknownStateError,
 )
 from repro.markov import solvers
 from repro.markov.dtmc import DiscreteTimeMarkovChain
@@ -88,51 +71,41 @@ class AbsorbingChainAnalysis:
     ):
         self._chain = chain
         self._solver = solvers.validate_solver(solver)
-        self._transient = list(chain.transient_states())
-        self._absorbing = list(chain.absorbing_states())
-        if not self._absorbing:
+        mask = chain.absorbing_mask
+        if not mask.any():
             raise NotAbsorbingError("chain has no absorbing state")
-        self._t_index = {s: i for i, s in enumerate(self._transient)}
-        self._a_index = {s: i for i, s in enumerate(self._absorbing)}
-
-        matrix = chain.matrix
+        self._mask = mask
         self._clamp_drift = 0.0
         self._factorization: solvers.Factorization | None = None
         self._plan: solvers.ChainSolvePlan | None = None
         self._visit_columns: dict[int, np.ndarray] = {}
         self._visits_matrix: np.ndarray | None = None
         self._steps: np.ndarray | None = None
-        n_transient = len(self._transient)
+        n_transient = len(mask) - int(np.count_nonzero(mask))
         if not n_transient:
-            self._absorption = np.zeros((0, len(self._absorbing)))
+            self._absorption = np.zeros((0, len(mask)))
             self._visits_matrix = np.zeros((0, 0))
             self._steps = np.zeros(0)
+            self._local = np.arange(len(mask))
             return
 
-        from repro.runtime.guards import (
-            MAX_CONDITION,
-            RESIDUAL_TOL,
-            check_finite_array,
-        )
+        from repro.runtime.guards import MAX_CONDITION, RESIDUAL_TOL, check_finite_array
 
-        check_finite_array("(I - Q) system: transition matrix", matrix)
-        # Structural plan (partition, sparsity pattern, topological order,
+        csr = chain.csr
+        check_finite_array("(I - Q) system: transition matrix", csr[2])
+        # Structural plan (partition, entry pattern, topological order,
         # backend choice) — cached across structurally identical chains, so
         # a sweep varying only rates skips straight to value extraction.
-        plan = solvers.chain_plan(
-            matrix, chain.absorbing_mask, solver=self._solver,
-            cache=solver_cache,
-        )
-        self._plan = plan
-        r = matrix[np.ix_(plan.transient, plan.absorbing)]
-        with obs.span(
-            "solver.solve", backend=plan.backend, n=n_transient
-        ) as span:
+        plan = self._plan = solvers.chain_plan(csr, mask, self._solver, solver_cache)
+        self._local = plan.local
+        r = np.zeros((n_transient, plan.absorbing.size))
+        np.add.at(r, (plan.r_rows, plan.r_cols), csr[2][plan.r_entries])
+        with obs.span("solver.solve", backend=plan.backend, n=n_transient) as span:
             # Singular (I - Q) means some transient state can never reach
             # an absorbing state, i.e. the chain keeps probability mass
             # cycling forever; the reliability question is then ill-posed.
             try:
-                factorization = solvers.factorize_chain(matrix, plan)
+                factorization = solvers.factorize_chain(csr, plan)
                 self._absorption = np.asarray(factorization.solve(r))
             except solvers.SingularSystemError as exc:
                 raise NotAbsorbingError(
@@ -166,13 +139,10 @@ class AbsorbingChainAnalysis:
                     residual=residual, condition=condition,
                 )
             # Clamp round-off drift outside [0, 1]; reject real violations.
-            drift = float(
-                max(
-                    np.max(-self._absorption, initial=0.0),
-                    np.max(self._absorption - 1.0, initial=0.0),
-                )
+            drift = self._clamp_drift = max(
+                0.0, -float(np.min(self._absorption, initial=0.0)),
+                float(np.max(self._absorption, initial=1.0)) - 1.0,
             )
-            self._clamp_drift = max(drift, 0.0)
             if drift > DRIFT_TOL:
                 raise NumericalInstabilityError(
                     "absorption probabilities drifted outside [0, 1] "
@@ -191,12 +161,12 @@ class AbsorbingChainAnalysis:
     @property
     def transient_states(self) -> tuple[Hashable, ...]:
         """Transient states, in analysis order."""
-        return tuple(self._transient)
+        return self._chain.transient_states()
 
     @property
     def absorbing_states(self) -> tuple[Hashable, ...]:
         """Absorbing states, in analysis order."""
-        return tuple(self._absorbing)
+        return self._chain.absorbing_states()
 
     @property
     def clamp_drift(self) -> float:
@@ -218,17 +188,22 @@ class AbsorbingChainAnalysis:
 
     # -- lazy solves ----------------------------------------------------------
 
+    def _solve_finite(self, rhs: np.ndarray, what: str) -> np.ndarray:
+        """A lazy solve against the kept factorization, refused when it
+        produces non-finite ``what``."""
+        solution = np.asarray(self._factorization.solve(rhs))
+        if not np.all(np.isfinite(solution)):
+            raise NumericalInstabilityError(
+                f"(I - Q) solve produced non-finite {what}"
+            )
+        return solution
+
     def _expected_steps(self) -> np.ndarray:
         """``t = N 1``, solved on first use against the kept factorization."""
         if self._steps is None:
-            steps = np.asarray(
-                self._factorization.solve(np.ones(len(self._transient)))
+            self._steps = self._solve_finite(
+                np.ones(self._absorption.shape[0]), "expected steps"
             )
-            if not np.all(np.isfinite(steps)):
-                raise NumericalInstabilityError(
-                    "(I - Q) solve produced non-finite expected steps"
-                )
-            self._steps = steps
         return self._steps
 
     def _visits_column(self, column: int) -> np.ndarray:
@@ -237,34 +212,26 @@ class AbsorbingChainAnalysis:
         With a reusable factorization (kept LU or triangular substitution)
         each requested column is one cheap solve, memoized; without one
         (the scipy-less dense path, where every solve re-factors) the full
-        ``N`` is computed lazily once — matching the historical total cost
-        while still skipping it for absorption-only callers.
+        ``N`` is computed lazily once.
         """
+        size = self._absorption.shape[0]
+        if self._visits_matrix is None and not self._factorization.reusable:
+            self._visits_matrix = self._solve_finite(np.eye(size), "expected visits")
         if self._visits_matrix is not None:
             return self._visits_matrix[:, column]
-        if not self._factorization.reusable:
-            visits = np.asarray(
-                self._factorization.solve(np.eye(len(self._transient)))
-            )
-            if not np.all(np.isfinite(visits)):
-                raise NumericalInstabilityError(
-                    "(I - Q) solve produced non-finite expected visits"
-                )
-            self._visits_matrix = visits
-            return visits[:, column]
-        cached = self._visit_columns.get(column)
-        if cached is None:
-            unit = np.zeros(len(self._transient))
+        if column not in self._visit_columns:
+            unit = np.zeros(size)
             unit[column] = 1.0
-            cached = np.asarray(self._factorization.solve(unit))
-            if not np.all(np.isfinite(cached)):
-                raise NumericalInstabilityError(
-                    "(I - Q) solve produced non-finite expected visits"
-                )
-            self._visit_columns[column] = cached
-        return cached
+            self._visit_columns[column] = self._solve_finite(unit, "expected visits")
+        return self._visit_columns[column]
 
     # -- queries --------------------------------------------------------------
+
+    def _where(self, state: Hashable) -> tuple[bool, int]:
+        """Whether ``state`` is absorbing and its position within its class
+        (raises :class:`UnknownStateError`)."""
+        i = self._chain.index(state)
+        return bool(self._mask[i]), int(self._local[i])
 
     def absorption_probability(self, start: Hashable, target: Hashable) -> float:
         """Probability of eventual absorption in ``target`` from ``start``.
@@ -272,22 +239,19 @@ class AbsorbingChainAnalysis:
         ``start`` may itself be absorbing (probability is then 1 or 0).
         This is the paper's ``p*(start, target)`` of equation (3).
         """
-        if target not in self._a_index:
-            if target in self._t_index:
-                return 0.0
-            raise UnknownStateError(target)
-        if start in self._a_index:
+        absorbing, column = self._where(target)
+        if not absorbing:
+            return 0.0
+        absorbing, row = self._where(start)
+        if absorbing:
             return 1.0 if start == target else 0.0
-        if start not in self._t_index:
-            raise UnknownStateError(start)
-        value = self._absorption[self._t_index[start], self._a_index[target]]
-        return float(min(max(value, 0.0), 1.0))
+        return float(self._absorption[row, column])  # clipped to [0, 1]
 
     def absorption_distribution(self, start: Hashable) -> dict[Hashable, float]:
         """Absorption probabilities from ``start`` into every absorbing state."""
         return {
             target: self.absorption_probability(start, target)
-            for target in self._absorbing
+            for target in self.absorbing_states
         }
 
     def expected_visits(self, start: Hashable, state: Hashable) -> float:
@@ -295,27 +259,20 @@ class AbsorbingChainAnalysis:
 
         This is entry ``(start, state)`` of the fundamental matrix ``N``.
         """
-        if start in self._a_index:
+        absorbing, row = self._where(start)
+        if absorbing:
             return 0.0
-        if start not in self._t_index:
-            raise UnknownStateError(start)
-        if state not in self._t_index:
-            if state in self._a_index:
-                raise NotAbsorbingError(
-                    "expected_visits is defined for transient states only"
-                )
-            raise UnknownStateError(state)
-        column = self._visits_column(self._t_index[state])
-        return float(column[self._t_index[start]])
+        absorbing, column = self._where(state)
+        if absorbing:
+            raise NotAbsorbingError(
+                "expected_visits is defined for transient states only"
+            )
+        return float(self._visits_column(column)[row])
 
     def expected_steps_to_absorption(self, start: Hashable) -> float:
         """Expected number of transitions until absorption from ``start``."""
-        if start in self._a_index:
-            return 0.0
-        if start not in self._t_index:
-            raise UnknownStateError(start)
-        return float(self._expected_steps()[self._t_index[start]])
-
+        absorbing, row = self._where(start)
+        return 0.0 if absorbing else float(self._expected_steps()[row])
 
 def absorption_probability(
     chain: DiscreteTimeMarkovChain,

@@ -6,6 +6,10 @@ construction and validation, stepping, reachability, and classification of
 transient vs absorbing states.  The reliability-specific analysis (absorbing
 probabilities into ``End`` vs ``Fail``) lives in
 :mod:`repro.markov.absorbing`.
+
+A chain is a CSR triple ``(indptr, indices, data)``, its absorbing mask read
+off the triple's diagonal; the failure-augmented flow of eq. (3) arrives that
+way through :meth:`DiscreteTimeMarkovChain.from_csr`, without a dense matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ _ROW_SUM_TOL = 1e-9
 
 
 class DiscreteTimeMarkovChain:
-    """An immutable DTMC with labeled states and a dense transition matrix.
+    """An immutable DTMC with labeled states, stored in CSR form.
 
     Args:
         states: ordered state labels (any hashable, must be unique).
@@ -31,10 +35,11 @@ class DiscreteTimeMarkovChain:
 
     The matrix is validated on construction: entries must lie in ``[0, 1]``
     (within tolerance) and every row must sum to one.  States whose entire
-    probability mass self-loops are *absorbing*.
+    probability mass self-loops are *absorbing*.  :meth:`from_csr` builds a
+    chain from an already-checked CSR triple without a dense matrix.
     """
 
-    __slots__ = ("_states", "_index", "_matrix", "_absorbing")
+    __slots__ = ("_states", "_indptr", "_indices", "_data", "_absorbing", "_index", "_matrix")
 
     def __init__(self, states: Iterable[Hashable], matrix: np.ndarray):
         state_list = tuple(states)
@@ -60,12 +65,34 @@ class DiscreteTimeMarkovChain:
         # renormalize away round-off so downstream linear algebra is clean
         mat = np.clip(mat, 0.0, 1.0)
         mat = mat / mat.sum(axis=1, keepdims=True)
-        self._states = state_list
-        self._index = {s: i for i, s in enumerate(state_list)}
+        mat.setflags(write=False)
+        rows, columns = np.nonzero(mat)
+        self._set(state_list, np.searchsorted(rows, np.arange(n + 1)), columns,
+                  mat[rows, columns])
         self._matrix = mat
-        self._matrix.setflags(write=False)
-        self._absorbing = np.diagonal(mat) >= 1.0 - _ROW_SUM_TOL
-        self._absorbing.setflags(write=False)
+
+    @classmethod
+    def from_csr(
+        cls, states: tuple, indptr: np.ndarray, indices: np.ndarray,
+        data: np.ndarray, index: dict | None = None,
+    ) -> "DiscreteTimeMarkovChain":
+        """A chain from a CSR triple the caller has already checked (unique
+        ``states``, entries in ``[0, 1]`` that add up where a row repeats a
+        column, rows summing to one); ``index`` may hand over a ready
+        label-to-row dict.  Nothing is copied or densified."""
+        chain = cls.__new__(cls)
+        chain._set(states, indptr, indices, data, index)
+        return chain
+
+    def _set(self, states, indptr, indices, data, index=None):
+        rows = np.repeat(np.arange(len(states)), np.diff(indptr))
+        loops = rows == indices
+        diagonal = np.bincount(rows[loops], data[loops], minlength=len(states))
+        self._absorbing = diagonal >= 1.0 - _ROW_SUM_TOL
+        self._states, self._index, self._matrix = states, index, None
+        self._indptr, self._indices, self._data = indptr, indices, data
+        for array in (indptr, indices, data, self._absorbing):
+            array.setflags(write=False)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -75,8 +102,21 @@ class DiscreteTimeMarkovChain:
         return self._states
 
     @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The read-only ``(indptr, indices, data)`` transition triple."""
+        return self._indptr, self._indices, self._data
+
+    @property
     def matrix(self) -> np.ndarray:
-        """The (read-only) row-stochastic transition matrix."""
+        """The (read-only) dense row-stochastic transition matrix, built on
+        first use."""
+        if self._matrix is None:
+            n = len(self._states)
+            matrix = np.zeros((n, n))
+            rows = np.repeat(np.arange(n), np.diff(self._indptr))
+            np.add.at(matrix, (rows, self._indices), self._data)
+            matrix.setflags(write=False)
+            self._matrix = matrix
         return self._matrix
 
     @property
@@ -88,22 +128,27 @@ class DiscreteTimeMarkovChain:
         return len(self._states)
 
     def __contains__(self, state: Hashable) -> bool:
-        return state in self._index
+        return state in self._labels()
+
+    def _labels(self) -> dict:
+        if self._index is None:
+            self._index = {s: i for i, s in enumerate(self._states)}
+        return self._index
 
     def index(self, state: Hashable) -> int:
         """Row/column index of ``state`` (raises :class:`UnknownStateError`)."""
         try:
-            return self._index[state]
+            return self._labels()[state]
         except KeyError:
             raise UnknownStateError(state) from None
 
     def probability(self, source: Hashable, target: Hashable) -> float:
         """One-step transition probability ``P(source -> target)``."""
-        return float(self._matrix[self.index(source), self.index(target)])
+        return float(self.matrix[self.index(source), self.index(target)])
 
     def successors(self, state: Hashable) -> dict[Hashable, float]:
         """Mapping of states reachable from ``state`` in one step (prob > 0)."""
-        row = self._matrix[self.index(state)]
+        row = self.matrix[self.index(state)]
         return {
             self._states[j]: float(p) for j, p in enumerate(row) if p > 0.0
         }
@@ -133,7 +178,7 @@ class DiscreteTimeMarkovChain:
         frontier = [self.index(start)]
         while frontier:
             i = frontier.pop()
-            for j in np.nonzero(self._matrix[i] > 0.0)[0]:
+            for j in np.nonzero(self.matrix[i] > 0.0)[0]:
                 if int(j) not in seen:
                     seen.add(int(j))
                     frontier.append(int(j))
@@ -156,14 +201,14 @@ class DiscreteTimeMarkovChain:
                 f"initial distribution sums to {total}, expected 1"
             )
         for _ in range(steps):
-            vec = vec @ self._matrix
+            vec = vec @ self.matrix
         return {s: float(vec[i]) for i, s in enumerate(self._states) if vec[i] > 0.0}
 
     def n_step_matrix(self, steps: int) -> np.ndarray:
         """The ``steps``-step transition matrix ``P**steps``."""
         if steps < 0:
             raise InvalidDistributionError("steps must be non-negative")
-        return np.linalg.matrix_power(self._matrix, steps)
+        return np.linalg.matrix_power(self.matrix, steps)
 
     def __repr__(self) -> str:
         return (
@@ -210,9 +255,7 @@ class ChainBuilder:
         index = {s: i for i, s in enumerate(self._order)}
         matrix = np.zeros((n, n))
         for source, row in self._edges.items():
-            if not row:
-                matrix[index[source], index[source]] = 1.0  # absorbing by convention
-                continue
-            for target, p in row.items():
+            # a state without edges is absorbing by convention
+            for target, p in (row or {source: 1.0}).items():
                 matrix[index[source], index[target]] = p
         return DiscreteTimeMarkovChain(self._order, matrix)

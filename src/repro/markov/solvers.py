@@ -1,59 +1,44 @@
 """Pluggable linear-solver backends for Markov-chain analysis.
 
-The analytic core of the library is the absorbing solve ``(I - Q) x = r``
-(eqs. 6-8): every composite-service evaluation, every sweep point and every
-batch entry funnels into it.  The historical implementation was dense —
-``numpy.linalg.solve`` against full matrices plus an exact ``O(n^3)``
-condition number — which is fine for paper-sized flows and hopeless for the
-production-scale ones the ROADMAP targets, where a state calls a handful of
-services and ``nnz(Q) << n^2``.
+Every composite-service evaluation, sweep point and batch entry ends in the
+absorbing solve ``(I - Q) x = r`` (eqs. 6-8), on flows where a state calls
+a handful of services and ``nnz(Q) << n^2``.  :func:`factorize_chain` is
+the one factorization entry point for it: it takes the chain's CSR triple
+``(indptr, indices, data)`` and a structural :class:`ChainSolvePlan`, and
+factors ``I - Q`` through one backend:
 
-This module makes the solve *pluggable* and *structure-aware*:
-
-- **dense** — the compatibility backend.  The first right-hand side is one
-  ``numpy.linalg.solve``; when a second one arrives and scipy is installed,
-  the LU factors are computed once (``scipy.linalg.lu_factor``) and reused
-  across visits and steps.
-- **sparse** — assemble ``I - Q`` in CSR and factor once with
-  ``scipy.sparse.linalg.splu``; every subsequent right-hand side is a pair
-  of triangular substitutions.  Requires scipy.
+- **dense** — ``Q`` is scattered into ``I - Q``; the first right-hand side
+  is one ``numpy.linalg.solve``, a second one forms the LU factors once
+  with scipy (``scipy.linalg.lu_factor``) and reuses them.
+- **sparse** — ``I - Q`` is assembled as a scipy CSR matrix from the same
+  triple and factored once with ``scipy.sparse.linalg.splu``.
 - **sparse triangular fast path** — when the transient graph (minus
-  self-loops) is a DAG — the common case for composed service usage
-  profiles — a topological permutation makes ``I - Q`` triangular, so each
-  solve is a single ``O(nnz)`` substitution and **no numeric factorization
-  ever happens**.
+  self-loops) is a DAG, a topological permutation makes ``I - Q``
+  triangular: each solve is one ``O(nnz)`` substitution and **nothing is
+  numerically factored**.
 - ``auto`` picks per system: dense below :data:`SPARSE_THRESHOLD` states or
-  above :data:`SPARSE_DENSITY` fill, dense whenever scipy is missing,
-  sparse (triangular when possible) otherwise.
+  above :data:`SPARSE_DENSITY` fill or without scipy, sparse (triangular
+  when possible) otherwise.  It is the only choice the layers above the
+  core make; the ``"dense"``/``"sparse"`` overrides stay on the core entry
+  points for the goldens and the parity suites.
 
-``auto`` is the only choice the layers above the core make.  The
-``"dense"``/``"sparse"`` overrides stay on :func:`factorize`,
-:func:`chain_plan`, :class:`~repro.markov.absorbing.AbsorbingChainAnalysis`
-and the numeric evaluators, for the goldens and the dense/sparse parity
-suites.
-
-The absorbing solve is guarded by the *exact* 1-norm condition number of
-``A = I - Q``, at the price of one transposed solve on every backend
-(:meth:`Factorization.m_matrix_condition`): ``A`` is an M-matrix, so
-``A^{-1} >= 0`` and its largest column sum is the largest entry of
-``A^{-T} 1`` — no ``O(n^3)`` inversion and no estimator.
-
-scipy is imported on first need (a sparse backend, a dense system's second
-right-hand side), never at import: a one-shot dense evaluation, condition
-guard included, costs ``import numpy`` and nothing more.
+The solve is guarded by the *exact* 1-norm condition number of
+``A = I - Q`` at the price of one transposed solve
+(:meth:`Factorization.m_matrix_condition`): ``A`` is an M-matrix, so its
+inverse's largest column sum is the largest entry of ``A^{-T} 1``.  scipy is
+imported on first need (a sparse backend, a dense system's second
+right-hand side), never at import and never below the sparse threshold for
+a one-shot solve.
 
 **Structural plan cache.**  The value-independent part of a solve — the
-transient/absorbing partition, the sparsity pattern of ``Q``, the
-topological permutation, the backend choice — is captured in a
-:class:`ChainSolvePlan` and cached on the shared
-:class:`repro.caching.LRUCache` under a structural fingerprint (shape +
-nonzero pattern + absorbing mask).  A sweep that varies only rates hits the
-cache on every point: the DAG fast path then re-solves in ``O(nnz)`` with
-zero re-factorization, and the LU paths skip all pattern/permutation work.
-Hit/miss counters (:func:`solver_cache_stats`) and the ``solver.plans`` /
-``solver.factorizations`` registry counters (read by :func:`plan_count` /
-:func:`factorization_count`; zeroed by ``observability.reset()``) make
-that reuse assertable in tests and benchmarks.
+transient/absorbing partition, where ``Q`` and ``R`` sit in the triple, the
+topological permutation, the backend choice — is a :class:`ChainSolvePlan`
+cached on the shared :class:`repro.caching.LRUCache` under a fingerprint of
+order, CSR pattern and absorbing mask.  A sweep that varies only rates hits
+the cache on every point.  Hit/miss counters (:func:`solver_cache_stats`)
+and the ``solver.plans`` / ``solver.factorizations`` registry counters
+(read by :func:`plan_count` / :func:`factorization_count`; zeroed by
+``observability.reset()``) make that reuse assertable.
 """
 
 from __future__ import annotations
@@ -398,36 +383,33 @@ class ChainSolvePlan:
     """The value-independent structure of one absorbing solve.
 
     Everything here depends only on the chain's *shape* — which states are
-    absorbing, where ``Q`` has nonzeros, the topological permutation — so a
-    plan computed once serves every re-solve of a structurally identical
-    chain (a sweep varying only rates, a fixed-point iteration, a batch of
-    same-flow models).
+    absorbing, where the CSR triple has entries, the topological
+    permutation — so a plan computed once serves every re-solve of a
+    structurally identical chain (a sweep varying only rates, a
+    fixed-point iteration, a batch of same-flow models).
 
     Attributes:
         fingerprint: the structural digest this plan was built from.
         backend: resolved backend (``"dense"``, ``"sparse-lu"``,
             ``"sparse-tri"``).
-        transient / absorbing: original state indices of each class.
-        q_rows / q_cols: the sparsity pattern of ``Q`` in transient-local
-            coordinates (unused by the dense backend).
+        transient / absorbing / local: each class's state indices, and each
+            state's position within its class.
+        q_entries, q_rows, q_cols / r_entries, r_rows, r_cols: where ``Q``
+            and ``R`` sit in the CSR triple, and their class-local
+            coordinates.
         order: topological permutation of the transient states
             (``"sparse-tri"`` only).
     """
 
     __slots__ = (
-        "fingerprint", "backend", "transient", "absorbing",
-        "q_rows", "q_cols", "order",
+        "fingerprint", "backend", "transient", "absorbing", "local",
+        "q_entries", "q_rows", "q_cols", "r_entries", "r_rows", "r_cols",
+        "order",
     )
 
-    def __init__(self, fingerprint, backend, transient, absorbing,
-                 q_rows, q_cols, order):
-        self.fingerprint = fingerprint
-        self.backend = backend
-        self.transient = transient
-        self.absorbing = absorbing
-        self.q_rows = q_rows
-        self.q_cols = q_cols
-        self.order = order
+    def __init__(self, **fields):
+        for name, value in fields.items():
+            setattr(self, name, value)
 
 
 _default_cache: LRUCache | None = None
@@ -448,17 +430,20 @@ def solver_cache_stats() -> CacheStats:
     return default_solver_cache().stats
 
 
-def chain_fingerprint(matrix: np.ndarray, absorbing_mask: np.ndarray) -> str:
-    """Structural digest of one chain: shape + nonzero pattern + partition.
+def chain_fingerprint(
+    indptr: np.ndarray, indices: np.ndarray, absorbing_mask: np.ndarray
+) -> str:
+    """Structural digest of one chain: order + CSR pattern + partition.
 
     Two chains share a fingerprint exactly when they have the same order,
-    the same transient/absorbing split and the same ``Q`` sparsity pattern
-    — i.e. when one :class:`ChainSolvePlan` serves both.  Values do *not*
-    enter the digest: that is the point (sweeps vary values only).
+    the same transient/absorbing split and the same entry pattern — i.e.
+    when one :class:`ChainSolvePlan` serves both.  Values do *not* enter
+    the digest: that is the point (sweeps vary values only).
     """
     digest = hashlib.sha256()
-    digest.update(np.int64(matrix.shape[0]).tobytes())
-    digest.update(np.packbits(matrix != 0.0, axis=None).tobytes())
+    digest.update(np.int64(indptr.size - 1).tobytes())
+    digest.update(np.asarray(indptr, dtype=np.int64).tobytes())
+    digest.update(np.asarray(indices, dtype=np.int64).tobytes())
     digest.update(np.packbits(np.asarray(absorbing_mask, dtype=bool)).tobytes())
     return digest.hexdigest()
 
@@ -506,71 +491,79 @@ def _resolve_backend(solver: str, m: int, nnz: int) -> str:
 
 
 def chain_plan(
-    matrix: np.ndarray,
+    csr: tuple,
     absorbing_mask: np.ndarray,
     solver: str = "auto",
     cache: LRUCache | None = None,
 ) -> ChainSolvePlan:
-    """The (cached) structural solve plan for one chain matrix.
+    """The (cached) structural solve plan for one chain.
 
     Args:
-        matrix: the full row-stochastic transition matrix.
-        absorbing_mask: boolean mask of absorbing states, aligned with
-            ``matrix`` rows.
+        csr: the chain's ``(indptr, indices, data)`` transition triple
+            (only the pattern is read).
+        absorbing_mask: boolean mask of absorbing states, in row order.
         solver: ``"auto"``, ``"dense"`` or ``"sparse"`` (validated).
         cache: the structural-plan :class:`~repro.caching.LRUCache`;
             ``None`` uses the process-wide default, ``False`` disables
             caching for this call.
     """
     solver = validate_solver(solver)
+    indptr, indices = csr[0], csr[1]
     mask = np.asarray(absorbing_mask, dtype=bool)
-    key = (solver, chain_fingerprint(matrix, mask))
+    key = (solver, chain_fingerprint(indptr, indices, mask))
     if cache is False:
-        return _build_plan(matrix, mask, solver, key[1])
+        return _build_plan(indptr, indices, mask, solver, key[1])
     lru = cache if cache is not None else default_solver_cache()
     return lru.get_or_create(
-        key, lambda: _build_plan(matrix, mask, solver, key[1])
+        key, lambda: _build_plan(indptr, indices, mask, solver, key[1])
     )
 
 
 def _build_plan(
-    matrix: np.ndarray, mask: np.ndarray, solver: str, fingerprint: str
+    indptr: np.ndarray, indices: np.ndarray, mask: np.ndarray, solver: str,
+    fingerprint: str,
 ) -> ChainSolvePlan:
     obs.count("solver.plans")
-    transient = np.flatnonzero(~mask)
-    absorbing = np.flatnonzero(mask)
-    m = transient.size
-    q_block = matrix[np.ix_(transient, transient)]
-    q_rows, q_cols = np.nonzero(q_block)
-    backend = _resolve_backend(solver, m, q_rows.size)
+    transient, absorbing = np.flatnonzero(~mask), np.flatnonzero(mask)
+    local = np.where(mask, np.cumsum(mask), np.cumsum(~mask)) - 1
+    rows = np.repeat(np.arange(mask.size), np.diff(indptr))
+    q_entries = np.flatnonzero(~mask[rows] & ~mask[indices])
+    r_entries = np.flatnonzero(~mask[rows] & mask[indices])
+    q_rows, q_cols = local[rows[q_entries]], local[indices[q_entries]]
+    backend = _resolve_backend(solver, transient.size, q_entries.size)
     order = None
     if backend == "sparse":
-        order = _topological_order(m, q_rows, q_cols)
+        order = _topological_order(transient.size, q_rows, q_cols)
         backend = "sparse-tri" if order is not None else "sparse-lu"
     return ChainSolvePlan(
-        fingerprint, backend, transient, absorbing, q_rows, q_cols, order
+        fingerprint=fingerprint, backend=backend, transient=transient,
+        absorbing=absorbing, local=local, q_entries=q_entries,
+        q_rows=q_rows, q_cols=q_cols, r_entries=r_entries,
+        r_rows=local[rows[r_entries]], r_cols=local[indices[r_entries]],
+        order=order,
     )
 
 
-def factorize_chain(matrix: np.ndarray, plan: ChainSolvePlan) -> Factorization:
-    """Factor ``I - Q`` for the *values* in ``matrix`` along a structural
-    plan.
+def factorize_chain(csr: tuple, plan: ChainSolvePlan) -> Factorization:
+    """Factor ``I - Q`` for the *values* of a chain's CSR triple along a
+    structural plan.
 
-    This is the per-solve (value-dependent) half of the split: a cached
-    plan makes it ``O(nnz)`` gather + assembly for the sparse backends —
-    and for ``"sparse-tri"`` nothing is numerically factored at all.
+    This is the per-solve (value-dependent) half of the split: one gather
+    of ``Q``'s entries, then a dense ``I - Q`` (``"dense"``; scipy is not
+    touched) or a scipy CSR assembly (the sparse backends) — and for
+    ``"sparse-tri"`` nothing is numerically factored at all.
 
     Raises :class:`SingularSystemError` when the system is exactly
     singular (the caller decides what that means).
     """
     obs.count(f"solver.backend.{plan.backend}")
-    transient = plan.transient
-    m = transient.size
+    m = plan.transient.size
+    values = csr[2][plan.q_entries]
     if plan.backend == "dense":
-        system = np.eye(m) - matrix[np.ix_(transient, transient)]
+        system = np.eye(m)
+        np.subtract.at(system, (plan.q_rows, plan.q_cols), values)  # in entry order
         return _DenseFactorization(system)
     sparse = _scipy().sparse
-    values = matrix[transient[plan.q_rows], transient[plan.q_cols]]
     q_sparse = sparse.csr_matrix(
         (values, (plan.q_rows, plan.q_cols)), shape=(m, m)
     )

@@ -51,6 +51,11 @@ FAIL = "Fail"
 
 _RESERVED = {START, END, FAIL}
 
+#: How far a transition probability may stray outside [0, 1], and a row
+#: sum from one, in :meth:`ServiceFlow.check_probabilities`.
+PROBABILITY_TOL = 1e-12
+ROW_SUM_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class FlowState:
@@ -299,13 +304,13 @@ class ServiceFlow:
             total = 0.0
             for t in self._outgoing.get(source, ()):
                 p = float(t.probability.evaluate(env))
-                if p < -1e-12 or p > 1.0 + 1e-12:
+                if not -PROBABILITY_TOL <= p <= 1.0 + PROBABILITY_TOL:
                     raise InvalidFlowError(
                         f"transition {t.source!r}->{t.target!r} has "
                         f"probability {p} outside [0, 1] under {dict(env)!r}"
                     )
                 total += p
-            if abs(total - 1.0) > 1e-9:
+            if abs(total - 1.0) > ROW_SUM_TOL:
                 raise InvalidFlowError(
                     f"outgoing probabilities of {source!r} sum to {total} "
                     f"under {dict(env)!r}"

@@ -198,12 +198,6 @@ class EvaluationBudget:
         self._trials_used += count
         obs.gauge("budget.trials_used", self._trials_used)
 
-    def effective_sweeps(self, default: int) -> int:
-        """The sweep cap to use given an evaluator default."""
-        if self.max_sweeps is None:
-            return default
-        return min(default, self.max_sweeps)
-
     def effective_trials(self, requested: int) -> int:
         """The trial count to run given a caller request (no raise; the
         caller decides whether shedding trials is acceptable)."""

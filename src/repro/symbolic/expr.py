@@ -119,10 +119,6 @@ class Expression:
             object.__setattr__(self, "_shash", cached)
         return cached
 
-    def structural_hash(self) -> int:
-        """The memoized structural hash (same value as ``hash(self)``)."""
-        return self.__hash__()
-
     def node_count(self) -> int:
         """Number of nodes in this expression *tree* (shared subtrees are
         counted once per occurrence — the raw size CSE is measured against)."""
@@ -462,13 +458,6 @@ class Call(Expression):
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(str(a) for a in self.args)})"
-
-
-def _finite_constant(value: float) -> Constant:
-    """Constant constructor that rejects NaN (guards simplification)."""
-    if math.isnan(value):
-        raise SymbolicError("expression simplified to NaN")
-    return Constant(value)
 
 
 def _from_dict(data: dict, leaves: dict) -> Expression:

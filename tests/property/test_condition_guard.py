@@ -75,11 +75,11 @@ def system_of(chain: DiscreteTimeMarkovChain) -> np.ndarray:
 @given(data=st.data())
 def test_condition_equals_numpy_cond(solver, backend, cyclic, data):
     chain = data.draw(absorbing_chains(cyclic))
-    plan = chain_plan(chain.matrix, chain.absorbing_mask, solver=solver,
+    plan = chain_plan(chain.csr, chain.absorbing_mask, solver=solver,
                       cache=False)
     assert plan.backend == backend
     exact = np.linalg.cond(system_of(chain), 1)
-    guard = factorize_chain(chain.matrix, plan).m_matrix_condition()
+    guard = factorize_chain(chain.csr, plan).m_matrix_condition()
     assert guard == pytest.approx(exact, rel=max(1e-12, 16 * exact * EPS))
 
 
@@ -112,7 +112,7 @@ def test_nearly_trapped_chain_is_refused(solver, backend, cyclic, fan_in,
                                         escape):
     chain = nearly_trapped(fan_in, escape, cyclic)
     assert chain.transient_states()[-1] == "hub"
-    plan = chain_plan(chain.matrix, chain.absorbing_mask, solver=solver,
+    plan = chain_plan(chain.csr, chain.absorbing_mask, solver=solver,
                       cache=False)
     assert plan.backend == backend
     assert np.linalg.cond(system_of(chain), 1) > MAX_CONDITION

@@ -3,7 +3,11 @@
 The evaluator resolves, binds and evaluates each distinct request of a
 composite service once and gathers the values back to every state that
 holds it; these pins were recorded when every request was still handled
-on its own, so they hold the two to the same bits.  The models come from
+on its own, so they hold the two to the same bits.  Three ``Pfail`` pins
+and the seed-0 report moved by at most 32 ulps (6.3e-15 relative) when
+the augmented chain began to be built from the flow's edges, its rows
+renormalized by sums taken in column order rather than over dense rows.
+The models come from
 :func:`tests.repeated_flows.repeated_request_assembly` (150 states, back
 edges, three providers and a connector).  Keys read ``seed/n/m``
 (``Pfail`` as ``float.hex``) and ``seed`` (the first 32 hex digits of a
@@ -41,17 +45,17 @@ SEEDS = (0, 1, 2)
 PFAIL = {
     "0/3.0/5.0": "0x1.3ff7ddf872b78p-2",
     "0/40.0/2.0": "0x1.9db5c7f5cf5a6p-1",
-    "0/1.0/0.0": "0x1.63b6e920620c0p-5",
+    "0/1.0/0.0": "0x1.63b6e920620a0p-5",
     "1/3.0/5.0": "0x1.65178a9761d56p-2",
-    "1/40.0/2.0": "0x1.a483227fae215p-1",
+    "1/40.0/2.0": "0x1.a483227fae214p-1",
     "1/1.0/0.0": "0x1.7607456c8d8d0p-5",
     "2/3.0/5.0": "0x1.3ebf354bc89dcp-2",
     "2/40.0/2.0": "0x1.76851b2d6cfdcp-1",
-    "2/1.0/0.0": "0x1.200c962181110p-5",
+    "2/1.0/0.0": "0x1.200c9621810f0p-5",
 }
 
 REPORT = {
-    0: "36a468dab9b64fb66422242dbe528631",
+    0: "48be96f9bfe9758a763b5bb3a301129b",
     1: "27906b66c806fd132606c1d6aeeee77a",
     2: "caefccbe3ee432079a0159406fd1b974",
 }

@@ -226,6 +226,15 @@ class TestErrors:
         with pytest.raises(EvaluationError):
             evaluator.expected_duration("search", elem=1)
 
+    def test_unknown_actuals(self):
+        """Refused as the reliability evaluator refuses them."""
+        evaluator = PerformanceEvaluator(local_assembly())
+        with pytest.raises(
+            EvaluationError,
+            match=r"service 'search': unknown actual parameters \['bogus'\]",
+        ):
+            evaluator.expected_duration("search", elem=1, list=500, res=1, bogus=3)
+
     def test_cyclic_assembly_rejected(self):
         evaluator = PerformanceEvaluator(recursive_assembly())
         with pytest.raises(CyclicAssemblyError):

@@ -184,10 +184,25 @@ class TestLeafMemo:
 
     def test_equal_leaves_are_one_object(self):
         first, second = self.requests(assembly_from_dict(self.document(0.1)))
-        assert first is not second
+        assert first is second  # equal request dicts share one request
         assert first.actuals["n"] is second.actuals["n"]
         assert first.internal_failure is second.internal_failure
         assert first.masking is second.masking  # the default 0, a number
+
+    def test_requests_that_differ_are_not_shared(self):
+        data = self.document(0.1)
+        states = data["services"][1]["flow"]["states"]
+        request = states[0]["requests"][0]
+        states[1]["requests"] = [
+            request, dict(request, label="x"), dict(request, connector_actuals={}),
+            dict(request, internal_failure=-0.0),
+        ]
+        flow = assembly_from_dict(data).service("app").flow
+        first, same, *others = (flow.states[0].requests[0], *flow.states[1].requests)
+        assert same is first
+        assert len({id(r) for r in (first, *others)}) == 4
+        assert [r.label for r in others] == ["x", "", ""]
+        assert others[1].connector_actuals == {} and first.connector_actuals is None
 
     def test_signed_zeros_keep_their_sign(self):
         zero, negative = {"kind": "const", "value": 0.0}, {"kind": "const", "value": -0.0}

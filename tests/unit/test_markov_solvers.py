@@ -133,7 +133,7 @@ class TestBackendResolution:
     def test_dag_refines_to_triangular(self):
         chain = dag_chain(20)
         plan = chain_plan(
-            chain.matrix, absorbing_mask(chain), solver="sparse", cache=False
+            chain.csr, absorbing_mask(chain), solver="sparse", cache=False
         )
         assert plan.backend == "sparse-tri"
         assert plan.order is not None
@@ -142,10 +142,15 @@ class TestBackendResolution:
     def test_cycle_refines_to_lu(self):
         chain = cyclic_chain()
         plan = chain_plan(
-            chain.matrix, absorbing_mask(chain), solver="sparse", cache=False
+            chain.csr, absorbing_mask(chain), solver="sparse", cache=False
         )
         assert plan.backend == "sparse-lu"
         assert plan.order is None
+
+
+def pattern(states, matrix) -> tuple:
+    """The ``(indptr, indices)`` CSR pattern of a dense chain matrix."""
+    return DiscreteTimeMarkovChain(states, matrix).csr[:2]
 
 
 class TestFingerprint:
@@ -156,8 +161,8 @@ class TestFingerprint:
         # rescale the transient rows without changing the pattern
         other[0] = [0.0, 0.5, 0.25, 0.25]
         other[1] = [0.7, 0.0, 0.2, 0.1]
-        assert chain_fingerprint(chain.matrix, mask) == chain_fingerprint(
-            other, mask
+        assert chain_fingerprint(*chain.csr[:2], mask) == chain_fingerprint(
+            *pattern(chain.states, other), mask
         )
 
     def test_pattern_sensitive(self):
@@ -166,8 +171,8 @@ class TestFingerprint:
         other = chain.matrix.copy()
         other[0, 1] = 0.0
         other[0, 2] = 0.9
-        assert chain_fingerprint(chain.matrix, mask) != chain_fingerprint(
-            other, mask
+        assert chain_fingerprint(*chain.csr[:2], mask) != chain_fingerprint(
+            *pattern(chain.states, other), mask
         )
 
     def test_mask_sensitive(self):
@@ -175,8 +180,8 @@ class TestFingerprint:
         mask = absorbing_mask(chain)
         flipped = mask.copy()
         flipped[0] = True
-        assert chain_fingerprint(chain.matrix, mask) != chain_fingerprint(
-            chain.matrix, flipped
+        assert chain_fingerprint(*chain.csr[:2], mask) != chain_fingerprint(
+            *chain.csr[:2], flipped
         )
 
 
@@ -213,11 +218,14 @@ class TestPlanCache:
         chain = cyclic_chain()
         mask = absorbing_mask(chain)
         obs.reset()
-        first = chain_plan(chain.matrix, mask, solver="dense", cache=cache)
+        first = chain_plan(chain.csr, mask, solver="dense", cache=cache)
         assert counter("solver.plans") == 1
         rescaled = chain.matrix.copy()
         rescaled[0] = [0.0, 0.5, 0.25, 0.25]
-        second = chain_plan(rescaled, mask, solver="dense", cache=cache)
+        second = chain_plan(
+            DiscreteTimeMarkovChain(chain.states, rescaled).csr, mask,
+            solver="dense", cache=cache,
+        )
         assert second is first           # same structure -> same plan object
         assert counter("solver.plans") == 1  # nothing was rebuilt
         assert cache.stats.hits >= 1
@@ -226,8 +234,8 @@ class TestPlanCache:
         chain = cyclic_chain()
         mask = absorbing_mask(chain)
         obs.reset()
-        chain_plan(chain.matrix, mask, solver="dense", cache=False)
-        chain_plan(chain.matrix, mask, solver="dense", cache=False)
+        chain_plan(chain.csr, mask, solver="dense", cache=False)
+        chain_plan(chain.csr, mask, solver="dense", cache=False)
         assert counter("solver.plans") == 2
 
     def test_solver_request_is_part_of_the_key(self):
@@ -236,8 +244,8 @@ class TestPlanCache:
         cache = LRUCache(max_size=8)
         chain = cyclic_chain()
         mask = absorbing_mask(chain)
-        dense = chain_plan(chain.matrix, mask, solver="dense", cache=cache)
-        sparse = chain_plan(chain.matrix, mask, solver="sparse", cache=cache)
+        dense = chain_plan(chain.csr, mask, solver="dense", cache=cache)
+        sparse = chain_plan(chain.csr, mask, solver="sparse", cache=cache)
         assert dense.backend == "dense"
         assert sparse.backend == "sparse-lu"
 
@@ -247,10 +255,10 @@ class TestFactorizationCounters:
     def test_triangular_path_never_factors(self):
         chain = dag_chain(30)
         mask = absorbing_mask(chain)
-        plan = chain_plan(chain.matrix, mask, solver="sparse", cache=False)
+        plan = chain_plan(chain.csr, mask, solver="sparse", cache=False)
         assert plan.backend == "sparse-tri"
         obs.reset()
-        fact = factorize_chain(chain.matrix, plan)
+        fact = factorize_chain(chain.csr, plan)
         fact.solve(np.ones(plan.transient.size))
         fact.solve(np.zeros(plan.transient.size))
         assert counter("solver.factorizations") == 0
@@ -259,9 +267,9 @@ class TestFactorizationCounters:
     def test_sparse_lu_factors_once(self):
         chain = cyclic_chain()
         mask = absorbing_mask(chain)
-        plan = chain_plan(chain.matrix, mask, solver="sparse", cache=False)
+        plan = chain_plan(chain.csr, mask, solver="sparse", cache=False)
         obs.reset()
-        fact = factorize_chain(chain.matrix, plan)
+        fact = factorize_chain(chain.csr, plan)
         fact.solve(np.ones(2))
         fact.solve(np.ones(2))
         assert counter("solver.factorizations") == 1
@@ -272,9 +280,9 @@ class TestFactorizationCounters:
         right-hand side and reused from then on."""
         chain = cyclic_chain()
         mask = absorbing_mask(chain)
-        plan = chain_plan(chain.matrix, mask, solver="dense", cache=False)
+        plan = chain_plan(chain.csr, mask, solver="dense", cache=False)
         obs.reset()
-        fact = factorize_chain(chain.matrix, plan)
+        fact = factorize_chain(chain.csr, plan)
         assert fact.reusable
         fact.solve(np.ones(2))
         assert counter("solver.factorizations") == 1
@@ -327,35 +335,35 @@ class TestFactorizationCorrectness:
 
     def test_dense(self):
         chain = cyclic_chain()
-        plan = chain_plan(chain.matrix, absorbing_mask(chain),
+        plan = chain_plan(chain.csr, absorbing_mask(chain),
                           solver="dense", cache=False)
-        self.check(factorize_chain(chain.matrix, plan), self.reference(chain))
+        self.check(factorize_chain(chain.csr, plan), self.reference(chain))
 
     @needs_scipy
     def test_sparse_lu(self):
         chain = cyclic_chain()
-        plan = chain_plan(chain.matrix, absorbing_mask(chain),
+        plan = chain_plan(chain.csr, absorbing_mask(chain),
                           solver="sparse", cache=False)
-        fact = factorize_chain(chain.matrix, plan)
+        fact = factorize_chain(chain.csr, plan)
         assert fact.method == "sparse-lu"
         self.check(fact, self.reference(chain))
 
     @needs_scipy
     def test_sparse_triangular(self):
         chain = dag_chain(25, seed=3)
-        plan = chain_plan(chain.matrix, absorbing_mask(chain),
+        plan = chain_plan(chain.csr, absorbing_mask(chain),
                           solver="sparse", cache=False)
-        fact = factorize_chain(chain.matrix, plan)
+        fact = factorize_chain(chain.csr, plan)
         assert fact.method == "sparse-tri"
         self.check(fact, self.reference(chain))
 
     def test_dense_condition_solve_is_no_factorization(self):
         # the guard's transposed solve is a gesv on A^T, not a kept LU
         chain = cyclic_chain()
-        plan = chain_plan(chain.matrix, absorbing_mask(chain),
+        plan = chain_plan(chain.csr, absorbing_mask(chain),
                           solver="dense", cache=False)
         obs.reset()
-        fact = factorize_chain(chain.matrix, plan)
+        fact = factorize_chain(chain.csr, plan)
         fact.solve(np.ones(2))
         fact.m_matrix_condition()
         assert counter("solver.factorizations") == 1
@@ -373,19 +381,19 @@ class TestSingularSystems:
 
     def test_dense_raises_singular(self):
         chain = self.trapped()
-        plan = chain_plan(chain.matrix, absorbing_mask(chain),
+        plan = chain_plan(chain.csr, absorbing_mask(chain),
                           solver="dense", cache=False)
         with pytest.raises(SingularSystemError):
-            fact = factorize_chain(chain.matrix, plan)
+            fact = factorize_chain(chain.csr, plan)
             fact.solve(np.ones(2))  # scipy-less dense defers to solve time
 
     @needs_scipy
     def test_sparse_raises_singular(self):
         chain = self.trapped()
-        plan = chain_plan(chain.matrix, absorbing_mask(chain),
+        plan = chain_plan(chain.csr, absorbing_mask(chain),
                           solver="sparse", cache=False)
         with pytest.raises(SingularSystemError):
-            factorize_chain(chain.matrix, plan)
+            factorize_chain(chain.csr, plan)
 
     def test_analysis_maps_to_not_absorbing(self):
         for solver in ("dense",) + (("sparse",) if scipy_available() else ()):

@@ -87,10 +87,6 @@ class TestBudgetSemantics:
         assert budget.effective_trials(5000) == 600
         assert EvaluationBudget().effective_trials(5000) == 5000
 
-    def test_effective_sweeps(self):
-        assert EvaluationBudget(max_sweeps=3).effective_sweeps(10) == 3
-        assert EvaluationBudget().effective_sweeps(10) == 10
-
     def test_error_message_names_resource_and_limit(self):
         error = BudgetExceededError("states", 10, 25, "chain solve")
         assert "states" in str(error)
