@@ -172,6 +172,10 @@ def test_flow_size_scaling():
 
     if not scipy_available():
         pytest.skip("large-flow scaling needs the sparse backend (scipy)")
+    # the solvers import scipy lazily; load it here so the first row times
+    # the solve, not the import
+    import scipy.linalg  # noqa: F401
+    import scipy.sparse.linalg  # noqa: F401
 
     rows = []
     for states in (1_000, 4_000, 10_000):

@@ -163,13 +163,17 @@ class RequestTable:
         self.bounds = []
         inverse: list[int] = []
         distinct: dict[tuple, int] = {}
+        by_id: dict[int, int] = {}  # the loader shares equal requests
         members: dict[tuple, tuple[list[int], list[int]]] = {}
         for row, state in enumerate(service.flow.states):
             start = len(inverse)
             for request in state.requests:
-                index = distinct.setdefault(_content(request), len(self.requests))
-                if index == len(self.requests):
-                    self.requests.append(assembly.resolve_request(service.name, request))
+                index = by_id.get(id(request))
+                if index is None:
+                    index = distinct.setdefault(_content(request), len(self.requests))
+                    if index == len(self.requests):
+                        self.requests.append(assembly.resolve_request(service.name, request))
+                    by_id[id(request)] = index
                 inverse.append(index)
             self.bounds.append((start, len(inverse)))
             n = len(state.requests)

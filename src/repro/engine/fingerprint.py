@@ -20,6 +20,11 @@ invalidation rule the cache relies on.
 Fingerprints are plain hex strings: hashable, picklable, loggable, and
 stable across processes and Python versions (the serializer sorts keys and
 uses no floating-point repr shortcuts).
+
+The digest (never the JSON text) is memoized on the assembly with the name
+it was taken under; ``add_service`` and ``bind`` reset it and a rename
+misses it.  Services are taken as frozen once added: build a new model
+rather than replacing a registered service's ``interface``.
 """
 
 from __future__ import annotations
@@ -59,7 +64,10 @@ def canonical_json(assembly: Assembly) -> str:
             f"cannot serialize assembly {assembly.name!r} for "
             f"fingerprinting: {type(exc).__name__}: {exc}"
         ) from exc
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assembly._canonical = (assembly.name, digest)
+    return text
 
 
 def assembly_fingerprint(assembly: Assembly) -> str:
@@ -68,7 +76,11 @@ def assembly_fingerprint(assembly: Assembly) -> str:
     Equal fingerprints imply identical evaluation results on every
     backend; any structural or attribute change yields a new digest.
     """
-    return hashlib.sha256(canonical_json(assembly).encode("utf-8")).hexdigest()
+    memo = getattr(assembly, "_canonical", None)  # duck-typed models have none
+    if memo is None or memo[0] != assembly.name:
+        canonical_json(assembly)
+        memo = assembly._canonical
+    return memo[1]
 
 
 def service_fingerprint(assembly: Assembly, service: str | Service) -> str:

@@ -97,6 +97,8 @@ class Assembly:
         self.name = name
         self._services: dict[str, Service] = {}
         self._bindings: dict[tuple[str, str], Binding] = {}
+        # (name, digest) memo of repro.engine.fingerprint; mutators reset it
+        self._canonical: tuple[str, str] | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -107,6 +109,7 @@ class Assembly:
         if service.name in self._services:
             raise DuplicateNameError("service", service.name)
         self._services[service.name] = service
+        self._canonical = None
         return self
 
     def add_services(self, *services: Service) -> "Assembly":
@@ -138,6 +141,7 @@ class Assembly:
             connector,
             {k: as_expression(v) for k, v in (connector_actuals or {}).items()},
         )
+        self._canonical = None
         return self
 
     # -- lookup -----------------------------------------------------------

@@ -49,8 +49,8 @@ class EvaluationBudget:
         deadline: wall-clock seconds allowed from :meth:`start` (lazy on
             first check).  ``0`` means "already expired" — useful to probe
             load-shedding paths.
-        max_states: largest transient-state count the absorbing-chain
-            solver may factor.
+        max_states: largest absorbing DTMC the engine may solve: the
+            failure-augmented chain's ``Start``, flow states, ``End``, ``Fail``.
         max_depth: maximum recursive composition depth (service stack).
         max_sweeps: maximum fixed-point sweeps.
         max_trials: maximum Monte Carlo trials.
@@ -169,7 +169,7 @@ class EvaluationBudget:
             raise BudgetExceededError("deadline", self.deadline, elapsed, what)
 
     def check_states(self, count: int, what: str = "") -> None:
-        """Gate an absorbing-chain solve on ``count`` transient states."""
+        """Gate an absorbing solve on its augmented chain's ``count`` states."""
         if self.max_states is not None and count > self.max_states:
             obs.count("budget.exhausted.states")
             raise BudgetExceededError("states", self.max_states, count, what)

@@ -43,8 +43,11 @@ MODEL = {
     "type": "object",
     "description": "a `repro/1` assembly document (the exact JSON "
                    "`python -m repro export-scenario` writes); parsed "
-                   "through the hardened model loader and cached by "
-                   "content digest",
+                   "through the hardened model loader and cached by the "
+                   "SHA-256 of the decoded document's pickle; a re-sent "
+                   "body reuses the parsed assembly and its memoized "
+                   "canonical fingerprint, a key-reordered copy is parsed "
+                   "again and shares the plan",
 }
 
 ACTUALS = {
@@ -363,7 +366,7 @@ ENDPOINTS: tuple[Endpoint, ...] = (
                     "factorization all land in the daemon's warm caches, so "
                     "repeating a request pays only the closed-form "
                     "arithmetic.  Concurrent requests with the same "
-                    "structural fingerprint and point coalesce behind a "
+                    "model digest and point coalesce behind a "
                     "single computation — followers carry "
                     "`\"coalesced\": true`.",
         request_schema=EVALUATE_REQUEST,

@@ -22,8 +22,8 @@ propagate to the transport, which maps them onto the HTTP status taxonomy
 from __future__ import annotations
 
 import hashlib
-import json
 import os
+import pickle
 import threading
 import time
 
@@ -46,12 +46,6 @@ from repro.server.schema import (
 __all__ = ["EvaluationService"]
 
 
-def _canonical_digest(document: dict) -> str:
-    """Content digest of a model document (sorted-key canonical JSON)."""
-    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _stats_dict(cache) -> dict:
     """``CacheStats`` snapshot plus current size, JSON-safe."""
     snapshot = cache.stats.snapshot()
@@ -67,8 +61,11 @@ class EvaluationService:
             across requests for the server's lifetime (default: a private
             256-plan cache — daemons own their caches rather than the
             process-wide default, so embedded servers stay isolated).
-        model_cache_size: parsed-assembly LRU bound (models are keyed by
-            content digest, so a re-sent body skips JSON->model work).
+        model_cache_size: parsed-assembly LRU bound.  Models are keyed by
+            the SHA-256 of the decoded document's pickle (the coalescer's
+            model key too): a re-sent body skips JSON->model work and its
+            assembly's fingerprint is memoized, so it serializes nothing.
+            A key-reordered copy is parsed again but shares the plan.
         default_budget: limits applied to requests whose body names no
             ``budget`` — the daemon's own backpressure floor.  A request
             body's budget *replaces* the default.
@@ -304,7 +301,7 @@ class EvaluationService:
         """``(digest, assembly)`` for a model document, digest-cached."""
         from repro.dsl.loader import assembly_from_dict
 
-        digest = _canonical_digest(document)
+        digest = hashlib.sha256(pickle.dumps(document, protocol=5)).hexdigest()
         assembly = self.models.get_or_create(
             digest, lambda: assembly_from_dict(document)
         )

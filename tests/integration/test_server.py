@@ -89,6 +89,75 @@ def test_repeat_request_hits_every_warm_layer(server):
     assert after["server"]["requests"] > before["server"]["requests"]
 
 
+def test_a_hot_evaluate_serializes_no_model(server, monkeypatch):
+    """A re-sent body hits the model cache and the memoized fingerprint:
+    no ``assembly_to_dict`` call and no sorted-key ``json.dumps``."""
+    from repro.dsl import serializer
+
+    payload = {"model": MODEL, "service": "search",
+               "actuals": {"elem": 1, "list": 321, "res": 1}}
+    cold = post(server.url + "/v1/evaluate", payload)
+    calls = []
+    to_dict, dumps = serializer.assembly_to_dict, json.dumps
+
+    def counting_to_dict(assembly):
+        calls.append("assembly_to_dict")
+        return to_dict(assembly)
+
+    def counting_dumps(obj, *args, **kwargs):
+        # the response body is sorted too; count only model documents
+        if kwargs.get("sort_keys") and isinstance(obj, dict) \
+                and "services" in obj:
+            calls.append("sorted json.dumps of a model")
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(serializer, "assembly_to_dict", counting_to_dict)
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    hot = post(server.url + "/v1/evaluate", payload)
+    assert calls == []
+    assert (hot["pfail"], hot["fingerprint"]) == (
+        cold["pfail"], cold["fingerprint"])
+
+
+def _reordered(value):
+    """``value`` with every mapping's keys in reverse order."""
+    if isinstance(value, dict):
+        return {key: _reordered(value[key]) for key in reversed(value)}
+    if isinstance(value, list):
+        return [_reordered(item) for item in value]
+    return value
+
+
+def test_a_key_reordered_model_shares_the_plan():
+    service = EvaluationService()
+    reordered = _reordered(MODEL)
+    assert json.dumps(reordered) != json.dumps(MODEL)
+    first = service.evaluate(
+        {"model": MODEL, "service": "search", "actuals": POINT})
+    second = service.evaluate(
+        {"model": reordered, "service": "search", "actuals": POINT})
+    assert second["pfail"] == first["pfail"]
+    assert second["fingerprint"] == first["fingerprint"]
+    assert len(service.models) == 2      # parsed again: a miss ...
+    assert len(service.plan_cache) == 1  # ... that still shares the plan
+
+
+def test_an_embedded_evaluate_accepts_numpy_attribute_values():
+    import numpy as np
+
+    model = json.loads(json.dumps(MODEL))
+    for entry in model["services"]:
+        attributes = entry["interface"]["attributes"]
+        for name in attributes:
+            attributes[name] = np.float64(attributes[name])
+    assert any(entry["interface"]["attributes"] for entry in model["services"])
+    payload = {"service": "search", "actuals": POINT}
+    want = EvaluationService().evaluate({**payload, "model": MODEL})
+    got = EvaluationService().evaluate({**payload, "model": model})
+    assert got["pfail"] == want["pfail"]
+    assert got["fingerprint"] == want["fingerprint"]
+
+
 def test_batch_round_trip_with_per_entry_error_isolation(server):
     reply = post(server.url + "/v1/batch", {"requests": [
         {"model": MODEL, "service": "search", "actuals": POINT,

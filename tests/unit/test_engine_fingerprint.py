@@ -76,3 +76,83 @@ class TestPlanKey:
         attrs = plan_key(assembly, "search", True)
         assert plain != attrs
         assert plain[:2] == attrs[:2]
+
+
+class TestFingerprintMemo:
+    """The digest is memoized per assembly object; every mutation resets
+    it, and a memoized digest always equals a fresh rebuild's."""
+
+    @pytest.fixture
+    def serializations(self, monkeypatch):
+        from repro.dsl import serializer
+
+        calls = []
+        original = serializer.assembly_to_dict
+
+        def counting(assembly):
+            calls.append(assembly.name)
+            return original(assembly)
+
+        monkeypatch.setattr(serializer, "assembly_to_dict", counting)
+        return calls
+
+    def test_a_second_fingerprint_serializes_nothing(self, serializations):
+        assembly = local_assembly()
+        first = assembly_fingerprint(assembly)
+        assert len(serializations) == 1
+        assert assembly_fingerprint(assembly) == first
+        assert service_fingerprint(assembly, "search")
+        assert plan_key(assembly, "search")[0] == first
+        assert len(serializations) == 1
+
+    def test_canonical_json_then_fingerprint_serializes_once(
+        self, serializations
+    ):
+        import hashlib
+
+        assembly = local_assembly()
+        text = canonical_json(assembly)
+        assert assembly_fingerprint(assembly) == hashlib.sha256(
+            text.encode("utf-8")
+        ).hexdigest()
+        assert len(serializations) == 1
+
+    def test_memoized_digest_equals_a_fresh_rebuild(self):
+        assembly = local_assembly()
+        assembly_fingerprint(assembly)
+        assert assembly._canonical is not None
+        assert assembly_fingerprint(assembly) == assembly_fingerprint(
+            local_assembly()
+        )
+
+    def test_add_service_resets_the_memo(self):
+        from repro.model import SimpleService
+
+        assembly = local_assembly()
+        before = assembly_fingerprint(assembly)
+        assembly.add_service(SimpleService("extra", failure_probability=0.1))
+        assert assembly._canonical is None
+        rebuilt = local_assembly().add_service(
+            SimpleService("extra", failure_probability=0.1)
+        )
+        assert assembly_fingerprint(assembly) != before
+        assert assembly_fingerprint(assembly) == assembly_fingerprint(rebuilt)
+
+    def test_bind_resets_the_memo(self):
+        assembly = local_assembly()
+        before = assembly_fingerprint(assembly)
+        assembly.bind("search", "spare", "sort1")
+        assert assembly._canonical is None
+        rebuilt = local_assembly().bind("search", "spare", "sort1")
+        assert assembly_fingerprint(assembly) != before
+        assert assembly_fingerprint(assembly) == assembly_fingerprint(rebuilt)
+
+    def test_a_rename_misses_the_memo(self):
+        assembly = local_assembly()
+        before = assembly_fingerprint(assembly)
+        assembly.name = "renamed"
+        rebuilt = local_assembly()
+        rebuilt.name = "renamed"
+        assert assembly_fingerprint(assembly) != before
+        assert assembly_fingerprint(assembly) == assembly_fingerprint(rebuilt)
+        assert '"name":"renamed"' in canonical_json(assembly)
