@@ -10,10 +10,12 @@ engine room:
    :class:`~repro.engine.cache.PlanCache` (same fingerprint ⇒ zero
    re-derivations, warm across requests);
 2. each multi-point symbolic group runs as one stacked kernel call in the
-   parent; the remaining points fan out across a process pool
-   (:mod:`repro.engine.parallel`), with the parent's
-   :class:`~repro.runtime.EvaluationBudget` enforced cooperatively — the
-   remaining deadline travels with every chunk;
+   parent; the remaining points go through one per-point path,
+   :func:`~repro.engine.parallel.fan_out`, in process at ``jobs=1`` and
+   across a process pool otherwise.  Every chunk runs under the caller's
+   :class:`~repro.runtime.EvaluationBudget`: the live one in process, a
+   copy of its remaining deadline and state, depth and sweep limits on
+   the pool;
 3. failures stay **per-point**: a bad point yields a typed error *entry*
    in the :class:`BatchResult` while the rest of the batch completes —
    the graceful-degradation contract of the runtime layer, extended to
@@ -183,25 +185,25 @@ class BatchEngine:
     """Parallel batch evaluation over cached plans.
 
     Args:
-        jobs: worker count — 1 (default) runs serially in-process, 0 means
+        jobs: worker count — 1 (default) runs in process, 0 means
             one worker per CPU core, ``N > 1`` fans the groups the fused
             path does not serve across ``N`` worker processes.
         mode: ``"process"``, the only pool: true CPU parallelism, plans
-            are pickled to workers (``jobs=1`` is the serial path).
+            are pickled to workers (``jobs=1`` runs in process).
         cache: a :class:`~repro.engine.cache.PlanCache` to reuse plans
             across runs, ``None`` for a private per-engine cache, or
             ``False`` to disable caching (every point recompiles — the
             cold baseline the benchmarks measure against).
         budget: optional shared :class:`~repro.runtime.EvaluationBudget`;
-            the deadline is enforced in the parent at dispatch/collection
-            and cooperatively inside every worker.
+            its limits hold at every ``jobs`` value (the trial cap only in
+            process, see :meth:`~repro.runtime.EvaluationBudget.for_worker`).
 
     Each same-fingerprint symbolic group of two or more entries is served
     through **one** stacked kernel call in the parent (no per-point Python
     dispatch, no pool).  Robust groups, singletons and compilation errors
-    take the per-point path; in a process pool each plan's points travel
-    to the workers as pickled chunks (:func:`~repro.engine.parallel.fan_out`),
-    and a worker killed hard fails the batch with
+    take the per-point path: each plan's points are split into chunks for
+    :func:`~repro.engine.parallel.fan_out`; in a process pool they travel
+    to the workers pickled, and a worker killed hard fails the batch with
     :class:`~repro.errors.WorkerCrashedError` naming the lost entries.
     The pool is the process-wide warm pool of ``jobs`` workers, shared by
     every engine and reused across :meth:`run` calls; its workers keep the
@@ -258,8 +260,7 @@ class BatchEngine:
             self.budget.start()
         stats = BatchStats(entries=len(requests), jobs=self.jobs)
 
-        serial = self.jobs <= 1 or len(requests) <= 1
-        obs.gauge("batch.jobs", 1 if serial else self.jobs)
+        obs.gauge("batch.jobs", 1 if len(requests) <= 1 else self.jobs)
         with obs.span("batch.run", entries=len(requests)) as run_span:
             groups = self._compile_groups(requests, stats)
             entries = [
@@ -267,12 +268,7 @@ class BatchEngine:
                 for i, r in enumerate(requests)
             ]
             remaining, fused_entries = self._run_fused(groups, entries)
-            if remaining:
-                left = sum(len(ix) for _, ix in remaining.values())
-                if serial or left <= 1:
-                    self._run_serial(remaining, entries)
-                else:
-                    self._run_parallel(remaining, entries)
+            self._run_points(remaining, entries)
             run_span.set_tag(
                 plans=len(groups),
                 fused=fused_entries,
@@ -380,24 +376,9 @@ class BatchEngine:
             fused_entries += len(indices)
         return remaining, fused_entries
 
-    def _run_serial(self, groups, entries: list[BatchEntry]) -> None:
-        for plan, indices in groups.values():
-            for index in indices:
-                entry = entries[index]
-                if isinstance(plan, ReproError):
-                    entry.error = plan
-                    continue
-                entry.backend = plan.backend
-                t0 = time.perf_counter()
-                try:
-                    if self.budget is not None:
-                        self.budget.check_deadline("batch evaluation")
-                    entry.pfail = plan.pfail(entry.actuals, budget=self.budget)
-                except ReproError as exc:
-                    entry.error = exc
-                obs.observe("batch.entry.seconds", time.perf_counter() - t0)
-
-    def _run_parallel(self, groups, entries: list[BatchEntry]) -> None:
+    def _run_points(self, groups, entries: list[BatchEntry]) -> None:
+        """Evaluate the groups the fused path left, point by point; a
+        single chunk runs in process whatever ``jobs`` is."""
         payloads, covers = [], []
         for plan, indices in groups.values():
             if isinstance(plan, ReproError):
@@ -412,7 +393,7 @@ class BatchEngine:
                 covers.append(chunk)
         outcomes = fan_out(
             "batch evaluation", evaluate_plan_points, payloads, covers,
-            jobs=self.jobs, budget=self.budget,
+            jobs=self.jobs if len(payloads) > 1 else 1, budget=self.budget,
         )
         for payload, chunk, chunk_outcomes in zip(payloads, covers, outcomes):
             for index, outcome in zip(chunk, chunk_outcomes):

@@ -10,9 +10,9 @@ identical across those points.  :class:`PlanCache` memoizes compiled
 - **hit**  — the fingerprint matches a cached plan: no derivation runs;
 - **miss** — first sight of this (model, service, mode): compile and keep;
 - **the requested backend decides, not the cache** — an ``auto`` plan and
-  a ``symbolic`` request share one entry only while the closed form
-  exists, and explicitly ``robust`` plans keep their own, so a lookup
-  answers exactly what a cold compile with that backend would;
+  a ``symbolic`` request share one entry, and a ``symbolic`` request that
+  finds the robust fallback there re-derives, so a lookup answers exactly
+  what a cold compile with that backend would;
 - **invalidation is automatic** — mutating the model (an attribute, a
   transition, a binding) changes the fingerprint, so the stale plan is
   simply never looked up again; a bounded cache evicts it in LRU order.
@@ -71,22 +71,6 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._lru)
 
-    def get(
-        self,
-        assembly: Assembly,
-        service: str | Service,
-        symbolic_attributes: bool = False,
-    ) -> EvaluationPlan | None:
-        """The cached ``auto`` plan for this (model, service, mode), or
-        ``None``.
-
-        Does not update hit/miss statistics; use :meth:`get_or_compile`
-        for the accounted path.
-        """
-        return self._lru.get(
-            plan_key(assembly, service, symbolic_attributes) + ("auto",)
-        )
-
     def get_or_compile(
         self,
         assembly: Assembly,
@@ -142,22 +126,13 @@ class PlanCache:
             compiled = True
             return plan
 
-        key = plan_key(assembly, service, symbolic_attributes)
-        if backend == "robust":
-            plan = self._lru.get_or_create(
-                key + ("robust",), lambda: compile_("robust")
-            )
-        else:
-            plan = self._lru.get_or_create(
-                key + ("auto",), lambda: compile_(backend)
-            )
-            if backend == "symbolic" and plan.backend != "symbolic":
-                plan = compile_("symbolic")
+        plan = self._lru.get_or_create(
+            plan_key(assembly, service, symbolic_attributes),
+            lambda: compile_(backend),
+        )
+        if backend == "symbolic" and plan.backend != "symbolic":
+            plan = compile_("symbolic")
         return plan, compiled
-
-    def put(self, key: tuple, plan: EvaluationPlan) -> None:
-        """Store a compiled plan under its key, evicting past the bound."""
-        self._lru.put(key, plan)
 
     def clear(self) -> None:
         """Drop every cached plan (statistics are kept)."""

@@ -6,24 +6,23 @@ chunks, Monte-Carlo trial blocks, fuzz cases — across a
 importable from a fresh worker process:
 
 - **the fail-fast fan-out** (:func:`resolve_jobs`, :func:`fan_out`):
-  ``jobs <= 1`` short-circuits to the serial path (no pool, no pickling);
+  ``jobs <= 1`` runs each payload through the same worker, in process;
   otherwise one process pool gives true CPU parallelism for the
-  pure-Python solve paths (numpy-vectorized symbolic work never needs a
-  pool: it runs fused, in-process).  The batch engine, numeric sweeps,
-  Monte-Carlo trial blocks and fuzz shards all dispatch through
-  :func:`fan_out`, which keeps one warm pool per worker count for the
-  life of the process; a dead worker fails the whole fan-out with a typed
+  pure-Python solve paths (numpy-vectorized symbolic work runs fused, in
+  process).  The batch engine, numeric sweeps, Monte-Carlo trial blocks
+  and fuzz shards all dispatch through :func:`fan_out`, which keeps one
+  warm pool per worker count for the life of the process; a dead worker
+  fails the whole fan-out with a typed
   :class:`~repro.errors.WorkerCrashedError` and retires that pool.  Retry
   and quarantine live in :mod:`repro.workunits`, which keeps its own pool;
 - **module-level worker functions** (process pools can only call picklable
   top-level callables) that receive plain-data payloads: compiled
   :class:`~repro.engine.plan.EvaluationPlan` objects, canonical assembly
   JSON, mutation documents — never live model objects, which do not pickle;
-- **cooperative budget semantics**: the parent computes the *remaining*
-  deadline at dispatch (:func:`remaining_deadline`) and each worker
-  enforces it locally through its own :class:`~repro.runtime.EvaluationBudget`;
-  consumption caps (Monte-Carlo trials) are charged once, in the parent,
-  before dispatch;
+- **one budget envelope**: every payload carries a ``budget``, the
+  caller's live :class:`~repro.runtime.EvaluationBudget` in process and
+  its :meth:`~repro.runtime.EvaluationBudget.for_worker` copy on the pool
+  (trials are charged once, by the caller, before dispatch);
 - **typed errors travel as themselves**: a worker returns the
   :class:`~repro.errors.ReproError` it caught (every subclass pickles as
   itself, its cause chain as ``caused by …`` notes), and :func:`fan_out`
@@ -54,7 +53,6 @@ __all__ = [
     "fuzz_block",
     "numeric_sweep_chunk",
     "observe_token",
-    "remaining_deadline",
     "reset_clamp_warning",
     "resolve_jobs",
     "simulate_block",
@@ -101,27 +99,18 @@ def split_evenly(items: list, parts: int) -> list[list]:
     return chunks
 
 
-#: Environment marker that makes the clamp-warning once-flag survive
-#: process boundaries: child processes (including the fresh workers a
-#: :class:`~repro.workunits.Supervisor` spawns after a
-#: ``BrokenProcessPool`` pool restart) inherit the parent's environment,
-#: import this module with the marker set, and stay silent instead of
-#: re-emitting a warning the user already saw.
-_CLAMP_WARNED_ENV = "REPRO_JOBS_CLAMP_WARNED"
-
 #: Process-wide once-flag for the jobs-clamp warning.  Campaign layers call
 #: :func:`resolve_jobs` once per dispatch round; repeating the same warning
-#: every round is noise, so it fires once per process *tree* — the flag is
-#: seeded from :data:`_CLAMP_WARNED_ENV` so restarted/spawned pools do not
-#: re-warn (tests reset it via :func:`reset_clamp_warning`).
-_clamp_warning_emitted = os.environ.get(_CLAMP_WARNED_ENV) == "1"
+#: every round is noise, so it fires once per process (tests reset it via
+#: :func:`reset_clamp_warning`).  Pool and campaign workers run at
+#: ``jobs=1`` and never reach the clamp.
+_clamp_warning_emitted = False
 
 
 def reset_clamp_warning() -> None:
-    """Re-arm the once-per-process-tree jobs-clamp warning (test helper)."""
+    """Re-arm the once-per-process jobs-clamp warning (test helper)."""
     global _clamp_warning_emitted
     _clamp_warning_emitted = False
-    os.environ.pop(_CLAMP_WARNED_ENV, None)
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -131,11 +120,8 @@ def resolve_jobs(jobs: int | None) -> int:
     :class:`RuntimeWarning` — benchmarking showed an oversubscribed pool
     is strictly *slower* than a right-sized one on this workload (workers
     are CPU-bound; extra processes only add spawn and pickling overhead).
-    The warning is emitted once per process tree — the once-flag is
-    mirrored into the environment (:data:`_CLAMP_WARNED_ENV`) so worker
-    processes, including pools the work-unit supervisor restarts after a
-    ``BrokenProcessPool``, never repeat it; every call still records the
-    resolved count on the ``engine.jobs.resolved`` gauge.
+    The warning is emitted once per process; every call still records
+    the resolved count on the ``engine.jobs.resolved`` gauge.
     """
     global _clamp_warning_emitted
     if jobs is None:
@@ -150,7 +136,6 @@ def resolve_jobs(jobs: int | None) -> int:
     elif jobs > cores:
         if not _clamp_warning_emitted:
             _clamp_warning_emitted = True
-            os.environ[_CLAMP_WARNED_ENV] = "1"
             warnings.warn(
                 f"requested jobs={jobs} exceeds the {cores} available "
                 f"core(s); clamping to {cores} (oversubscribed pools are "
@@ -163,25 +148,6 @@ def resolve_jobs(jobs: int | None) -> int:
         resolved = jobs
     obs.gauge("engine.jobs.resolved", resolved)
     return resolved
-
-
-def remaining_deadline(budget: EvaluationBudget | None) -> float | None:
-    """Seconds of deadline left to hand a worker, or ``None`` if unlimited.
-
-    Checks the parent's budget first, so dispatching past the deadline
-    raises in the parent rather than fanning out doomed work.
-    """
-    if budget is None or budget.deadline is None:
-        return None
-    budget.check_deadline("parallel dispatch")
-    return budget.remaining_time()
-
-
-def worker_budget(deadline: float | None, **limits) -> EvaluationBudget | None:
-    """A worker-local budget enforcing the parent's remaining envelope."""
-    if deadline is None and not any(v is not None for v in limits.values()):
-        return None
-    return EvaluationBudget(deadline=deadline, **limits)
 
 
 def broken_pool_error(
@@ -265,26 +231,30 @@ def fan_out(
     jobs: int,
     budget: EvaluationBudget | None = None,
 ) -> list:
-    """Run ``worker`` over ``payloads`` on the warm ``jobs``-process pool.
+    """Run ``worker`` over ``payloads``: in this process at ``jobs <= 1``,
+    otherwise on the warm ``jobs``-process pool (started on first need).
 
-    The first fan-out with a payload starts the pool; later ones, on any
-    thread, reuse it.  Fail-fast: the first error ends the fan-out and
-    cancels this call's payloads that have not started (no other call's).
-    Each payload is stamped at dispatch with the observability keys
-    (``observe``, ``dispatched_at``) and, when a ``budget`` is given, the
-    remaining ``deadline`` (see :func:`remaining_deadline`).  Results come
-    back in submission order, unpacked of any shipped worker metrics and
-    spans (:func:`unpack_worker_payload`); the budget deadline is checked
-    after each one.  A worker that returns a
-    :class:`~repro.errors.ReproError` instead of a result fails the
-    fan-out with that error, raised here in the parent.
+    Each payload is stamped with the observability keys (``observe``,
+    ``dispatched_at``), the dispatching pid (``origin``) and a ``budget``:
+    the caller's live one in process, a fresh
+    :meth:`~repro.runtime.EvaluationBudget.for_worker` copy on the pool.
+    Results come back in submission order, unpacked of shipped metrics and
+    spans (:func:`unpack_worker_payload`); a returned
+    :class:`~repro.errors.ReproError` is raised here, in the caller.
 
-    ``covers[i]`` lists the entry indices payload ``i`` serves.  A worker
-    killed hard breaks the pool, during submission or collection alike;
-    that becomes a :class:`~repro.errors.WorkerCrashedError` carrying the
-    union of ``covers[i]`` over every payload whose result was not
-    collected; the broken pool is retired, so the next fan-out starts anew.
+    On the pool, the caller's deadline is checked before each dispatch and
+    after each result.  Fail-fast: the first error cancels this call's
+    payloads that have not started (no other call's).  A worker killed
+    hard breaks the pool; that becomes a
+    :class:`~repro.errors.WorkerCrashedError` carrying the union of
+    ``covers[i]`` (the entry indices payload ``i`` serves) over every
+    payload not collected, and the broken pool is retired.
     """
+    if jobs <= 1:
+        return [
+            _collect(worker(_stamp(payload, budget))) for payload in payloads
+        ]
+
     # the process-pool stack (multiprocessing included) loads only here
     from concurrent.futures.process import BrokenProcessPool
 
@@ -293,21 +263,15 @@ def fan_out(
     results: list = []
     try:
         for payload in payloads:
-            stamped = {
-                **payload,
-                "observe": observe_token(),
-                "dispatched_at": time.time(),
-            }
+            shipped = None
             if budget is not None:
-                stamped["deadline"] = remaining_deadline(budget)
+                budget.check_deadline("parallel dispatch")
+                shipped = budget.for_worker()
             if executor is None:
                 executor = _pool(jobs)
-            futures.append(executor.submit(worker, stamped))
+            futures.append(executor.submit(worker, _stamp(payload, shipped)))
         for future in futures:
-            result = unpack_worker_payload(future.result())
-            if isinstance(result, ReproError):
-                raise result
-            results.append(result)
+            results.append(_collect(future.result()))
             if budget is not None:
                 budget.check_deadline(what)
     except BrokenProcessPool as exc:
@@ -321,6 +285,25 @@ def fan_out(
             future.cancel()
         raise
     return results
+
+
+def _stamp(payload: dict, budget: EvaluationBudget | None) -> dict:
+    """``payload`` plus the keys :func:`fan_out` hands every worker."""
+    return {
+        **payload,
+        "observe": observe_token(),
+        "dispatched_at": time.time(),
+        "origin": os.getpid(),
+        "budget": budget,
+    }
+
+
+def _collect(outcome):
+    """A worker's result, raised if it is a :class:`ReproError`."""
+    result = unpack_worker_payload(outcome)
+    if isinstance(result, ReproError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +324,9 @@ def _begin_worker_observation(payload: dict) -> bool:
     back: exactly when the payload's ``observe`` pid (see
     :func:`observe_token`) is another process.  A forked worker inherits
     the parent's enabled flag, so the flag cannot tell; the pid can.  A
-    payload run in the dispatching process itself (the supervisor's
-    inline mode) writes straight into the live registry instead.
+    payload run in the dispatching process itself (:func:`fan_out` at
+    ``jobs <= 1``, the supervisor's inline mode) writes straight into the
+    live registry instead.
     """
     owner = payload.get("observe")
     if not owner or owner == os.getpid():
@@ -391,6 +375,8 @@ def unpack_worker_payload(outcome):
 
 #: Plans this worker has been sent, so a warm worker reuses a robust
 #: plan's evaluator instead of rebuilding it from JSON on every payload.
+#: Only unpickled copies go through it: in process, the caller's own plan
+#: object is evaluated as it is.
 _worker_plans = LRUCache(8)
 
 
@@ -398,23 +384,27 @@ def evaluate_plan_points(payload: dict) -> list:
     """Evaluate one compiled plan at many actual-parameter points.
 
     Payload: ``plan`` (:class:`EvaluationPlan`), ``points`` (list of
-    name→value dicts), ``deadline`` (remaining seconds or ``None``).
-    An equal plan sent again is evaluated on the worker's warm copy.
-    Returns one entry per point: a float ``Pfail`` or the point's
+    name→value dicts), ``budget`` (an
+    :class:`~repro.runtime.EvaluationBudget` or ``None``).  An equal plan
+    sent again from another process is evaluated on the worker's warm
+    copy.  Returns one entry per point: a float ``Pfail`` or the point's
     :class:`~repro.errors.ReproError` (per-point isolation: one bad point
     does not poison the block).
     """
     owned = _begin_worker_observation(payload)
     plan = payload["plan"]
-    plan = _worker_plans.get_or_create(
-        (plan.fingerprint, plan.backend, plan.symbolic_attributes),
-        lambda: plan,
-    )
-    budget = worker_budget(payload.get("deadline"))
+    if payload.get("origin") != os.getpid():
+        plan = _worker_plans.get_or_create(
+            (plan.fingerprint, plan.backend, plan.symbolic_attributes),
+            lambda: plan,
+        )
+    budget = payload.get("budget")
     results: list = []
     for point in payload["points"]:
         t0 = time.perf_counter()
         try:
+            if budget is not None:
+                budget.check_deadline("batch evaluation")
             results.append(plan.pfail(point, budget=budget))
         except ReproError as exc:
             results.append(exc)
@@ -427,7 +417,7 @@ def numeric_sweep_chunk(payload: dict) -> list[float] | ReproError:
     :func:`~repro.analysis.sweep.sweep_parameter`.
 
     Payload: ``assembly_json`` (canonical ``repro/1`` text), ``service``,
-    ``parameter``, ``values``, ``fixed``, ``deadline``.  The assembly is
+    ``parameter``, ``values``, ``fixed``, ``budget``.  The assembly is
     rebuilt from JSON because live assemblies do not pickle.
     """
     from repro.analysis.sweep import sweep_parameter
@@ -444,8 +434,9 @@ def simulate_block(payload: dict) -> tuple[int, int] | ReproError:
     """Run one Monte-Carlo trial block; returns ``(trials, failures)``.
 
     Payload: ``assembly_json``, ``service``, ``actuals``, ``trials``,
-    ``seed``, ``deadline``.  Trials were already charged against the
-    parent's budget; the worker enforces only the remaining deadline.
+    ``seed``, ``budget``.  Trials were already charged against the
+    caller's budget; the shipped budget carries every other limit and no
+    trial cap.
     """
     from repro.dsl import load_assembly
     from repro.simulation.engine import MonteCarloSimulator
@@ -463,12 +454,12 @@ def simulate_block(payload: dict) -> tuple[int, int] | ReproError:
 
 
 def _run_worker(payload: dict, work):
-    """Run ``work(budget)`` under the payload's deadline; the result, or
+    """Run ``work(budget)`` under the payload's budget; the result, or
     the typed error it raised, goes back with this scope's observations."""
     owned = _begin_worker_observation(payload)
     t0 = time.perf_counter()
     try:
-        result = work(worker_budget(payload.get("deadline")))
+        result = work(payload.get("budget"))
     except ReproError as exc:
         result = exc
     obs.observe("batch.entry.seconds", time.perf_counter() - t0)
@@ -480,9 +471,9 @@ def fuzz_block(payload: dict) -> list:
 
     Payload: ``cases`` (list of ``(index, mutation)`` pairs — mutations
     are picklable documents), ``service``, ``actuals``, ``seed``,
-    ``trials``, ``deadline``.  Case classification already treats every
-    outcome as data (ok / typed-error / violation), so no failure
-    transport is needed here.
+    ``trials``, ``deadline`` (the per-case budget, not the fan-out's).
+    Case classification already treats every outcome as data (ok /
+    typed-error / violation), so no failure transport is needed here.
     """
     from repro.robustness.harness import run_fuzz_case
 

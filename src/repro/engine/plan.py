@@ -303,10 +303,10 @@ def compile_plan(
         service: the evaluation target.
         symbolic_attributes: leave interface attributes free (for
             attribute sweeps/sensitivities); symbolic backend only.
-        backend: ``"symbolic"``, ``"robust"``, or ``"auto"`` (try the
-            closed-form derivation, fall back to the robust skeleton when
-            the assembly is cyclic or the derivation fails with a typed
-            symbolic error).
+        backend: ``"symbolic"`` or ``"auto"`` (try the closed-form
+            derivation, fall back to the robust skeleton when the assembly
+            is cyclic or the derivation fails with a typed symbolic
+            error).
         budget: optional budget charged during the derivation.
 
     Every call performs real work and bumps the ``plan.compilations``
@@ -319,33 +319,32 @@ def compile_plan(
     name = service.name if isinstance(service, Service) else str(service)
     svc = assembly.service(name)
     fingerprint = service_fingerprint(assembly, name)
-    if backend not in ("auto", "symbolic", "robust"):
+    if backend not in ("auto", "symbolic"):
         raise EvaluationError(f"unknown plan backend {backend!r}")
 
     obs.count("plan.compilations")
 
     with obs.span("plan.compile", service=name, requested=backend) as sp:
-        if backend in ("auto", "symbolic"):
-            try:
-                expression = SymbolicEvaluator(
-                    assembly,
-                    symbolic_attributes=symbolic_attributes,
-                    budget=budget,
-                ).pfail_expression(name)
-            except (CyclicAssemblyError, SymbolicError):
-                if backend == "symbolic":
-                    raise
-            else:
-                sp.set_tag(backend="symbolic")
-                obs.count("plan.compiled.symbolic")
-                return EvaluationPlan(
-                    name,
-                    fingerprint,
-                    "symbolic",
-                    svc.formal_parameters,
-                    expression=expression,
-                    symbolic_attributes=symbolic_attributes,
-                )
+        try:
+            expression = SymbolicEvaluator(
+                assembly,
+                symbolic_attributes=symbolic_attributes,
+                budget=budget,
+            ).pfail_expression(name)
+        except (CyclicAssemblyError, SymbolicError):
+            if backend == "symbolic":
+                raise
+        else:
+            sp.set_tag(backend="symbolic")
+            obs.count("plan.compiled.symbolic")
+            return EvaluationPlan(
+                name,
+                fingerprint,
+                "symbolic",
+                svc.formal_parameters,
+                expression=expression,
+                symbolic_attributes=symbolic_attributes,
+            )
 
         if symbolic_attributes:
             raise EvaluationError(

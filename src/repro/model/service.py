@@ -112,6 +112,16 @@ class Service:
         self.name = name
         self.interface = interface if interface is not None else AnalyticInterface()
 
+    def __setattr__(self, name: str, value) -> None:
+        # A service is a value: an assembly's fingerprint memo and the plans
+        # cached under it would go stale if a field changed after it is set.
+        if name in self.__dict__:
+            raise AttributeError(
+                f"{type(self).__name__} {self.name!r} is read-only; "
+                f"cannot reassign {name!r}"
+            )
+        object.__setattr__(self, name, value)
+
     @property
     def formal_parameters(self) -> tuple[str, ...]:
         """Formal-parameter names of the service."""

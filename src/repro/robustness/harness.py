@@ -167,9 +167,9 @@ def run_fuzz_case(
     """Evaluate one mutated model and classify the outcome.
 
     Module-level (and driven entirely by picklable arguments — mutations
-    are plain documents) so the engine's process-pool worker
-    (:func:`repro.engine.parallel.fuzz_block`) can run cases remotely;
-    :meth:`FuzzHarness.run_case` delegates here.
+    are plain documents) so the engine's worker
+    (:func:`repro.engine.parallel.fuzz_block`) can run cases in process
+    or on the pool alike.
     """
     try:
         assembly = mutation.build()
@@ -249,66 +249,44 @@ class FuzzHarness:
 
     # -- execution ---------------------------------------------------------
 
-    def run_case(self, index: int, mutation: Mutation) -> FuzzCase:
-        """Evaluate one mutated model and classify the outcome."""
-        return run_fuzz_case(
-            index,
-            mutation,
-            service=self.service,
-            actuals=self.actuals,
-            seed=self.seed,
-            trials=self.trials,
-            deadline=self.deadline,
-        )
-
     def run(self, count: int = 200, jobs: int = 1) -> FuzzReport:
         """Run ``count`` mutated models and aggregate the outcomes.
 
-        With ``jobs > 1`` the mutations are still generated here, in
-        order (so the corpus is identical regardless of worker count),
-        then sharded across a process pool; cases land in the report in
-        index order either way, and each case's simulation seed depends
-        only on its index, so classification matches the serial run
-        exactly.
+        The mutations are generated here, in order (so the corpus is
+        identical regardless of worker count), then sharded through
+        :func:`~repro.engine.parallel.fan_out`: in this process at
+        ``jobs=1``, across a process pool otherwise.  Cases land in the
+        report in index order either way, and each case's simulation seed
+        depends only on its index, so classification does not depend on
+        ``jobs``.
         """
-        from repro.engine.parallel import resolve_jobs
+        from repro.engine import parallel
 
         started = time.monotonic()
         report = FuzzReport()
         mutations = list(enumerate(self.mutator.generate(count)))
-        jobs = resolve_jobs(jobs)
+        jobs = parallel.resolve_jobs(jobs)
         with obs.span("fuzz.run", cases=len(mutations), jobs=jobs) as sp:
-            if jobs > 1 and len(mutations) > 1:
-                report.cases = self._run_parallel(mutations, jobs)
-            else:
-                report.cases = [
-                    self.run_case(index, mutation)
-                    for index, mutation in mutations
-                ]
+            shards = parallel.split_evenly(mutations, jobs)
+            payloads = [
+                {
+                    "cases": shard,
+                    "service": self.service,
+                    "actuals": self.actuals,
+                    "seed": self.seed,
+                    "trials": self.trials,
+                    "deadline": self.deadline,
+                }
+                for shard in shards
+            ]
+            blocks = parallel.fan_out(
+                "fuzz campaign", parallel.fuzz_block, payloads,
+                [[index for index, _ in shard] for shard in shards],
+                jobs=jobs if len(shards) > 1 else 1,
+            )
+            report.cases = [case for block in blocks for case in block]
             for case in report.cases:
                 obs.count(f"fuzz.case.{case.status}")
             sp.set_tag(violations=len(report.violations))
         report.elapsed = time.monotonic() - started
         return report
-
-    def _run_parallel(self, mutations: list, jobs: int) -> list[FuzzCase]:
-        from repro.engine.parallel import fan_out, fuzz_block, split_evenly
-
-        shards = split_evenly(mutations, jobs)
-        payloads = [
-            {
-                "cases": shard,
-                "service": self.service,
-                "actuals": self.actuals,
-                "seed": self.seed,
-                "trials": self.trials,
-                "deadline": self.deadline,
-            }
-            for shard in shards
-        ]
-        blocks = fan_out(
-            "fuzz campaign", fuzz_block, payloads,
-            [[index for index, _ in shard] for shard in shards], jobs=jobs,
-        )
-        cases = [case for block in blocks for case in block]
-        return sorted(cases, key=lambda case: case.index)

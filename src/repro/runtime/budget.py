@@ -134,20 +134,25 @@ class EvaluationBudget:
         """True when the deadline has passed."""
         return self.remaining_time() <= 0.0
 
-    def sub_deadline(self, cap: float | None = None) -> float | None:
-        """The deadline for one sub-task, given an optional per-task cap.
+    def for_worker(self, cap: float | None = None) -> "EvaluationBudget":
+        """A fresh budget for work run apart from this one: a pool worker's
+        payload or a campaign unit.
 
-        The campaign layer (:mod:`repro.workunits`) hands every work unit
-        its own wall-clock timeout; a unit must also never outlive the
-        campaign's overall budget.  Returns the smaller of ``cap`` and the
-        remaining budget time (floored at 0.0), or ``None`` when both are
-        unlimited.
+        It holds the remaining deadline, capped by ``cap`` (a campaign's
+        per-unit timeout) and floored at 0.0, plus the same ``max_states``,
+        ``max_depth`` and ``max_sweeps``.  The trial cap stays here: trials
+        are charged once, by the caller, before the work is dispatched.
         """
-        remaining = self.remaining_time()
-        if remaining == float("inf"):
-            return cap
-        remaining = max(remaining, 0.0)
-        return remaining if cap is None else min(cap, remaining)
+        deadline = cap
+        if self.deadline is not None:
+            remaining = max(self.remaining_time(), 0.0)
+            deadline = remaining if cap is None else min(cap, remaining)
+        return EvaluationBudget(
+            deadline=deadline,
+            max_states=self.max_states,
+            max_depth=self.max_depth,
+            max_sweeps=self.max_sweeps,
+        )
 
     @property
     def trials_used(self) -> int:

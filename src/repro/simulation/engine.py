@@ -211,8 +211,9 @@ class MonteCarloSimulator:
         run on a process pool, each block with an independent child stream
         spawned from this simulator's seed (``SeedSequence.spawn``), so an
         estimate is reproducible for a given ``(seed, jobs)`` pair.  The
-        trial cap is charged once here, in the parent; workers enforce
-        only the remaining deadline.
+        trials are charged once here, in the caller; each worker runs
+        under :meth:`~repro.runtime.EvaluationBudget.for_worker` of this
+        simulator's budget, which carries every limit but the trial cap.
         """
         from repro.engine.parallel import resolve_jobs
 

@@ -146,9 +146,11 @@ class Supervisor:
         validate_redundancy: when >= 2, every ``N``-th completed unit
             (deterministically sampled by id) is re-executed once and the
             payloads compared — a cheap nondeterminism tripwire.
-        budget: optional campaign-wide :class:`EvaluationBudget`; its
-            remaining time caps every unit's cooperative deadline and the
-            supervisor load-sheds (typed error) when it expires.
+        budget: optional campaign-wide :class:`EvaluationBudget`; every
+            unit runs under :meth:`EvaluationBudget.for_worker` of it (its
+            remaining time, capped by ``unit_timeout``, and its state,
+            depth and sweep limits), and the supervisor load-sheds (typed
+            error) when it expires.
         chaos: optional :class:`~repro.robustness.chaos.ChaosPolicy`
             shipped to workers — fault injection for tests and CI.
         mode: ``"process"`` (sacrificial pool, the default) or
@@ -257,15 +259,20 @@ class Supervisor:
 
     # -- shared attempt bookkeeping ---------------------------------------
 
+    def _unit_budget(self) -> EvaluationBudget:
+        """The budget one unit runs under: the campaign budget's remaining
+        deadline capped by the unit timeout, and its other limits."""
+        campaign = self.budget if self.budget is not None else EvaluationBudget()
+        return campaign.for_worker(self.unit_timeout)
+
     def _dispatch_payload(self, unit: WorkUnit, attempt: int) -> dict:
-        deadline = self.unit_timeout
+        budget = self._unit_budget()
         if self.budget is not None:
-            deadline = self.budget.sub_deadline(self.unit_timeout)
             self.budget.check_deadline("work-unit campaign")
         return {
             "unit": unit.to_dict(),
             "attempt": attempt,
-            "deadline": deadline,
+            "budget": budget,
             "chaos": self.chaos,
             "observe": observe_token(),
             "dispatched_at": time.time(),
@@ -603,10 +610,7 @@ class Supervisor:
             payload = {
                 "unit": unit.to_dict(),
                 "attempt": self.max_attempts + 1,
-                "deadline": (
-                    self.budget.sub_deadline(self.unit_timeout)
-                    if self.budget is not None else self.unit_timeout
-                ),
+                "budget": self._unit_budget(),
                 "chaos": None,
                 "observe": False,
                 "dispatched_at": time.time(),

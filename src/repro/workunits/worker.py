@@ -6,9 +6,10 @@ harder contract: the supervisor assumes a worker may **die, hang or lie**
 at any point, so nothing here is trusted until the parent has validated
 the returned payload shape.
 
-A worker payload carries the unit's dict form, the attempt number, a
-cooperative deadline (the smaller of the per-unit timeout and the
-campaign budget's remaining time), and optionally a
+A worker payload carries the unit's dict form, the attempt number, an
+:class:`~repro.runtime.EvaluationBudget` (the smaller of the per-unit
+timeout and the campaign budget's remaining time as its deadline, plus the
+campaign's state, depth and sweep limits), and optionally a
 :class:`~repro.robustness.chaos.ChaosPolicy` — the fault-injection hook
 the chaos tests and the chaos-smoke CI job use to force crashes, hangs
 and corrupted results on schedule.
@@ -27,7 +28,6 @@ import time
 from repro.engine.parallel import (
     _begin_worker_observation,
     _ship_worker_observation,
-    worker_budget,
 )
 from repro.errors import ReproError, error_chain, format_error_chain
 
@@ -40,7 +40,7 @@ def execute_unit(payload: dict) -> dict:
 
     Payload keys: ``unit`` (dict form of a
     :class:`~repro.workunits.units.WorkUnit`), ``attempt`` (1-based),
-    ``deadline`` (cooperative seconds or ``None``), ``chaos`` (optional
+    ``budget`` (:class:`~repro.runtime.EvaluationBudget`), ``chaos`` (optional
     :class:`~repro.robustness.chaos.ChaosPolicy`), plus the standard
     ``observe``/``dispatched_at`` observability keys.
     """
@@ -50,7 +50,7 @@ def execute_unit(payload: dict) -> dict:
     chaos = payload.get("chaos")
     if chaos is not None:
         chaos.apply_before(unit["index"], attempt)
-    budget = worker_budget(payload.get("deadline"))
+    budget = payload["budget"]
     started = time.perf_counter()
     try:
         result = _EXECUTORS[unit["kind"]](unit, budget)

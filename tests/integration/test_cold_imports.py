@@ -154,6 +154,15 @@ def test_parallel_batch_loads_the_pool_stack(models):
     assert "multiprocessing" in modules
 
 
+def test_serial_batch_of_a_recursive_model_is_light(models):
+    # at --jobs 1 the robust group goes through fan_out's in-process branch
+    modules = loaded_modules(
+        CLI, "batch", "A", "--model", models["recursive"],
+        "--at", "size=1", "--at", "size=2", "--jobs", "1",
+    )
+    assert heavy(modules) == []
+
+
 def test_numeric_what_if_below_the_sparse_threshold_is_light():
     states = 150
     assert states < SPARSE_THRESHOLD

@@ -6,7 +6,8 @@ model, and a model without the requested service — runs through the
 serial engine, the process pool, a fresh campaign, the same campaign
 resumed from its journal, and the daemon's ``/v1/batch``.  Every entry must
 come back with the same class name and message on every path (and the
-same ``Pfail`` where it succeeds).
+same ``Pfail`` where it succeeds).  The same holds for the batch under a
+sweep, state or depth cap: every path runs it under the whole budget.
 """
 
 import json
@@ -14,12 +15,15 @@ import os
 
 import pytest
 
+from repro.analysis import sweep_parameter
 from repro.dsl import assembly_to_dict, assembly_from_dict
 from repro.engine import BatchEngine, BatchRequest
 from repro.engine.parallel import fan_out
-from repro.errors import EvaluationError, MarkovError
+from repro.errors import BudgetExceededError, EvaluationError, MarkovError
+from repro.runtime import EvaluationBudget
 from repro.scenarios import local_assembly, recursive_assembly
 from repro.server import ReproServer
+from repro.simulation import MonteCarloSimulator
 from repro.workunits import assemble_batch, batch_campaign, run_campaign
 
 SERVICE = "A"
@@ -60,27 +64,30 @@ def outcome(entry) -> tuple:
     return (type(entry.error).__name__, str(entry.error))
 
 
-def engine_outcomes(jobs: int) -> list[tuple]:
+def engine_outcomes(jobs: int, limits=None) -> list[tuple]:
     requests = [
         BatchRequest(assembly_from_dict(doc), SERVICE, point, label=label)
         for label, doc in MODELS
         for point in POINTS
     ]
-    return [outcome(entry) for entry in BatchEngine(jobs=jobs).run(requests)]
+    engine = BatchEngine(jobs=jobs, budget=EvaluationBudget.from_dict(limits))
+    return [outcome(entry) for entry in engine.run(requests)]
 
 
-def campaign_outcomes(store) -> list[tuple]:
+def campaign_outcomes(store, limits=None) -> list[tuple]:
     campaign = batch_campaign(
         [(label, assembly_from_dict(doc)) for label, doc in MODELS],
         SERVICE,
         POINTS,
     )
-    report = run_campaign(campaign, store, jobs=2)
+    report = run_campaign(
+        campaign, store, jobs=2, budget=EvaluationBudget.from_dict(limits)
+    )
     assert not report.quarantined
     return [outcome(entry) for entry in assemble_batch(campaign, report)]
 
 
-def daemon_outcomes() -> list[tuple]:
+def daemon_outcomes(limits=None) -> list[tuple]:
     import urllib.request
 
     body = {"requests": [
@@ -88,6 +95,8 @@ def daemon_outcomes() -> list[tuple]:
         for label, doc in MODELS
         for point in POINTS
     ]}
+    if limits:
+        body["budget"] = limits
     server = ReproServer(port=0).start()
     try:
         request = urllib.request.Request(
@@ -105,6 +114,17 @@ def daemon_outcomes() -> list[tuple]:
     ]
 
 
+def assert_every_path_matches(serial, store, limits=None) -> None:
+    paths = {
+        "jobs=2": engine_outcomes(jobs=2, limits=limits),
+        "campaign": campaign_outcomes(store, limits),
+        "resumed campaign": campaign_outcomes(store, limits),
+        "daemon": daemon_outcomes(limits),
+    }
+    for name, outcomes in paths.items():
+        assert outcomes == serial, name
+
+
 def test_every_path_reports_the_same_entries(tmp_path):
     serial = engine_outcomes(jobs=1)
     assert [kind for kind, _ in serial] == [
@@ -112,16 +132,41 @@ def test_every_path_reports_the_same_entries(tmp_path):
         "UnboundParameterError", "UnboundParameterError", "ok",
         "UnknownServiceError", "UnknownServiceError", "UnknownServiceError",
     ]
+    assert_every_path_matches(serial, tmp_path / "batch.jsonl")
 
-    store = tmp_path / "batch.jsonl"
-    paths = {
-        "jobs=2": engine_outcomes(jobs=2),
-        "campaign": campaign_outcomes(store),
-        "resumed campaign": campaign_outcomes(store),
-        "daemon": daemon_outcomes(),
-    }
-    for name, outcomes in paths.items():
-        assert outcomes == serial, name
+
+@pytest.mark.parametrize("limit, value", [
+    ("sweeps", 2),  # trips in the numeric tier's fixed-point solve
+    ("states", 3),  # trips in the numeric tier's absorbing solve
+    ("depth", 1),   # trips while the plan compiles
+])
+def test_a_budgeted_batch_reports_the_same_entries_on_every_path(
+    tmp_path, limit, value
+):
+    limits = {f"max_{limit}": value}
+    serial = engine_outcomes(jobs=1, limits=limits)
+    kind, message = serial[0]  # the recursive model at size=1
+    assert kind != "ok" and f"{limit} limit {value}" in message
+    assert_every_path_matches(serial, tmp_path / "batch.jsonl", limits)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_budgeted_numeric_sweep_fails_alike_at_any_jobs(jobs):
+    with pytest.raises(BudgetExceededError, match=r"sweeps limit 2 \(used 3\)"):
+        sweep_parameter(
+            recursive_assembly(), SERVICE, "size", [1.0, 2.0, 3.0, 4.0],
+            method="numeric", jobs=jobs, budget=EvaluationBudget(max_sweeps=2),
+        )
+
+
+def test_a_parallel_estimate_may_spend_the_whole_trial_cap():
+    # trials are charged once, by the caller; the workers get no trial cap
+    budget = EvaluationBudget(max_trials=1000)
+    estimate = MonteCarloSimulator(
+        local_assembly(), seed=1, budget=budget
+    ).estimate_pfail("search", 1000, jobs=2, elem=1, list=500, res=1)
+    assert estimate.trials == 1000
+    assert budget.trials_used == 1000
 
 
 def _chained_failure(payload: dict):

@@ -143,7 +143,8 @@ def classified_chains(draw, max_states=8):
             [draw(st.floats(min_value=0.0, max_value=1.0)) for _ in range(n)]
         )
         rest[i] = 0.0
-        matrix[i] = (1.0 - loop) * rest / rest.sum() if rest.sum() else 0.0
+        # normalize before scaling: a subnormal rest would underflow to 0
+        matrix[i] = (1.0 - loop) * (rest / rest.sum()) if rest.sum() else 0.0
         matrix[i, i] = loop if rest.sum() else 1.0
     return DiscreteTimeMarkovChain([f"s{i}" for i in range(n)], matrix)
 

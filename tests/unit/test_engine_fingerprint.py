@@ -156,3 +156,17 @@ class TestFingerprintMemo:
         assert assembly_fingerprint(assembly) != before
         assert assembly_fingerprint(assembly) == assembly_fingerprint(rebuilt)
         assert '"name":"renamed"' in canonical_json(assembly)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["name", "interface", "failure_probability", "duration", "flow"],
+    )
+    def test_services_refuse_reassignment(self, field):
+        assembly = local_assembly()
+        before = assembly_fingerprint(assembly)
+        service = next(s for s in assembly.services if hasattr(s, field))
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(service, field, getattr(service, field))
+        assert assembly._canonical is not None
+        assert assembly_fingerprint(assembly) == before
+        assert assembly_fingerprint(local_assembly()) == before

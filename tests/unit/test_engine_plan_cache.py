@@ -232,17 +232,6 @@ class TestRequestedBackendDecides:
                                         backend="symbolic")
         assert cache.get_or_compile(local_assembly(), "search") is symbolic
 
-    def test_robust_request_is_not_served_a_symbolic_plan(self):
-        cache = PlanCache()
-        cache.get_or_compile(local_assembly(), "search")
-        robust = cache.get_or_compile(local_assembly(), "search",
-                                      backend="robust")
-        assert robust.backend == "robust"
-        # ... and an auto lookup afterwards still gets the closed form
-        assert cache.get_or_compile(local_assembly(), "search").backend == (
-            "symbolic"
-        )
-
     def test_lookup_reports_whether_it_compiled(self):
         cache = PlanCache()
         options = dict(symbolic_attributes=False, backend="auto", budget=None)

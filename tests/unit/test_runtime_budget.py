@@ -94,6 +94,24 @@ class TestBudgetSemantics:
         assert "chain solve" in str(error)
 
 
+class TestForWorker:
+    def test_ships_every_limit_but_the_trial_cap(self):
+        budget = EvaluationBudget(deadline=60.0, max_states=10, max_depth=3,
+                                  max_sweeps=2, max_trials=5)
+        budget.charge_trials(4)
+        shipped = budget.for_worker()
+        assert shipped is not budget
+        assert (shipped.max_states, shipped.max_depth, shipped.max_sweeps,
+                shipped.max_trials, shipped.trials_used) == (10, 3, 2, None, 0)
+        assert 0.0 < shipped.deadline <= 60.0
+
+    def test_the_cap_bounds_the_remaining_deadline(self):
+        assert EvaluationBudget().for_worker().deadline is None
+        assert EvaluationBudget().for_worker(5.0).deadline == 5.0
+        assert EvaluationBudget(deadline=60.0).for_worker(5.0).deadline == 5.0
+        assert EvaluationBudget(deadline=0.0).for_worker(5.0).deadline == 0.0
+
+
 class TestEveryEvaluatorHonorsDeadline:
     """Deadline ~0 must produce a typed refusal from every entry point."""
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro.caching import LRUCache
 from repro.errors import EvaluationError, UnboundParameterError
-from repro.scenarios import local_assembly, remote_assembly
+from repro.scenarios import local_assembly, recursive_assembly, remote_assembly
 from repro.symbolic import (
     Binary,
     Call,
@@ -315,5 +315,6 @@ class TestPlanIntegration:
     def test_robust_plan_has_no_kernel(self):
         from repro.engine.plan import compile_plan
 
-        plan = compile_plan(local_assembly(), "search", backend="robust")
+        plan = compile_plan(recursive_assembly(), "A")
+        assert plan.backend == "robust"
         assert plan.kernel() is None
