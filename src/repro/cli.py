@@ -229,8 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         group.add_argument(
             "--retries", type=non_negative(int), default=2, metavar="N",
-            help="failed attempts a unit may retry before quarantine "
-                 "(default 2; capped exponential backoff between attempts)",
+            help="times a unit may retry after a crash, a timeout, a "
+                 "corrupt payload or a spent deadline before quarantine; "
+                 "any other typed error quarantines it at once (default 2; "
+                 "capped exponential backoff between attempts)",
         )
         group.add_argument(
             "--validate-redundancy", type=non_negative(int), default=0,
@@ -667,7 +669,7 @@ def _cmd_batch(args) -> int:
 
 def _cmd_sweep_campaign(args) -> int:
     from repro.analysis import format_sweep
-    from repro.workunits import assemble_sweep, sweep_campaign
+    from repro.workunits import assemble_sweep, quarantine_error, sweep_campaign
 
     campaign = sweep_campaign(
         _load(args.file),
@@ -680,6 +682,9 @@ def _cmd_sweep_campaign(args) -> int:
     )
     report = _campaign_run(args, campaign)
     print(format_sweep(assemble_sweep(campaign, report)))
+    error = quarantine_error(campaign, report)
+    if error is not None:
+        raise error  # the plain sweep's error line and exit code
     return 0 if report.ok else 1
 
 

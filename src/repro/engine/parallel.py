@@ -325,8 +325,8 @@ def _begin_worker_observation(payload: dict) -> bool:
     :func:`observe_token`) is another process.  A forked worker inherits
     the parent's enabled flag, so the flag cannot tell; the pid can.  A
     payload run in the dispatching process itself (:func:`fan_out` at
-    ``jobs <= 1``, the supervisor's inline mode) writes straight into the
-    live registry instead.
+    ``jobs <= 1``, the supervisor's redundant validation) writes straight
+    into the live registry instead.
     """
     owner = payload.get("observe")
     if not owner or owner == os.getpid():

@@ -138,12 +138,6 @@ class ChaosPolicy:
                 return action
         return None
 
-    @property
-    def needs_isolation(self) -> bool:
-        """True when the schedule can kill or stall its host process —
-        such a policy must only ever run inside a sacrificial worker."""
-        return any(action in (CRASH, HANG) for _, action, _ in self.schedule)
-
     def describe(self) -> str:
         """One-line human rendering (mirrors the spec grammar)."""
         parts = []

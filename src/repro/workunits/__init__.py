@@ -28,6 +28,7 @@ from repro.workunits.runner import (
     assemble_batch,
     assemble_fuzz,
     assemble_sweep,
+    quarantine_error,
     run_campaign,
 )
 from repro.workunits.store import ResultStore, StoreState, load_state
@@ -58,6 +59,7 @@ __all__ = [
     "batch_campaign",
     "fuzz_campaign",
     "load_state",
+    "quarantine_error",
     "run_campaign",
     "sweep_campaign",
 ]

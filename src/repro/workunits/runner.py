@@ -30,6 +30,7 @@ __all__ = [
     "assemble_batch",
     "assemble_fuzz",
     "assemble_sweep",
+    "quarantine_error",
     "run_campaign",
 ]
 
@@ -43,7 +44,7 @@ def run_campaign(
 
     Keyword options are forwarded to the supervisor (``jobs``,
     ``unit_timeout``, ``retries``, ``validate_redundancy``, ``budget``,
-    ``chaos``, ``mode``, backoff tuning).
+    ``chaos``).
     """
     return Supervisor(campaign, **supervisor_options).run(store_path)
 
@@ -93,8 +94,6 @@ def error_from_record(record: dict) -> ReproError:
     message; a class this library no longer defines comes back as an
     :class:`EvaluationError` naming it.
     """
-    from repro import errors as errors_module
-
     name = str(record.get("error", ""))
     message = str(record.get("message", ""))
     causes = tuple(record.get("causes", ()))
@@ -103,10 +102,34 @@ def error_from_record(record: dict) -> ReproError:
         message = message.removesuffix(
             " (caused by " + "; caused by ".join(causes) + ")"
         )
-    cls = getattr(errors_module, name, None)
-    if not (isinstance(cls, type) and issubclass(cls, ReproError)):
+    cls = _error_class(name)
+    if cls is None:
         cls, message = EvaluationError, f"{name}: {message}"
     return restore_error(cls, (message,), {}, causes)
+
+
+def quarantine_error(campaign: Campaign, report: CampaignReport):
+    """The typed error of the first quarantined unit that raised one, or
+    ``None``: crashes, timeouts and corrupt payloads are journaled with no
+    ``"Type: "`` head.  The CLI raises it after a campaign's output, so
+    the campaign exits as the plain command does."""
+    for unit in campaign.units:
+        text = report.quarantined.get(unit.unit_id, "")
+        name = text.partition(": ")[0]
+        if _error_class(name) is not None:
+            return error_from_record({"error": name, "message": text})
+    return None
+
+
+def _error_class(name: str):
+    """The :class:`ReproError` subclass ``repro.errors`` defines as
+    ``name``, or ``None``."""
+    from repro import errors as errors_module
+
+    cls = getattr(errors_module, name, None)
+    if isinstance(cls, type) and issubclass(cls, ReproError):
+        return cls
+    return None
 
 
 def assemble_batch(campaign: Campaign, report: CampaignReport) -> list:

@@ -16,10 +16,12 @@ one — any worker may
 - **lie** (bit flips, truncated writes): payloads are shape-validated on
   receipt; implausible ones are charged a ``corrupt`` attempt.
 
-Retries back off exponentially (capped) with **deterministic jitter**
-derived from the unit id — reproducible schedules, no thundering herd.
-After ``retries`` failed attempts a unit is quarantined: recorded,
-reported, and never allowed to sink the campaign.
+A typed error raised by the unit itself (a spent deadline aside) is
+final: the same inputs would raise it again, so the unit is quarantined
+at once.  Retries back off exponentially (capped) with **deterministic
+jitter** derived from the unit id — reproducible schedules, no
+thundering herd.  After ``retries`` failed attempts a unit is
+quarantined: recorded, reported, and never allowed to sink the campaign.
 
 Every attempt is journaled through :class:`~repro.workunits.store.ResultStore`
 before the supervisor acts on it, so a campaign killed at *any* point
@@ -30,14 +32,22 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
+import json
 import time
+from collections.abc import Iterator
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from repro import observability as obs
-from repro.engine.parallel import observe_token
+from repro.engine.parallel import (
+    _exit_with_parent,
+    _stamp,
+    unpack_worker_payload,
+)
 from repro.errors import EvaluationError, format_error_chain
 from repro.runtime.budget import EvaluationBudget
 
@@ -49,6 +59,7 @@ __all__ = ["CampaignReport", "Supervisor", "backoff_delay"]
 
 #: Default retry envelope: 1 + RETRIES attempts per unit.
 DEFAULT_RETRIES = 2
+#: Retry backoff envelope in seconds (see :func:`backoff_delay`).
 BACKOFF_BASE = 0.05
 BACKOFF_CAP = 5.0
 
@@ -133,6 +144,31 @@ class _Flight:
     overdue_at: float | None  # monotonic deadline, None = no timeout
 
 
+class _Outcome(NamedTuple):
+    """One attempt's classified result."""
+
+    status: str  # done / failed / timeout / crashed / corrupt
+    payload: object = None
+    error: str = ""
+    elapsed: float = 0.0
+    final: bool = False  # a typed failure a retry would only repeat
+
+
+@dataclass
+class _Run:
+    """One run's books: the journal, its replayed state, the report and
+    the ready heap of ``(not_before, seq, unit)``."""
+
+    state: StoreState
+    store: ResultStore
+    report: CampaignReport
+    ready: list = field(default_factory=list)
+    seq: Iterator[int] = field(default_factory=itertools.count)
+
+    def enqueue(self, unit: WorkUnit, not_before: float = 0.0) -> None:
+        heapq.heappush(self.ready, (not_before, next(self.seq), unit))
+
+
 class Supervisor:
     """Run a :class:`~repro.workunits.units.Campaign` to completion.
 
@@ -153,11 +189,6 @@ class Supervisor:
             error) when it expires.
         chaos: optional :class:`~repro.robustness.chaos.ChaosPolicy`
             shipped to workers — fault injection for tests and CI.
-        mode: ``"process"`` (sacrificial pool, the default) or
-            ``"inline"`` (in-process sequential execution; refuses
-            crash/hang chaos, enforces no hard timeouts — for doctests
-            and unit tests only).
-        backoff_base / backoff_cap: retry backoff envelope in seconds.
     """
 
     def __init__(
@@ -170,24 +201,14 @@ class Supervisor:
         validate_redundancy: int = 0,
         budget: EvaluationBudget | None = None,
         chaos=None,
-        mode: str = "process",
-        backoff_base: float = BACKOFF_BASE,
-        backoff_cap: float = BACKOFF_CAP,
     ):
         from repro.engine.parallel import resolve_jobs
 
-        if mode not in ("process", "inline"):
-            raise EvaluationError(f"unknown supervisor mode {mode!r}")
         if retries < 0:
             raise EvaluationError(f"retries must be >= 0, got {retries}")
         if unit_timeout is not None and unit_timeout <= 0:
             raise EvaluationError(
                 f"unit timeout must be positive, got {unit_timeout}"
-            )
-        if mode == "inline" and chaos is not None and chaos.needs_isolation:
-            raise EvaluationError(
-                "crash/hang chaos requires process isolation "
-                "(mode='inline' would kill or stall the supervisor itself)"
             )
         self.campaign = campaign
         self.jobs = max(1, resolve_jobs(jobs))
@@ -196,9 +217,6 @@ class Supervisor:
         self.validate_redundancy = int(validate_redundancy)
         self.budget = budget
         self.chaos = chaos
-        self.mode = mode
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
 
     # -- entry point -------------------------------------------------------
 
@@ -218,17 +236,14 @@ class Supervisor:
             kind=self.campaign.kind,
             units=len(self.campaign),
             jobs=self.jobs,
-            mode=self.mode,
         ) as sp:
             store, state = ResultStore.for_campaign(store_path, self.campaign)
             try:
-                pending = self._absorb_state(state, report)
-                if pending:
-                    if self.mode == "inline":
-                        self._run_inline(pending, state, store, report)
-                    else:
-                        self._run_pool(pending, state, store, report)
-                self._validate(store, report)
+                run = _Run(state, store, report)
+                self._absorb_state(run)
+                if run.ready:
+                    self._run_pool(run)
+                self._validate(run)
             finally:
                 store.close()
             sp.set_tag(
@@ -241,11 +256,9 @@ class Supervisor:
 
     # -- resume ------------------------------------------------------------
 
-    def _absorb_state(
-        self, state: StoreState, report: CampaignReport
-    ) -> list[WorkUnit]:
-        """Fold the replayed journal into the report; return work left."""
-        pending: list[WorkUnit] = []
+    def _absorb_state(self, run: _Run) -> None:
+        """Fold the replayed journal into the report; enqueue work left."""
+        state, report = run.state, run.report
         for unit in self.campaign.units:
             if unit.unit_id in state.results:
                 report.results[unit.unit_id] = state.results[unit.unit_id]
@@ -254,185 +267,105 @@ class Supervisor:
             elif unit.unit_id in state.quarantined:
                 report.quarantined[unit.unit_id] = state.quarantined[unit.unit_id]
             else:
-                pending.append(unit)
-        return pending
+                run.enqueue(unit)
 
-    # -- shared attempt bookkeeping ---------------------------------------
+    # -- attempt bookkeeping -----------------------------------------------
 
-    def _unit_budget(self) -> EvaluationBudget:
-        """The budget one unit runs under: the campaign budget's remaining
-        deadline capped by the unit timeout, and its other limits."""
+    def _dispatch_payload(self, unit: WorkUnit, attempt: int, chaos) -> dict:
+        """What :func:`execute_unit` gets for one attempt at ``unit``: its
+        budget is the campaign budget's remaining deadline capped by the
+        unit timeout, and its other limits."""
         campaign = self.budget if self.budget is not None else EvaluationBudget()
-        return campaign.for_worker(self.unit_timeout)
-
-    def _dispatch_payload(self, unit: WorkUnit, attempt: int) -> dict:
-        budget = self._unit_budget()
-        if self.budget is not None:
-            self.budget.check_deadline("work-unit campaign")
-        return {
-            "unit": unit.to_dict(),
-            "attempt": attempt,
-            "budget": budget,
-            "chaos": self.chaos,
-            "observe": observe_token(),
-            "dispatched_at": time.time(),
-        }
-
-    def _complete(
-        self,
-        unit: WorkUnit,
-        attempt: int,
-        payload,
-        elapsed: float,
-        store: ResultStore,
-        report: CampaignReport,
-    ) -> None:
-        store.record_attempt(
-            unit.unit_id, attempt, "done", elapsed=elapsed, result=payload
+        return _stamp(
+            {"unit": unit.to_dict(), "attempt": attempt, "chaos": chaos},
+            campaign.for_worker(self.unit_timeout),
         )
-        obs.observe("workunits.attempt.seconds", elapsed)
-        report.results[unit.unit_id] = payload
-        report.executed.add(unit.unit_id)
-        report.attempts += 1
 
-    def _fail(
-        self,
-        unit: WorkUnit,
-        attempt: int,
-        status: str,
-        error: str,
-        elapsed: float,
-        store: ResultStore,
-        report: CampaignReport,
-        state: StoreState,
-    ) -> float | None:
-        """Journal a failed attempt; return the retry delay (None = quarantined)."""
-        store.record_attempt(
-            unit.unit_id, attempt, status, elapsed=elapsed, error=error
+    def _settle(self, run: _Run, flight: _Flight, outcome: _Outcome) -> None:
+        """Journal an attempt, then keep its payload, quarantine the unit,
+        or requeue it after its backoff."""
+        unit_id = flight.unit.unit_id
+        done = outcome.status == "done"
+        run.store.record_attempt(
+            unit_id, flight.attempt, outcome.status, elapsed=outcome.elapsed,
+            result=outcome.payload, error=None if done else outcome.error,
         )
-        obs.observe("workunits.attempt.seconds", elapsed)
-        state.attempts[unit.unit_id] = attempt
-        report.attempts += 1
-        if attempt >= self.max_attempts:
-            store.record_quarantine(unit.unit_id, attempt, error)
-            report.quarantined[unit.unit_id] = error
-            return None
-        delay = backoff_delay(
-            unit.unit_id, attempt, self.backoff_base, self.backoff_cap
-        )
+        obs.observe("workunits.attempt.seconds", outcome.elapsed)
+        run.report.attempts += 1
+        if done:
+            run.report.results[unit_id] = outcome.payload
+            run.report.executed.add(unit_id)
+            return
+        run.state.attempts[unit_id] = flight.attempt
+        if outcome.final or flight.attempt >= self.max_attempts:
+            run.store.record_quarantine(unit_id, flight.attempt, outcome.error)
+            run.report.quarantined[unit_id] = outcome.error
+            return
+        delay = backoff_delay(unit_id, flight.attempt)
         obs.count("workunits.retry")
         obs.observe("workunits.backoff.seconds", delay)
-        return delay
+        run.enqueue(flight.unit, time.monotonic() + delay)
 
-    def _classify(self, unit: WorkUnit, raw) -> tuple[str, object, str, float]:
-        """Turn a worker return value into ``(status, payload, error, elapsed)``."""
-        from repro.engine.parallel import unpack_worker_payload
-
+    def _classify(self, unit: WorkUnit, raw) -> _Outcome:
+        """Turn a worker return value into an :class:`_Outcome`."""
         outcome = unpack_worker_payload(raw)
         if not isinstance(outcome, dict) or "status" not in outcome:
-            return "corrupt", None, f"malformed worker outcome {outcome!r:.80}", 0.0
-        elapsed = float(outcome.get("elapsed", 0.0) or 0.0)
-        if outcome["status"] == "done":
-            payload = outcome.get("payload")
-            problem = validate_payload(unit.to_dict(), payload)
-            if problem is not None:
-                return "corrupt", None, f"implausible payload: {problem}", elapsed
-            return "done", payload, "", elapsed
-        if outcome["status"] == "failed":
-            return "failed", None, str(outcome.get("error", "unknown")), elapsed
-        return (
-            "corrupt", None,
-            f"unknown outcome status {outcome.get('status')!r}", elapsed,
-        )
-
-    # -- inline execution (tests, doctests) --------------------------------
-
-    def _run_inline(
-        self,
-        pending: list[WorkUnit],
-        state: StoreState,
-        store: ResultStore,
-        report: CampaignReport,
-    ) -> None:
-        ready: list[tuple[float, int, WorkUnit]] = []
-        seq = 0
-        for unit in pending:
-            heapq.heappush(ready, (0.0, seq, unit))
-            seq += 1
-        while ready:
-            not_before, _, unit = heapq.heappop(ready)
-            delay = not_before - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            attempt = state.attempts.get(unit.unit_id, 0) + 1
-            obs.count("workunits.dispatched")
-            obs.gauge("workunits.pending", len(ready) + 1)
-            raw = execute_unit(self._dispatch_payload(unit, attempt))
-            status, payload, error, elapsed = self._classify(unit, raw)
-            if status == "done":
-                self._complete(unit, attempt, payload, elapsed, store, report)
-                continue
-            retry_in = self._fail(
-                unit, attempt, status, error, elapsed, store, report, state
+            return _Outcome(
+                "corrupt", error=f"malformed worker outcome {outcome!r:.80}"
             )
-            if retry_in is not None:
-                heapq.heappush(
-                    ready, (time.monotonic() + retry_in, seq, unit)
-                )
-                seq += 1
-        obs.gauge("workunits.pending", 0)
+        elapsed = float(outcome.get("elapsed", 0.0) or 0.0)
+        status = outcome["status"]
+        if status == "failed":
+            return _Outcome(
+                "failed", error=str(outcome.get("error", "unknown")),
+                elapsed=elapsed, final=bool(outcome.get("final")),
+            )
+        if status != "done":
+            error = f"unknown outcome status {status!r}"
+        elif (problem := validate_payload(unit.to_dict(), outcome.get("payload"))):
+            error = f"implausible payload: {problem}"
+        else:
+            return _Outcome("done", outcome["payload"], elapsed=elapsed)
+        return _Outcome("corrupt", error=error, elapsed=elapsed)
 
-    # -- pooled execution --------------------------------------------------
+    # -- the scheduler -----------------------------------------------------
 
-    def _run_pool(
-        self,
-        pending: list[WorkUnit],
-        state: StoreState,
-        store: ResultStore,
-        report: CampaignReport,
-    ) -> None:
-        ready: list[tuple[float, int, WorkUnit]] = []
-        seq = 0
-        for unit in pending:
-            heapq.heappush(ready, (0.0, seq, unit))
-            seq += 1
+    def _run_pool(self, run: _Run) -> None:
+        """Dispatch ``run.ready`` to a sacrificial pool until every unit is
+        done or quarantined."""
         executor = self._make_pool()
         inflight: dict = {}  # future -> _Flight
         try:
-            while ready or inflight:
+            while run.ready or inflight:
                 if self.budget is not None:
                     self.budget.check_deadline("work-unit campaign")
                 now = time.monotonic()
                 # dispatch up to `jobs` units so submission ~= start and
                 # the per-unit timeout measures actual runtime
                 while (
-                    ready and len(inflight) < self.jobs
-                    and ready[0][0] <= now
+                    run.ready and len(inflight) < self.jobs
+                    and run.ready[0][0] <= now
                 ):
-                    _, _, unit = heapq.heappop(ready)
-                    attempt = state.attempts.get(unit.unit_id, 0) + 1
+                    _, _, unit = heapq.heappop(run.ready)
+                    attempt = run.state.attempts.get(unit.unit_id, 0) + 1
                     future = executor.submit(
-                        execute_unit, self._dispatch_payload(unit, attempt)
+                        execute_unit,
+                        self._dispatch_payload(unit, attempt, self.chaos),
                     )
-                    overdue_at = (
-                        now + self.unit_timeout
-                        if self.unit_timeout is not None else None
-                    )
-                    inflight[future] = _Flight(unit, attempt, overdue_at)
+                    inflight[future] = _Flight(unit, attempt, (
+                        now + self.unit_timeout if self.unit_timeout else None
+                    ))
                     obs.count("workunits.dispatched")
-                obs.gauge(
-                    "workunits.pending", len(ready) + len(inflight)
-                )
+                obs.gauge("workunits.pending", len(run.ready) + len(inflight))
                 if not inflight:
                     # nothing running: sleep until the next retry matures
-                    time.sleep(max(0.0, ready[0][0] - time.monotonic()))
+                    time.sleep(max(0.0, run.ready[0][0] - time.monotonic()))
                     continue
-                done = self._await_some(ready, inflight)
                 broken = False
-                for future in done:
+                for future in self._await_some(run.ready, inflight):
                     flight = inflight.pop(future)
                     try:
-                        raw = future.result()
+                        outcome = self._classify(flight.unit, future.result())
                     except BrokenProcessPool:
                         # the pool died; this future carried no result —
                         # keep harvesting the ones that finished before the
@@ -441,63 +374,28 @@ class Supervisor:
                         broken = True
                         continue
                     except Exception as exc:  # worker bug surfaced via pickle
-                        retry_in = self._fail(
-                            flight.unit, flight.attempt, "failed",
-                            format_error_chain(exc), 0.0,
-                            store, report, state,
-                        )
-                        if retry_in is not None:
-                            heapq.heappush(
-                                ready,
-                                (time.monotonic() + retry_in, seq, flight.unit),
-                            )
-                            seq += 1
-                        continue
-                    status, payload, error, elapsed = self._classify(
-                        flight.unit, raw
-                    )
-                    if status == "done":
-                        self._complete(
-                            flight.unit, flight.attempt, payload, elapsed,
-                            store, report,
-                        )
-                        continue
-                    retry_in = self._fail(
-                        flight.unit, flight.attempt, status, error, elapsed,
-                        store, report, state,
-                    )
-                    if retry_in is not None:
-                        heapq.heappush(
-                            ready,
-                            (time.monotonic() + retry_in, seq, flight.unit),
-                        )
-                        seq += 1
-                if broken:
-                    seq = self._handle_broken_pool(
-                        inflight, ready, seq, store, report, state
-                    )
-                    self._destroy_pool(executor)
-                    executor = self._make_pool()
-                    report.pool_restarts += 1
-                    obs.count("workunits.pool_restarts")
-                    continue
-                seq, restarted = self._enforce_timeouts(
-                    executor, inflight, ready, seq, store, report, state
-                )
-                if restarted:
-                    executor = self._make_pool()
-                    report.pool_restarts += 1
-                    obs.count("workunits.pool_restarts")
+                        outcome = _Outcome("failed", error=format_error_chain(exc))
+                    self._settle(run, flight, outcome)
+                now = time.monotonic()
+                charged = dict.fromkeys(inflight, "crashed") if broken else {
+                    future: "timeout" for future, flight in inflight.items()
+                    if flight.overdue_at is not None and now >= flight.overdue_at
+                }
+                if charged:
+                    executor = self._restart_pool(run, executor, inflight, charged)
         finally:
             self._destroy_pool(executor)
         obs.gauge("workunits.pending", 0)
 
     def _make_pool(self):
         """A sacrificial process pool — even ``jobs=1`` gets one, because
-        isolation (not parallelism) is what the supervisor needs."""
+        isolation (not parallelism) is what the supervisor needs.  Its
+        workers end with this process, however it ends."""
         from concurrent.futures import ProcessPoolExecutor
 
-        return ProcessPoolExecutor(max_workers=self.jobs)
+        return ProcessPoolExecutor(
+            max_workers=self.jobs, initializer=_exit_with_parent
+        )
 
     def _await_some(self, ready, inflight):
         """Block until a future resolves, a timeout nears, or a retry matures."""
@@ -514,63 +412,37 @@ class Supervisor:
         )
         return done
 
-    def _handle_broken_pool(
-        self, inflight, ready, seq, store, report, state
-    ) -> int:
-        """Charge a ``crashed`` attempt to every unit the dead pool held."""
-        obs.count("engine.worker_crashes")
-        for future, flight in inflight.items():
-            retry_in = self._fail(
-                flight.unit, flight.attempt, "crashed",
-                "worker process died unexpectedly (SIGKILL/OOM or native "
-                "crash); attribution impossible, all in-flight units charged",
-                0.0, store, report, state,
-            )
-            if retry_in is not None:
-                heapq.heappush(
-                    ready, (time.monotonic() + retry_in, seq, flight.unit)
-                )
-                seq += 1
-        inflight.clear()
-        return seq
+    def _restart_pool(self, run: _Run, executor, inflight: dict, charged: dict):
+        """Kill the pool, charge each ``charged`` flight its status and
+        requeue the other flights uncharged; return a fresh pool.
 
-    def _enforce_timeouts(
-        self, executor, inflight, ready, seq, store, report, state
-    ) -> tuple[int, bool]:
-        """Kill the pool when any in-flight unit is past its hard deadline.
-
-        Overdue units are charged a ``timeout`` attempt; innocents that
-        were merely co-resident in the killed pool are re-enqueued with no
-        attempt charged (their work is lost but not their retry budget).
+        ``crashed``: the pool broke and attribution is impossible, so every
+        flight is charged.  ``timeout``: the overdue flights are charged;
+        innocents that were merely co-resident in the killed pool lose
+        their work but not their retry budget.
         """
-        now = time.monotonic()
-        overdue = [
-            (future, flight)
-            for future, flight in inflight.items()
-            if flight.overdue_at is not None and now >= flight.overdue_at
-        ]
-        if not overdue:
-            return seq, False
         self._destroy_pool(executor)
-        overdue_futures = {future for future, _ in overdue}
-        for future, flight in list(inflight.items()):
-            if future in overdue_futures:
-                retry_in = self._fail(
-                    flight.unit, flight.attempt, "timeout",
-                    f"hard per-unit timeout of {self.unit_timeout}s exceeded "
-                    f"(worker killed)",
-                    self.unit_timeout or 0.0, store, report, state,
-                )
-                if retry_in is not None:
-                    heapq.heappush(
-                        ready, (time.monotonic() + retry_in, seq, flight.unit)
-                    )
-                    seq += 1
+        if "crashed" in charged.values():
+            obs.count("engine.worker_crashes")
+        charges = {
+            "crashed": _Outcome("crashed", error=(
+                "worker process died unexpectedly (SIGKILL/OOM or native "
+                "crash); attribution impossible, all in-flight units charged"
+            )),
+            "timeout": _Outcome("timeout", error=(
+                f"hard per-unit timeout of {self.unit_timeout}s exceeded "
+                f"(worker killed)"
+            ), elapsed=self.unit_timeout or 0.0),
+        }
+        for future, flight in inflight.items():
+            if future in charged:
+                self._settle(run, flight, charges[charged[future]])
             else:
-                heapq.heappush(ready, (time.monotonic(), seq, flight.unit))
-                seq += 1
+                run.enqueue(flight.unit, time.monotonic())
         inflight.clear()
-        return seq, True
+        run.report.pool_restarts += 1
+        obs.count("workunits.pool_restarts")
+        return self._make_pool()
 
     @staticmethod
     def _destroy_pool(executor) -> None:
@@ -592,44 +464,34 @@ class Supervisor:
 
     # -- redundant validation ----------------------------------------------
 
-    def _validate(self, store: ResultStore, report: CampaignReport) -> None:
+    def _validate(self, run: _Run) -> None:
         """Re-execute a deterministic sample of this run's completed units.
 
         Only units *executed in this run* are sampled — resuming an
         already-complete store therefore schedules nothing, keeping
-        resume a strict no-op (property-tested).  Validation runs inline,
-        without chaos, under the campaign budget.
+        resume a strict no-op (property-tested).  Validation runs in this
+        process, without chaos, under the campaign budget.
         """
         if self.validate_redundancy < 2:
             return
+        store, report = run.store, run.report
         for unit in self.campaign.units:
             if unit.unit_id not in report.executed:
                 continue
             if int(unit.unit_id[:8], 16) % self.validate_redundancy != 0:
                 continue
-            payload = {
-                "unit": unit.to_dict(),
-                "attempt": self.max_attempts + 1,
-                "budget": self._unit_budget(),
-                "chaos": None,
-                "observe": False,
-                "dispatched_at": time.time(),
-            }
-            status, check, error, _ = self._classify(unit, execute_unit(payload))
+            check = self._classify(unit, execute_unit(
+                self._dispatch_payload(unit, self.max_attempts + 1, chaos=None)
+            ))
             report.validations += 1
-            if status != "done":
+            if check.status != "done":
                 report.mismatches[unit.unit_id] = (
-                    f"redundant execution failed: {error}"
+                    f"redundant execution failed: {check.error}"
                 )
-                store.record_validation(unit.unit_id, False, error=error)
+                store.record_validation(unit.unit_id, False, error=check.error)
                 continue
-            import json
-
-            original = json.dumps(
-                report.results[unit.unit_id], sort_keys=True
-            )
-            redundant = json.dumps(check, sort_keys=True)
-            if original == redundant:
+            original = json.dumps(report.results[unit.unit_id], sort_keys=True)
+            if original == json.dumps(check.payload, sort_keys=True):
                 store.record_validation(unit.unit_id, True)
             else:
                 detail = "redundant execution produced a different payload"

@@ -15,10 +15,11 @@ the chaos tests and the chaos-smoke CI job use to force crashes, hangs
 and corrupted results on schedule.
 
 Outcomes are dicts, not exceptions: ``{"status": "done", "payload": ...}``
-or ``{"status": "failed", "error": "<flattened cause chain>"}``.  Typed
-errors inside a unit are *data* (the unit will be retried or
-quarantined); only infrastructure death (no return at all) is left for
-the supervisor to detect.
+or ``{"status": "failed", "error": "<flattened cause chain>", "final":
+...}``.  Typed errors inside a unit are *data*, and ``final`` unless the
+error is a spent deadline: the same inputs would raise them again.  Only
+infrastructure death (no return at all) is left for the supervisor to
+detect.
 """
 
 from __future__ import annotations
@@ -29,7 +30,12 @@ from repro.engine.parallel import (
     _begin_worker_observation,
     _ship_worker_observation,
 )
-from repro.errors import ReproError, error_chain, format_error_chain
+from repro.errors import (
+    BudgetExceededError,
+    ReproError,
+    error_chain,
+    format_error_chain,
+)
 
 __all__ = ["execute_unit", "validate_payload"]
 
@@ -56,7 +62,12 @@ def execute_unit(payload: dict) -> dict:
         result = _EXECUTORS[unit["kind"]](unit, budget)
         outcome = {"status": "done", "payload": result}
     except ReproError as exc:
-        outcome = {"status": "failed", "error": format_error_chain(exc)}
+        spent = isinstance(exc, BudgetExceededError) and exc.resource == "deadline"
+        outcome = {
+            "status": "failed",
+            "error": format_error_chain(exc),
+            "final": not spent,  # only more time can change the answer
+        }
     outcome["elapsed"] = time.perf_counter() - started
     if chaos is not None:
         outcome = chaos.corrupt_outcome(unit["index"], attempt, outcome)

@@ -44,7 +44,7 @@ def sweep12(units=4):
 
 
 def reference_pfail(campaign):
-    report = run_campaign(campaign, None, mode="inline")
+    report = run_campaign(campaign, None)
     assert report.ok
     return list(assemble_sweep(campaign, report).pfail)
 
@@ -55,7 +55,7 @@ class TestWorkerChaos:
         report = run_campaign(
             campaign, tmp_path / "s.jsonl",
             chaos=ChaosPolicy.parse("crash@1"),
-            retries=2, backoff_base=0.0,
+            retries=2,
         )
         assert report.complete and not report.quarantined
         assert report.pool_restarts >= 1
@@ -71,7 +71,7 @@ class TestWorkerChaos:
         report = run_campaign(
             campaign, tmp_path / "s.jsonl",
             chaos=ChaosPolicy(((2, "hang", 1),), hang_seconds=120.0),
-            unit_timeout=3.0, retries=2, backoff_base=0.0,
+            unit_timeout=3.0, retries=2,
         )
         elapsed = time.monotonic() - started
         assert report.complete and not report.quarantined
@@ -88,7 +88,7 @@ class TestWorkerChaos:
         report = run_campaign(
             campaign, tmp_path / "s.jsonl",
             chaos=ChaosPolicy.parse("crash@3x*"),
-            retries=1, backoff_base=0.0,
+            retries=1,
         )
         # the campaign finishes despite a unit that kills every host
         assert report.complete

@@ -159,6 +159,26 @@ def test_a_budgeted_numeric_sweep_fails_alike_at_any_jobs(jobs):
         )
 
 
+@pytest.mark.parametrize("route", [
+    ["--jobs", "1"], ["--jobs", "2"], ["--store", "sweep.jsonl"],
+])
+def test_a_budgeted_sweep_exits_alike_on_every_route(
+    tmp_path, capsys, monkeypatch, route
+):
+    from repro.cli import main
+    from repro.dsl import dump_assembly
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rec.json").write_text(dump_assembly(recursive_assembly()))
+    code = main([
+        "sweep", "rec.json", SERVICE, "size", "--from", "1", "--to", "4",
+        "--points", "4", "--method", "numeric", "--max-sweeps", "2", *route,
+    ])
+    assert code == 8
+    assert "error[BudgetExceededError]: evaluation budget exceeded during " \
+        "fixed-point iteration: sweeps limit 2 (used 3)" in capsys.readouterr().err
+
+
 def test_a_parallel_estimate_may_spend_the_whole_trial_cap():
     # trials are charged once, by the caller; the workers get no trial cap
     budget = EvaluationBudget(max_trials=1000)

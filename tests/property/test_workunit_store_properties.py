@@ -183,11 +183,11 @@ def test_resuming_a_completed_campaign_is_a_noop(tmp_path):
         [1.0, 50.0, 100.0, 200.0], {"elem": 1.0, "res": 1.0},
     )
     store = tmp_path / "s.jsonl"
-    first = run_campaign(campaign, store, mode="inline")
+    first = run_campaign(campaign, store)
     assert first.ok
     snapshot = store.read_bytes()
     for _ in range(3):
-        again = run_campaign(campaign, store, mode="inline")
+        again = run_campaign(campaign, store)
         assert not again.executed and again.attempts == 0
         assert again.results == first.results
         assert store.read_bytes() == snapshot  # byte-for-byte untouched

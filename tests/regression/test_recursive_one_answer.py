@@ -255,7 +255,7 @@ def assert_refused_everywhere(assembly, error, tmp_path, capsys, server):
     assert code == 422 and name in body
 
     campaign = sweep_campaign(assembly, "A", "size", [2.0], {}, method="symbolic")
-    report = run_campaign(campaign, mode="inline", retries=0)
+    report = run_campaign(campaign, retries=0)
     assert not report.ok
     assert [text.startswith(f"{name}: ") for text in report.quarantined.values()] \
         == [True]

@@ -130,15 +130,6 @@ class TestChaosPolicy:
         assert policy.action_for(1, 3) is None
         assert policy.action_for(3, 99) == "crash"
         assert policy.action_for(0, 1) is None
-        assert policy.needs_isolation
-        assert not ChaosPolicy.parse("corrupt@1").needs_isolation
-
-    def test_inline_supervisor_refuses_isolation_chaos(self):
-        with pytest.raises(EvaluationError, match="isolation"):
-            Supervisor(
-                sweep20(), mode="inline",
-                chaos=ChaosPolicy.parse("crash@0"),
-            )
 
 
 class TestBackoff:
@@ -212,13 +203,15 @@ class TestStore:
 
 
 class TestSupervisorInline:
+    """The supervisor end to end on small campaigns, on its pool."""
+
     def test_completes_and_resumes_bit_identically(self, tmp_path):
         campaign = sweep20()
         path = tmp_path / "s.jsonl"
-        first = run_campaign(campaign, path, mode="inline")
+        first = run_campaign(campaign, path)
         assert first.complete and first.ok
         assert len(first.executed) == 3
-        again = run_campaign(campaign, path, mode="inline")
+        again = run_campaign(campaign, path)
         assert again.resumed == 3 and not again.executed
         assert again.attempts == 0  # strict no-op
         a = assemble_sweep(campaign, first)
@@ -228,8 +221,8 @@ class TestSupervisorInline:
     def test_corrupt_chaos_is_retried_then_succeeds(self, tmp_path):
         campaign = sweep20()
         report = run_campaign(
-            campaign, tmp_path / "s.jsonl", mode="inline",
-            chaos=ChaosPolicy.parse("corrupt@1"), backoff_base=0.0,
+            campaign, tmp_path / "s.jsonl",
+            chaos=ChaosPolicy.parse("corrupt@1"),
         )
         assert report.complete and not report.quarantined
         assert report.attempts == 4  # 3 units + 1 retry
@@ -240,9 +233,9 @@ class TestSupervisorInline:
     def test_poison_corrupt_unit_is_quarantined(self, tmp_path):
         campaign = sweep20()
         report = run_campaign(
-            campaign, tmp_path / "s.jsonl", mode="inline",
+            campaign, tmp_path / "s.jsonl",
             chaos=ChaosPolicy.parse("corrupt@1x*"),
-            retries=2, backoff_base=0.0,
+            retries=2,
         )
         assert report.complete and not report.ok
         poisoned = campaign.units[1].unit_id
@@ -255,9 +248,46 @@ class TestSupervisorInline:
         assert not any(math.isnan(v) for v in sweep.pfail[:8])
         # resuming keeps the quarantine (and does not retry the unit)
         again = run_campaign(
-            campaign, tmp_path / "s.jsonl", mode="inline", retries=2,
+            campaign, tmp_path / "s.jsonl", retries=2,
         )
         assert poisoned in again.quarantined and not again.executed
+
+    def test_typed_unit_error_is_final(self, tmp_path):
+        from repro.runtime import EvaluationBudget
+        from repro.scenarios import recursive_assembly
+
+        campaign = sweep_campaign(
+            recursive_assembly(), "A", "size", [1.0, 2.0], {},
+            method="numeric",
+        )
+        report = run_campaign(
+            campaign, tmp_path / "s.jsonl", retries=2,
+            budget=EvaluationBudget(max_sweeps=2),
+        )
+        assert report.attempts == 1 and len(report.quarantined) == 1
+        records = [
+            json.loads(line)
+            for line in (tmp_path / "s.jsonl").read_text().splitlines()[1:]
+        ]
+        assert [(r["kind"], r.get("status"), r.get("attempts")) for r in records] \
+            == [("attempt", "failed", None), ("quarantine", None, 1)]
+        assert "sweeps limit 2 (used 3)" in records[1]["error"]
+
+    def test_only_a_spent_deadline_is_worth_a_retry(self):
+        from repro.runtime import EvaluationBudget
+        from repro.scenarios import recursive_assembly
+        from repro.workunits.worker import execute_unit
+
+        unit = sweep_campaign(
+            recursive_assembly(), "A", "size", [1.0], {}, method="numeric",
+        ).units[0].to_dict()
+        for budget, final in [
+            (EvaluationBudget(max_sweeps=2), True),
+            (EvaluationBudget(deadline=0.0), False),
+        ]:
+            outcome = execute_unit({"unit": unit, "budget": budget})
+            assert outcome["status"] == "failed"
+            assert outcome["final"] is final
 
     def test_garbage_payload_never_validates(self):
         unit = sweep20().units[0].to_dict()
@@ -271,19 +301,19 @@ class TestSupervisorInline:
     def test_redundancy_validation_runs_and_matches(self, tmp_path):
         campaign = sweep20()
         report = run_campaign(
-            campaign, tmp_path / "s.jsonl", mode="inline",
+            campaign, tmp_path / "s.jsonl",
             validate_redundancy=1_000_000_000,  # sample ~nothing...
         )
         assert report.validations == 0 or not report.mismatches
         report = run_campaign(
-            campaign, tmp_path / "v.jsonl", mode="inline",
+            campaign, tmp_path / "v.jsonl",
             validate_redundancy=2,
         )
         assert report.validations >= 1
         assert not report.mismatches
         # resuming the completed store schedules no validation either
         again = run_campaign(
-            campaign, tmp_path / "v.jsonl", mode="inline",
+            campaign, tmp_path / "v.jsonl",
             validate_redundancy=2,
         )
         assert again.validations == 0
@@ -294,13 +324,11 @@ class TestSupervisorInline:
 
         with pytest.raises(BudgetExceededError):
             run_campaign(
-                sweep20(), None, mode="inline",
+                sweep20(), None,
                 budget=EvaluationBudget(deadline=0.0),
             )
 
     def test_supervisor_rejects_bad_options(self):
-        with pytest.raises(EvaluationError):
-            Supervisor(sweep20(), mode="weird")
         with pytest.raises(EvaluationError):
             Supervisor(sweep20(), retries=-1)
         with pytest.raises(EvaluationError):
@@ -314,7 +342,7 @@ class TestAssembly:
         from repro.analysis import sweep_parameter
 
         campaign = sweep20()
-        report = run_campaign(campaign, None, mode="inline")
+        report = run_campaign(campaign, None)
         assembled = assemble_sweep(campaign, report)
         direct = sweep_parameter(
             local_assembly(), "search", "list", np.asarray(GRID), FIXED,
@@ -328,7 +356,7 @@ class TestAssembly:
             [("a", local_assembly()), ("b", local_assembly())],
             "search", points,
         )
-        report = run_campaign(campaign, None, mode="inline")
+        report = run_campaign(campaign, None)
         entries = assemble_batch(campaign, report)
         assert [e.index for e in entries] == [0, 1, 2, 3]
         assert all(e.ok for e in entries)
@@ -374,7 +402,7 @@ class TestAssembly:
         campaign = fuzz_campaign(
             local_assembly(), 6, seed=3, trials=200, deadline=5.0
         )
-        report = run_campaign(campaign, None, mode="inline")
+        report = run_campaign(campaign, None)
         assembled = assemble_fuzz(campaign, report)
         direct = FuzzHarness(
             local_assembly(), seed=3, trials=200, deadline=5.0
@@ -388,7 +416,7 @@ class TestAssembly:
 
     def test_kind_mismatch_raises(self):
         campaign = sweep20()
-        report = run_campaign(campaign, None, mode="inline")
+        report = run_campaign(campaign, None)
         with pytest.raises(EvaluationError):
             assemble_fuzz(campaign, report)
 
